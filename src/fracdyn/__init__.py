@@ -12,6 +12,7 @@ from .constrained_dynamics import (
     variational_residual,
 )
 from .fode_solver import (
+    RHS,
     History,
     IntegratorConfig,
     SimulationResult,
@@ -65,6 +66,7 @@ __all__ = [
     "rhs_nonlinear_frac_oscillator",
     "hamilton_rhs",
     "variational_residual",
+    "RHS",
     "History",
     "IntegratorConfig",
     "SimulationResult",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,7 +37,12 @@ from .constrained_dynamics import (
     rhs_linear,
     rhs_nonlinear_frac_oscillator,
 )
-from .errors import AccuracyLossError, ConfigError, DivergenceError
+from .errors import (
+    AccuracyLossError,
+    ConfigError,
+    ConstraintViolationError,
+    DivergenceError,
+)
 from .fode_solver import (
     IntegratorConfig,
     SimulationResult,
@@ -57,7 +61,6 @@ SCENARIOS = (
     "case2-2d",
     "nonlinear-fracosc",
     "hamilton-linear",
-    "custom",
 )
 
 _SCHEMES = ("semi-implicit-euler", "velocity-verlet")
@@ -66,22 +69,36 @@ _SCHEMES = ("semi-implicit-euler", "velocity-verlet")
 # ---------------------------------------------------------------------------
 # configuration
 
-def _require(d: dict, key: str, kind, path: str):
+def _number(v, name: str) -> float:
+    """A finite float from a JSON value (JSON admits NaN and Infinity)."""
+    x = math.nan
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:
+            pass
+    if not math.isfinite(x):
+        raise ConfigError(name, "must be a finite number")
+    return x
+
+
+def _require(d: dict, key: str, kind, path: str, default=None):
+    """``d[key]`` checked against ``kind``; ``default``, when given, stands
+    in for a missing key."""
+    name = f"{path}.{key}" if path else key
     if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing")
+        if default is not None:
+            return default
+        raise ConfigError(name, "missing")
     v = d[key]
     if kind is float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{path}.{key}" if path else key, "must be a number")
-        return float(v)
+        return _number(v, name)
     if kind is list:
-        if not isinstance(v, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-        ):
-            raise ConfigError(f"{path}.{key}" if path else key, "must be a number list")
-        return [float(x) for x in v]
+        if not isinstance(v, list):
+            raise ConfigError(name, "must be a number list")
+        return [_number(x, name) for x in v]
     if not isinstance(v, kind):
-        raise ConfigError(f"{path}.{key}" if path else key, f"must be {kind.__name__}")
+        raise ConfigError(name, f"must be {kind.__name__}")
     return v
 
 
@@ -95,7 +112,6 @@ class ScenarioConfig:
     q: tuple = ()
     qdot: tuple = ()
     prefix: str = "run"
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -111,6 +127,8 @@ class ScenarioConfig:
             raise ConfigError("grid.h", "must be positive")
         if t_end <= 0.0:
             raise ConfigError("grid.t_end", "must be positive")
+        if h > t_end:
+            raise ConfigError("grid.h", "must not exceed grid.t_end")
         scheme = raw.get("scheme", "semi-implicit-euler")
         if scheme not in _SCHEMES:
             raise ConfigError("scheme", f"unknown scheme {scheme!r}")
@@ -129,12 +147,13 @@ class ScenarioConfig:
         if not isinstance(out, dict):
             raise ConfigError("output", "must be an object")
         prefix = out.get("prefix", "run")
-        if not isinstance(prefix, str) or not prefix:
-            raise ConfigError("output.prefix", "must be a non-empty string")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed", "must be an integer")
-        return cls(scenario, h, t_end, scheme, dict(params), q, qdot, prefix, seed)
+        # artifacts are <out>/<prefix>_*.csv: a separator would leave --out
+        if (
+            not isinstance(prefix, str) or not prefix
+            or Path(prefix).name != prefix or "\0" in prefix
+        ):
+            raise ConfigError("output.prefix", "must be a single path component")
+        return cls(scenario, h, t_end, scheme, dict(params), q, qdot, prefix)
 
     def to_dict(self) -> dict:
         qd_key = "p" if self.scenario == "hamilton-linear" else "qdot"
@@ -145,20 +164,14 @@ class ScenarioConfig:
             "parameters": dict(self.parameters),
             "initial": {"q": list(self.q), qd_key: list(self.qdot)},
             "output": {"prefix": self.prefix},
-            "seed": self.seed,
         }
-
-    def replace(self, **kw) -> "ScenarioConfig":
-        d = self.__dict__.copy()
-        d.update(kw)
-        return ScenarioConfig(**d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScenarioConfig) and self.to_dict() == other.to_dict()
 
 
-def _param(cfg: ScenarioConfig, key: str, kind=float):
-    return _require(cfg.parameters, key, kind, "parameters")
+def _param(cfg: ScenarioConfig, key: str, kind=float, default=None):
+    return _require(cfg.parameters, key, kind, "parameters", default)
 
 
 def _potential(cfg: ScenarioConfig, n: int):
@@ -168,7 +181,7 @@ def _potential(cfg: ScenarioConfig, n: int):
     kind = sel["kind"]
     if kind == "zero":
         return (lambda q: 0.0), (lambda q: np.zeros(n))
-    k = float(sel.get("k", 1.0))
+    k = _require(sel, "k", float, "parameters.potential", 1.0)
     if kind == "quadratic":
         return (lambda q: 0.5 * k * float(q @ q)), (lambda q: k * np.asarray(q))
     if kind == "quadratic-q1":
@@ -185,7 +198,7 @@ def _kfun(cfg: ScenarioConfig):
     sel = cfg.parameters.get("K", {"kind": "linear", "k": 1.0})
     if not isinstance(sel, dict) or "kind" not in sel:
         raise ConfigError("parameters.K", "needs a 'kind' field")
-    k = float(sel.get("k", 1.0))
+    k = _require(sel, "k", float, "parameters.K", 1.0)
     if sel["kind"] == "linear":
         return lambda x: k * x
     if sel["kind"] == "cubic":
@@ -234,9 +247,12 @@ def _linear_plan(cfg: ScenarioConfig, a, b, order: FracOrder) -> RunPlan:
         q_init=q0,
         qdot_init=qd0,
     )
+    try:
+        rr = rhs_linear(sys)
+    except ConstraintViolationError as exc:
+        raise ConfigError("initial.qdot", str(exc)) from exc
 
     def execute(icfg: IntegratorConfig) -> SimulationResult:
-        rr = rhs_linear(sys)
         return integrate_second_order(rr, (sys.q_init, rr.qdot_start), icfg)
 
     return RunPlan(n=n, execute=execute)
@@ -248,7 +264,7 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
         alpha = _param(cfg, "alpha")
         if not 2.0 < alpha < 3.0:
             raise ConfigError("parameters.alpha", "oscillator-1d needs 2 < alpha < 3")
-        omega2 = float(cfg.parameters.get("omega2", 1.0))
+        omega2 = _param(cfg, "omega2", default=1.0)
         if omega2 <= 0.0:
             raise ConfigError("parameters.omega2", "must be positive")
         plan = _linear_plan(cfg, [1.0], [omega2], FracOrder(alpha - 1.0))
@@ -262,21 +278,25 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
 
         plan.oracle = oracle
         return plan
-    if sc in ("linear-nd", "custom"):
+    if sc == "linear-nd":
         a = _param(cfg, "a", list)
         b = _param(cfg, "b", list)
         if len(a) != len(b) or not a:
             raise ConfigError("parameters.b", "a and b need equal nonzero length")
+        if not any(a):
+            raise ConfigError("parameters.a", "must be a nonzero vector")
         return _linear_plan(cfg, a, b, _frac_order(cfg))
     if sc in ("case1-2d", "case1-2d-b2zero"):
-        a2 = float(cfg.parameters.get("a2", 1.0))
-        b1 = float(cfg.parameters.get("b1", 1.0))
-        b2 = 0.0 if sc == "case1-2d-b2zero" else float(cfg.parameters.get("b2", 0.0))
+        a2 = _param(cfg, "a2", default=1.0)
+        if a2 == 0.0:
+            raise ConfigError("parameters.a2", "must be nonzero")
+        b1 = _param(cfg, "b1", default=1.0)
+        b2 = 0.0 if sc == "case1-2d-b2zero" else _param(cfg, "b2", default=0.0)
         plan = _linear_plan(cfg, [0.0, a2], [b1, b2], _frac_order(cfg))
         sel = cfg.parameters.get("potential", {})
         if sc == "case1-2d-b2zero" and sel.get("kind") == "quadratic-q1":
             # the q1 motion decouples and is classical
-            k = float(sel.get("k", 1.0))
+            k = _require(sel, "k", float, "parameters.potential", 1.0)
             w = math.sqrt(k)
             q0, qd0 = _init_vectors(cfg, 2)
 
@@ -287,10 +307,10 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
             plan.oracle = oracle
         return plan
     if sc == "case2-2d":
-        c = float(cfg.parameters.get("c", 1.0))
+        c = _param(cfg, "c", default=1.0)
         if c == 0.0:
             raise ConfigError("parameters.c", "must be nonzero")
-        b2 = float(cfg.parameters.get("b2", 1.0))
+        b2 = _param(cfg, "b2", default=1.0)
         return _linear_plan(cfg, [c, c], [0.0, b2], _frac_order(cfg))
     if sc == "nonlinear-fracosc":
         g = _param(cfg, "g")
@@ -302,9 +322,9 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
             raise ConfigError("parameters.form", f"unknown form {form!r}")
         kf = _kfun(cfg)
         q0, qd0 = _init_vectors(cfg, 1)
+        rr = rhs_nonlinear_frac_oscillator(g, kf, order, form=form)
 
         def execute(icfg):
-            rr = rhs_nonlinear_frac_oscillator(g, kf, order, form=form)
             return integrate_second_order(rr, (q0, qd0), icfg)
 
         return RunPlan(n=1, execute=execute)
@@ -328,8 +348,10 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
             p_init=p0,
         )
 
+        rr = hamilton_rhs(spec)
+
         def execute(icfg):
-            return integrate_hamilton(hamilton_rhs(spec), (q0, p0), icfg)
+            return integrate_hamilton(rr, (q0, p0), icfg)
 
         return RunPlan(n=n, execute=execute)
     raise ConfigError("scenario", f"unknown id {sc!r}")
@@ -411,20 +433,15 @@ def _load_config(args) -> ScenarioConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    cfg = ScenarioConfig.from_dict(raw)
-    if args.h is not None:
-        if args.h <= 0:
-            raise ConfigError("grid.h", "must be positive")
-        cfg = cfg.replace(h=args.h)
-    if args.t_end is not None:
-        if args.t_end <= 0:
-            raise ConfigError("grid.t_end", "must be positive")
-        cfg = cfg.replace(t_end=args.t_end)
-    if args.scheme is not None:
-        if args.scheme not in _SCHEMES:
-            raise ConfigError("scheme", f"unknown scheme {args.scheme!r}")
-        cfg = cfg.replace(scheme=args.scheme)
-    return cfg
+    # overrides replace config values before validation, which checks both alike
+    if isinstance(raw, dict):
+        grid = raw.get("grid")
+        for key, v in (("h", args.h), ("t_end", args.t_end)):
+            if v is not None and isinstance(grid, dict):
+                grid[key] = v
+        if args.scheme is not None:
+            raw["scheme"] = args.scheme
+    return ScenarioConfig.from_dict(raw)
 
 
 def cmd_run(args) -> int:
@@ -516,11 +533,6 @@ def cmd_convergence(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FRACDYN_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="fracdyn", description="fractional constrained-dynamics scenarios"
     )

@@ -31,12 +31,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gamma
 
+from . import fode_solver
 from .errors import (
     ConstraintViolationError,
     FracDomainError,
     GridMismatchError,
     SingularConstraintError,
 )
+from .fode_solver import RHS
 from .frac_ops import (
     caputo_right,
     fractional_integral_last,
@@ -273,23 +275,7 @@ def _estimate_higher_init(sys: SystemSpec, qdot0: np.ndarray) -> np.ndarray:
     return -grad
 
 
-class _RHSBase:
-    """Common interface consumed by the integrator.
-
-    Instances own per-run mutable caches and are single-consumer.
-    """
-
-    n: int
-    last_multiplier: float = float("nan")
-
-    def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
-        return None
-
-    def residual_last(self, hist) -> float:
-        return float("nan")
-
-
-class _LinearRHS(_RHSBase):
+class _LinearRHS(RHS):
     def __init__(self, sys: SystemSpec, mode: str, project_init: bool) -> None:
         if mode not in ("prop1", "direct"):
             raise FracDomainError(f"mode must be 'prop1' or 'direct', got {mode}")
@@ -311,19 +297,18 @@ class _LinearRHS(_RHSBase):
         self._shift_amp = -np.dot(self.b, self.qm0) / gamma(self._shift_pow + 1.0) * (
             self.a / self.a2
         )
-        self._prev_dq: Optional[np.ndarray] = None
-        self._prev_d1d = np.zeros(sys.n)
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         if self.mode == "prop1":
             d1d = hist.caputo_qdot(self.alpha)
         else:
+            # backward difference against D^alpha q stored at the node before
             dq_now = hist.caputo_q(self.alpha)
-            if self._prev_dq is None:
+            hist.store(dq_now)
+            if hist.count < 2:
                 d1d = np.zeros(self.n)
             else:
-                d1d = (dq_now - self._prev_dq) / hist.h
-            self._prev_dq = dq_now
+                d1d = (dq_now - hist.aux_view[-2]) / hist.h
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
         d1d_rep = d1d
         if self.mode == "prop1" and np.any(self.qm0):
@@ -348,7 +333,7 @@ class _LinearRHS(_RHSBase):
         return float(np.dot(self.a, hist.last_qdot) + np.dot(self.b, dq))
 
 
-class _GeneralRHS(_RHSBase):
+class _GeneralRHS(RHS):
     def __init__(self, sys: SystemSpec, project_init: bool) -> None:
         c = sys.constraint
         if c is None or c.kind != "general":
@@ -424,7 +409,7 @@ def twodim_case2_inverse(x, y):
 # ---------------------------------------------------------------------------
 # nonlinear fractional oscillator (case-2 reduction)
 
-class _NonlinearPreRHS(_RHSBase):
+class _NonlinearPreRHS(RHS):
     """Pre-reduction form xddot = -g D^1[D^alpha x + D^(alpha-2) K(x)].
 
     Integrating the outer D^1 once gives the first integral
@@ -434,7 +419,8 @@ class _NonlinearPreRHS(_RHSBase):
     back with gain ~ h^(1-alpha) > 1; that panel is therefore solved for
     implicitly, and the acceleration handed back is the one a
     semi-implicit-euler step turns into exactly that update (the intended
-    scheme for this form).
+    scheme for this form).  K(x_j) is evaluated once per node and kept in
+    the history.
     """
 
     n = 1
@@ -447,17 +433,17 @@ class _NonlinearPreRHS(_RHSBase):
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         h = hist.h
         x = hist.q_view[:, 0]
+        hist.store(self.K(x[-1]))
         if len(x) < 3:
             # fractional terms vanish at 0+ along smooth motion
             return np.array([-self.K(float(q[0]))])
-        from .frac_ops import l1_caputo_last  # local to avoid cycle noise
-
         v0 = hist.qdot_view[0, 0]
         # F at the next node with x_{i+1} split out; K is lagged one sample
         xe = np.append(x, 0.0)
-        ke = np.append([self.K(v) for v in x], self.K(float(x[-1])))
+        k = hist.aux_view[:, 0]
+        ke = np.append(k, k[-1])
         coef = h ** (-self.alpha) / gamma(3.0 - self.alpha)
-        f_known = l1_caputo_last(xe, h, self.alpha) + fractional_integral_last(
+        f_known = fode_solver.l1_caputo_last(xe, h, self.alpha) + fractional_integral_last(
             ke, 2.0 - self.alpha, h
         )
         x_next = (x[-1] + h * (v0 - self.g * f_known)) / (
@@ -466,7 +452,7 @@ class _NonlinearPreRHS(_RHSBase):
         return np.array([((x_next - x[-1]) / h - float(qdot[0])) / h])
 
 
-class _NonlinearReducedRHS(_RHSBase):
+class _NonlinearReducedRHS(RHS):
     """Reduced form xddot = -(1/g) D^(3-alpha) x - K(x).
 
     Obtained by applying D^(2-alpha) to the first integral
@@ -512,20 +498,16 @@ def rhs_nonlinear_frac_oscillator(
 # ---------------------------------------------------------------------------
 # Hamilton form
 
-class _HamiltonRHS:
-    """Callable (t, q, p, history) -> (qdot, pdot); owns the causal buffer
-    of the fractional integrand mu * sum_l dA_l/d(D^a q_k) qdot_l."""
+class _HamiltonRHS(RHS):
+    """Callable (t, q, p, history) -> (qdot, pdot).  The fractional
+    integrand mu * sum_l dA_l/d(D^a q_k) qdot_l is kept in the history."""
 
     def __init__(self, spec: HamiltonSpec) -> None:
         self.spec = spec
         self.n = spec.n
-        self._integrand: list[np.ndarray] = []
-        self.last_multiplier = float("nan")
         self.last_residual = float("nan")
 
     def __call__(self, t, q, p, hist):
-        from .frac_ops import l1_caputo_last
-
         spec = self.spec
         dq = hist.caputo_q(spec.order.alpha)
         a = np.asarray(spec.A(q, dq), dtype=float)
@@ -541,14 +523,13 @@ class _HamiltonRHS:
         dad = np.asarray(spec.dA_dD(q, dq), dtype=float)
         pdot = -np.asarray(spec.grad_potential(q), dtype=float) + mu * (daq.T @ qdot)
 
-        self._integrand.append(mu * (dad.T @ qdot))
-        if len(self._integrand) >= 2 and np.any(
-            [np.any(v) for v in self._integrand]
-        ):
-            buf = np.asarray(self._integrand)
-            for k in range(self.n):
-                pdot[k] += l1_caputo_last(buf[:, k], hist.h, spec.order.alpha)
+        hist.store(mu * (dad.T @ qdot))
+        if hist.count >= 2 and hist.aux_nonzero:
+            pdot += hist.caputo_aux(spec.order.alpha)
         return qdot, pdot
+
+    def residual_last(self, hist) -> float:
+        return self.last_residual
 
 
 def hamilton_rhs(spec: HamiltonSpec):

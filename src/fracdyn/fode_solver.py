@@ -6,6 +6,10 @@ accumulated samples and answers those queries with the L1 scheme.  All
 schemes are explicit with the history term lagged at most one step, so the
 per-step cost grows linearly with the step index (O(N^2) per run).
 
+Every right-hand side meets the ``RHS`` protocol.  A run's memory lives
+only in the ``History`` the stepper creates for that run, so one RHS object
+can serve any number of runs.
+
 Singular power-law correction terms (the derivative-shift startup term)
 are not sampled; right-hand sides hand over their exact per-step integral
 and the steppers add it to the velocity update directly.
@@ -25,6 +29,7 @@ from .frac_ops import l1_caputo_last
 from .series import Grid, SampleSeries
 
 __all__ = [
+    "RHS",
     "IntegratorConfig",
     "SimulationResult",
     "History",
@@ -42,7 +47,6 @@ class IntegratorConfig:
     h: float
     t_end: float
     scheme: str = "semi-implicit-euler"
-    history_window: Optional[int] = None
     divergence_threshold: float = 1e12
 
     def __post_init__(self) -> None:
@@ -52,8 +56,6 @@ class IntegratorConfig:
             raise FracDomainError(f"horizon must be positive, got {self.t_end}")
         if self.scheme not in _SCHEMES:
             raise FracDomainError(f"unknown scheme {self.scheme!r}")
-        if self.history_window is not None and self.history_window < 10:
-            raise FracDomainError("history window must be at least 10 steps")
 
     def grid(self) -> Grid:
         n = max(1, round(self.t_end / self.h))
@@ -74,24 +76,31 @@ class SimulationResult:
 
 
 class History:
-    """Accumulated (q, qdot) samples plus causal Caputo queries.
+    """All the memory of one run, with causal Caputo queries on it.
 
-    With a truncation window only the most recent panels enter the L1 sum;
-    that is an approximation and stays off in all acceptance runs.
+    Besides the (q, qdot) samples it holds one n-vector per node that the
+    right-hand side supplies through ``store`` (a fractional integrand, say),
+    and records whether any stored vector was nonzero.
     """
 
-    def __init__(self, grid: Grid, n: int, window: Optional[int] = None) -> None:
+    def __init__(self, grid: Grid, n: int) -> None:
         self.h = grid.h
         self.n = n
-        self.window = window
         self._q = np.empty((grid.n_nodes, n))
         self._qd = np.empty((grid.n_nodes, n))
+        self._aux = np.zeros((grid.n_nodes, n))
+        self.aux_nonzero = False
         self.count = 0
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         self._q[self.count] = q
         self._qd[self.count] = qdot
         self.count += 1
+
+    def store(self, v) -> None:
+        """Set the right-hand side's vector at the newest node."""
+        self._aux[self.count - 1] = v
+        self.aux_nonzero = self.aux_nonzero or bool(np.any(v))
 
     @property
     def q_view(self) -> np.ndarray:
@@ -102,6 +111,10 @@ class History:
         return self._qd[: self.count]
 
     @property
+    def aux_view(self) -> np.ndarray:
+        return self._aux[: self.count]
+
+    @property
     def last_q(self) -> np.ndarray:
         return self._q[self.count - 1]
 
@@ -109,22 +122,43 @@ class History:
     def last_qdot(self) -> np.ndarray:
         return self._qd[self.count - 1]
 
-    def _slice(self, arr: np.ndarray) -> np.ndarray:
-        if self.window is not None and self.count - 1 > self.window:
-            return arr[self.count - 1 - self.window : self.count]
-        return arr[: self.count]
+    def _caputo(self, arr: np.ndarray, alpha: float) -> np.ndarray:
+        cols = arr[: self.count]
+        return np.array(
+            [l1_caputo_last(cols[:, k], self.h, alpha) for k in range(self.n)]
+        )
 
     def caputo_q(self, alpha: float) -> np.ndarray:
-        cols = self._slice(self._q)
-        return np.array(
-            [l1_caputo_last(cols[:, k], self.h, alpha) for k in range(self.n)]
-        )
+        return self._caputo(self._q, alpha)
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        cols = self._slice(self._qd)
-        return np.array(
-            [l1_caputo_last(cols[:, k], self.h, alpha) for k in range(self.n)]
-        )
+        return self._caputo(self._qd, alpha)
+
+    def caputo_aux(self, alpha: float) -> np.ndarray:
+        return self._caputo(self._aux, alpha)
+
+
+class RHS:
+    """The protocol the steppers consume.
+
+    ``rhs(t, q, qdot, hist)`` returns the acceleration at node t (the
+    Hamilton form returns the pair (qdot, pdot) instead).  After each call the stepper reads ``last_multiplier`` and
+    ``residual_last(hist)``; after each step it adds
+    ``singular_velocity_increment(t0, t1)`` to the velocity when that is not
+    None.  Whatever a run must remember goes into ``hist``.
+    """
+
+    n: int
+    last_multiplier: float = float("nan")
+
+    def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray, hist: History):
+        raise NotImplementedError
+
+    def residual_last(self, hist: History) -> float:
+        return float("nan")
+
+    def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
+        return None
 
 
 def _check_state(q: np.ndarray, qdot: np.ndarray, thr: float, partial) -> None:
@@ -140,12 +174,30 @@ def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
     )
 
 
-def integrate_second_order(rhs, init, cfg: IntegratorConfig) -> SimulationResult:
+def integrate_second_order(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResult:
     """Advance qddot = rhs(t, q, qdot, history) with the configured scheme.
 
-    ``init`` is the pair (q0, qdot0).  The rhs object is consulted once per
-    node, in order, so it may keep causal caches of its own.
+    ``init`` is the pair (q0, qdot0).
     """
+    if cfg.scheme == "abm-fractional":
+        raise FracDomainError(
+            "use integrate_fractional_abm for the abm-fractional scheme"
+        )
+    return _integrate(rhs, init, cfg, cfg.scheme)
+
+
+def integrate_hamilton(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResult:
+    """Advance the Hamilton-form pair (q, p) by explicit Euler steps.
+
+    The result stores p in the ``qdot`` slot; ``multiplier`` carries mu(t)
+    and ``residual`` the constraint value A . qdot.
+    """
+    return _integrate(rhs, init, cfg, "hamilton-euler")
+
+
+def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResult:
+    """The stepper loop shared by all explicit schemes; ``qd`` holds p for
+    the Hamilton form."""
     grid = cfg.grid()
     h = grid.h
     nn = grid.n_nodes
@@ -156,36 +208,30 @@ def integrate_second_order(rhs, init, cfg: IntegratorConfig) -> SimulationResult
     res = np.full(nn, np.nan)
     q[0] = np.asarray(init[0], dtype=float)
     qd[0] = np.asarray(init[1], dtype=float)
-    hist = History(grid, n, cfg.history_window)
+    hist = History(grid, n)
     hist.append(q[0], qd[0])
     t = grid.nodes()
     max_inc = 0.0
 
     def record(i: int) -> None:
-        lam[i] = getattr(rhs, "last_multiplier", np.nan)
-        r = rhs.residual_last(hist) if hasattr(rhs, "residual_last") else np.nan
-        res[i] = r
+        lam[i] = rhs.last_multiplier
+        res[i] = rhs.residual_last(hist)
 
-    if cfg.scheme == "semi-implicit-euler":
-        for i in range(nn - 1):
-            acc = rhs(t[i], q[i], qd[i], hist)
-            record(i)
-            qd[i + 1] = qd[i] + h * acc
-            inc = rhs.singular_velocity_increment(t[i], t[i + 1]) if hasattr(
-                rhs, "singular_velocity_increment"
-            ) else None
-            if inc is not None:
-                qd[i + 1] += inc
-                max_inc = max(max_inc, float(np.max(np.abs(inc))))
-            q[i + 1] = q[i] + h * qd[i + 1]
-            _check_state(
-                q[i + 1], qd[i + 1], cfg.divergence_threshold,
-                _partial(grid, q, qd, lam, res, i + 1),
-            )
-            hist.append(q[i + 1], qd[i + 1])
-        rhs(t[-1], q[-1], qd[-1], hist)
-        record(nn - 1)
-    elif cfg.scheme == "velocity-verlet":
+    def add_singular_increment(i: int) -> None:
+        nonlocal max_inc
+        inc = rhs.singular_velocity_increment(t[i], t[i + 1])
+        if inc is not None:
+            qd[i + 1] += inc
+            max_inc = max(max_inc, float(np.max(np.abs(inc))))
+
+    def accept(i: int) -> None:
+        _check_state(
+            q[i + 1], qd[i + 1], cfg.divergence_threshold,
+            _partial(grid, q, qd, lam, res, i + 1),
+        )
+        hist.append(q[i + 1], qd[i + 1])
+
+    if scheme == "velocity-verlet":
         acc = rhs(t[0], q[0], qd[0], hist)
         record(0)
         for i in range(nn - 1):
@@ -193,68 +239,31 @@ def integrate_second_order(rhs, init, cfg: IntegratorConfig) -> SimulationResult
             # history still ends at node i: one-step-lagged fractional terms
             acc_new = rhs(t[i + 1], q[i + 1], qd[i] + h * acc, hist)
             qd[i + 1] = qd[i] + 0.5 * h * (acc + acc_new)
-            inc = rhs.singular_velocity_increment(t[i], t[i + 1]) if hasattr(
-                rhs, "singular_velocity_increment"
-            ) else None
-            if inc is not None:
-                qd[i + 1] += inc
-                max_inc = max(max_inc, float(np.max(np.abs(inc))))
-            _check_state(
-                q[i + 1], qd[i + 1], cfg.divergence_threshold,
-                _partial(grid, q, qd, lam, res, i + 1),
-            )
-            hist.append(q[i + 1], qd[i + 1])
+            add_singular_increment(i)
+            accept(i)
             record(i + 1)
             acc = acc_new
     else:
-        raise FracDomainError(
-            "use integrate_fractional_abm for the abm-fractional scheme"
-        )
+        for i in range(nn - 1):
+            out = rhs(t[i], q[i], qd[i], hist)
+            record(i)
+            if scheme == "hamilton-euler":
+                q[i + 1] = q[i] + h * out[0]
+                qd[i + 1] = qd[i] + h * out[1]
+            else:
+                qd[i + 1] = qd[i] + h * out
+                add_singular_increment(i)
+                q[i + 1] = q[i] + h * qd[i + 1]
+            accept(i)
+        rhs(t[-1], q[-1], qd[-1], hist)
+        record(nn - 1)
 
-    diags = {
-        "scheme": cfg.scheme,
-        "h": h,
-        "history_ops": nn * (nn - 1) // 2,
-        "max_singular_increment": max_inc,
-    }
+    diags = {"scheme": scheme, "h": h}
+    if scheme != "hamilton-euler":
+        diags["history_ops"] = nn * (nn - 1) // 2
+        diags["max_singular_increment"] = max_inc
     residual = None if np.all(np.isnan(res)) else res
     return SimulationResult(grid, q, qd, lam, residual, diags)
-
-
-def integrate_hamilton(rhs, init, cfg: IntegratorConfig) -> SimulationResult:
-    """Advance the Hamilton-form pair (q, p) by explicit Euler steps.
-
-    The result stores p in the ``qdot`` slot; ``multiplier`` carries mu(t)
-    and ``residual`` the constraint value A . qdot.
-    """
-    grid = cfg.grid()
-    h = grid.h
-    nn = grid.n_nodes
-    n = len(np.asarray(init[0], dtype=float))
-    q = np.zeros((nn, n))
-    p = np.zeros((nn, n))
-    mu = np.full(nn, np.nan)
-    res = np.full(nn, np.nan)
-    q[0] = np.asarray(init[0], dtype=float)
-    p[0] = np.asarray(init[1], dtype=float)
-    hist = History(grid, n, cfg.history_window)
-    hist.append(q[0], p[0])
-    t = grid.nodes()
-    for i in range(nn - 1):
-        qdot, pdot = rhs(t[i], q[i], p[i], hist)
-        mu[i] = rhs.last_multiplier
-        res[i] = rhs.last_residual
-        q[i + 1] = q[i] + h * qdot
-        p[i + 1] = p[i] + h * pdot
-        _check_state(
-            q[i + 1], p[i + 1], cfg.divergence_threshold,
-            _partial(grid, q, p, mu, res, i + 1),
-        )
-        hist.append(q[i + 1], p[i + 1])
-    rhs(t[-1], q[-1], p[-1], hist)
-    mu[-1] = rhs.last_multiplier
-    res[-1] = rhs.last_residual
-    return SimulationResult(grid, q, p, mu, res, {"scheme": "hamilton-euler", "h": h})
 
 
 def integrate_fractional_abm(

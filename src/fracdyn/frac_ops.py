@@ -33,7 +33,6 @@ __all__ = [
     "fractional_integral_values",
     "fractional_integral_last",
     "caputo_left",
-    "caputo_left_auto",
     "caputo_left_history",
     "caputo_right",
     "riemann_liouville_left",
@@ -42,7 +41,6 @@ __all__ = [
     "prop1_shift",
     "l1_caputo_last",
     "l1_caputo_series",
-    "derivative_samples",
 ]
 
 
@@ -117,24 +115,6 @@ def caputo_right(f_m: SampleSeries, order: FracOrder) -> SampleSeries:
     j = fractional_integral_values(rev, order.epsilon, f_m.grid.h)
     sign = -1.0 if order.m % 2 else 1.0
     return SampleSeries(f_m.grid, sign * j[::-1])
-
-
-def derivative_samples(f: SampleSeries, m: int) -> SampleSeries:
-    """m-fold integer derivative by repeated central differences.
-
-    Convenience only: each application loses an order of accuracy at the
-    ends, so prefer analytic derivative samples where available.
-    """
-    vals = f.values.copy()
-    for _ in range(m):
-        vals = np.gradient(vals, f.grid.h)
-    return SampleSeries(f.grid, vals)
-
-
-def caputo_left_auto(f: SampleSeries, order: FracOrder) -> SampleSeries:
-    """Left Caputo of raw samples, differentiating internally (see above)."""
-    order.require_fractional()
-    return caputo_left(derivative_samples(f, order.m), order)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gamma
@@ -50,7 +50,6 @@ class OscillatorSpec:
     C2: float = 0.0
     power_amp: Optional[float] = None
     power_exp: Optional[float] = None
-    forcing_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not self.omega2 > 0.0:
@@ -97,9 +96,6 @@ def forcing(spec: OscillatorSpec, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise FracDomainError("t must be >= 0")
-    if spec.forcing_fn is not None:
-        out = np.asarray(spec.forcing_fn(t), dtype=float)
-        return out if out.shape else float(out)
     if spec.power_amp is None:
         amp = spec.q0
         expo = spec.m - spec.alpha + 1.0

@@ -52,9 +52,6 @@ class Grid:
         n = max(1, int(round((t_end - t_start) / h)))
         return cls(t_start, t_end, n)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return Grid(self.t_start, self.t_end, self.n_steps * factor)
-
 
 @dataclass(frozen=True)
 class SampleSeries:
@@ -83,14 +80,6 @@ class SampleSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "SampleSeries":
-        return cls(grid, np.asarray([fn(t) for t in grid.nodes()], dtype=float))
-
-    def same_grid(self, other: "SampleSeries") -> None:
-        if self.grid != other.grid:
-            raise GridMismatchError(f"grids differ: {self.grid} vs {other.grid}")
 
 
 @dataclass(frozen=True)

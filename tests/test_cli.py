@@ -148,3 +148,122 @@ class TestConvergenceVerb:
         assert (
             main(["convergence", "--config", cfg, "--ladder", "0.1", "--quiet"]) == 1
         )
+
+
+CASE1 = {
+    "scenario": "case1-2d",
+    "grid": {"h": 0.05, "t_end": 1.0},
+    "parameters": {"alpha": 0.5, "a2": 1.0, "b1": 1.0, "b2": 0.25},
+    "initial": {"q": [1.0, 0.0], "qdot": [1.0, 0.0]},
+    "output": {"prefix": "c1"},
+}
+CASE2 = {
+    "scenario": "case2-2d",
+    "grid": {"h": 0.05, "t_end": 1.0},
+    "parameters": {"alpha": 0.5, "c": 1.0, "b2": 1.0},
+    "initial": {"q": [1.0, -1.0], "qdot": [0.5, -0.5]},
+}
+LINEAR = {
+    "scenario": "linear-nd",
+    "grid": {"h": 0.05, "t_end": 1.0},
+    "parameters": {"alpha": 0.5, "a": [1.0, 2.0], "b": [0.5, -0.3],
+                   "potential": {"kind": "quadratic", "k": 1.0}},
+    "initial": {"q": [1.0, 0.5], "qdot": [2.0, -1.0]},
+}
+NONLINEAR = {
+    "scenario": "nonlinear-fracosc",
+    "grid": {"h": 0.05, "t_end": 1.0},
+    "parameters": {"alpha": 1.5, "g": 1.0, "K": {"kind": "cubic", "k": 1.0}},
+    "initial": {"q": [1.0], "qdot": [0.0]},
+}
+
+
+def with_param(base, key, value):
+    params = dict(base["parameters"])
+    if "." in key:
+        outer, inner = key.split(".")
+        params[outer] = dict(params[outer], **{inner: value})
+    else:
+        params[key] = value
+    return dict(base, parameters=params)
+
+
+class TestInputFaults:
+    """Each fault ends with exit 1, names its key, writes no --out."""
+
+    def rejected(self, tmp_path, capsys, data, key, *extra):
+        cfg = write_cfg(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet", *extra]) == 1
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, key",
+        [
+            (LINEAR, "potential.k"),
+            (NONLINEAR, "K.k"),
+            (OSC, "omega2"),
+            (CASE1, "a2"),
+            (CASE1, "b1"),
+            (CASE1, "b2"),
+            (CASE2, "c"),
+            (CASE2, "b2"),
+        ],
+    )
+    def test_non_numeric_parameter(self, tmp_path, capsys, base, key):
+        data = with_param(base, key, "abc")
+        self.rejected(tmp_path, capsys, data, "parameters." + key)
+
+    @pytest.mark.parametrize(
+        "data, key, extra",
+        [
+            (dict(OSC, grid={"h": float("nan"), "t_end": 1.0}), "grid.h", ()),
+            (dict(OSC, grid={"h": 0.02, "t_end": float("inf")}), "grid.t_end", ()),
+            (dict(OSC, initial={"q": [float("nan")], "qdot": [0.0]}), "initial.q", ()),
+            (with_param(LINEAR, "potential.k", float("inf")), "parameters.potential.k", ()),
+            (OSC, "grid.h", ("--h", "nan")),
+        ],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, data, key, extra):
+        self.rejected(tmp_path, capsys, data, key, *extra)
+
+    @pytest.mark.parametrize(
+        "data, extra",
+        [
+            (dict(OSC, grid={"h": 2.0, "t_end": 1.0}), ()),
+            (OSC, ("--h", "2.0")),
+            (OSC, ("--t-end", "0.01")),
+        ],
+    )
+    def test_step_longer_than_horizon(self, tmp_path, capsys, data, extra):
+        self.rejected(tmp_path, capsys, data, "grid.h", *extra)
+
+    @pytest.mark.parametrize("prefix", ["../x", "sub/x", "absolute", "a\0b", ""])
+    def test_prefix_not_one_component(self, tmp_path, capsys, prefix):
+        work = tmp_path / "work"
+        work.mkdir()
+        if prefix == "absolute":
+            prefix = str(tmp_path / "x")
+        self.rejected(work, capsys, dict(OSC, output={"prefix": prefix}), "output.prefix")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            dict(OSC, initial={"q": [1.0], "qdot": [0.5]}),
+            dict(CASE1, initial={"q": [1.0, 0.0], "qdot": [0.0, 1.0]}),
+        ],
+    )
+    def test_initial_data_violates_constraint(self, tmp_path, capsys, data):
+        self.rejected(tmp_path, capsys, data, "initial.qdot")
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            (with_param(LINEAR, "a", [0.0, 0.0]), "parameters.a"),
+            (with_param(CASE1, "a2", 0.0), "parameters.a2"),
+        ],
+    )
+    def test_vanishing_constraint_vector(self, tmp_path, capsys, data, key):
+        self.rejected(tmp_path, capsys, data, key)

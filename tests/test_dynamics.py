@@ -283,3 +283,43 @@ class TestVariationalResidual:
 
         with pytest.raises(GridMismatchError):
             variational_residual(Traj(), SampleSeries(Grid(0.0, 1.0, 20), np.zeros(21)), sys)
+
+
+class TestReuse:
+    """Per-run memory lives in the stepper's History, so one right-hand-side
+    object run twice gives the same arrays both times."""
+
+    def _hamilton(self):
+        spec = HamiltonSpec(
+            n=2,
+            potential=lambda q: 0.5 * float(q @ q),
+            grad_potential=lambda q: q,
+            A=lambda q, d: np.array([1.0 + 0.3 * d[0], 0.5 - 0.2 * d[1]]),
+            dA_dq=lambda q, d: np.zeros((2, 2)),
+            dA_dD=lambda q, d: np.array([[0.3, 0.0], [0.0, -0.2]]),
+            order=FracOrder(0.5),
+            q_init=[1.0, 0.0],
+            p_init=[0.0, 1.0],
+        )
+        rr = hamilton_rhs(spec)
+        return lambda cfg: integrate_hamilton(rr, (spec.q_init, spec.p_init), cfg)
+
+    def _direct(self):
+        sys = quad_sys(2, [1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+        rr = rhs_linear(sys, mode="direct")
+        return lambda cfg: integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+
+    def _pre(self):
+        rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5), form="pre")
+        return lambda cfg: integrate_second_order(rr, ([1.0], [0.0]), cfg)
+
+    @pytest.mark.parametrize("case", ["direct", "hamilton", "pre"])
+    def test_second_run_matches_first(self, case):
+        run = getattr(self, "_" + case)()
+        cfg = IntegratorConfig(h=0.01, t_end=1.0)
+        first, second = run(cfg), run(cfg)
+        for name in ("q", "qdot", "multiplier", "residual"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert np.array_equal(a, b, equal_nan=True), name

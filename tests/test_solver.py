@@ -7,6 +7,7 @@ import pytest
 
 from fracdyn.errors import DivergenceError, FracDomainError
 from fracdyn.fode_solver import (
+    RHS,
     History,
     IntegratorConfig,
     convergence_study,
@@ -18,7 +19,7 @@ from fracdyn.mittag_leffler import MLParams, ml
 from fracdyn.series import Grid, SampleSeries
 
 
-class OscRHS:
+class OscRHS(RHS):
     """Classical qddot = -q, no constraint bookkeeping."""
 
     n = 1
@@ -35,8 +36,6 @@ class TestConfig:
             IntegratorConfig(h=0.1, t_end=0.0)
         with pytest.raises(FracDomainError):
             IntegratorConfig(h=0.1, t_end=1.0, scheme="rk4")
-        with pytest.raises(FracDomainError):
-            IntegratorConfig(h=0.1, t_end=1.0, history_window=5)
 
 
 class TestHistory:
@@ -52,23 +51,23 @@ class TestHistory:
         assert hist.caputo_q(0.5)[0] == pytest.approx(ref)
         assert hist.caputo_q(0.5)[1] == 0.0
 
-    def test_window_truncation_changes_tail_only(self):
-        g = Grid(0.0, 1.0, 100)
+    def test_stored_vectors(self):
+        g = Grid(0.0, 1.0, 10)
+        hist = History(g, 2)
         t = g.nodes()
-        full = History(g, 1)
-        trunc = History(g, 1, window=20)
-        for tv in t:
-            full.append(np.array([tv**2]), np.array([2 * tv]))
-            trunc.append(np.array([tv**2]), np.array([2 * tv]))
-        a, b = full.caputo_q(0.5)[0], trunc.caputo_q(0.5)[0]
-        # documented approximation: dropping old memory shifts the value but
-        # keeps the order of magnitude
-        assert 0.0 < abs(a - b) < 0.5 * abs(a)
+        for i in range(6):
+            hist.append(np.zeros(2), np.zeros(2))
+            hist.store(np.array([0.0, t[i] ** 2 if i >= 3 else 0.0]))
+            assert hist.aux_nonzero == (i >= 3)
+        assert hist.aux_view.shape == (6, 2)
+        ref = l1_caputo_last(hist.aux_view[:, 1], g.h, 0.5)
+        assert hist.caputo_aux(0.5)[1] == ref
+        assert hist.caputo_aux(0.5)[0] == 0.0
 
 
 class TestSecondOrder:
     def test_zero_dynamics_exact(self):
-        class Zero:
+        class Zero(RHS):
             n = 2
 
             def __call__(self, t, q, qd, hist):
@@ -108,7 +107,7 @@ class TestSecondOrder:
         assert 1.8 < math.log2(e2[0] / e2[1]) < 2.2
 
     def test_divergence_carries_partial(self):
-        class Bad:
+        class Bad(RHS):
             n = 1
 
             def __call__(self, t, q, qd, hist):
@@ -120,7 +119,7 @@ class TestSecondOrder:
         assert exc.value.partial.q.shape[0] >= 1
 
     def test_nan_detected(self):
-        class NaN:
+        class NaN(RHS):
             n = 1
 
             def __call__(self, t, q, qd, hist):
