@@ -480,24 +480,33 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in rows) else 4
 
 
-def _parse_ladder(text: str):
+def _parse_ladder(text: str, t_end: float):
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "/" in part:
-            num, den = part.split("/", 1)
-            out.append(float(num) / float(den))
-        elif part:
-            out.append(float(part))
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        num, _, den = part.partition("/")
+        try:
+            h = float(num) / float(den or 1)
+        except (ValueError, ZeroDivisionError):
+            h = math.nan
+        if not 0.0 < h <= t_end:
+            raise ConfigError("ladder", f"rung {part!r} is not a step in (0, grid.t_end]")
+        out.append(h)
+    if len(out) < 3:
+        raise ConfigError("ladder", "ladder must have at least 3 rungs")
     return out
 
 
 def cmd_convergence(args) -> int:
     cfg = _load_config(args)
     plan = build_plan(cfg)
-    ladder = _parse_ladder(args.ladder)
-    if len(ladder) < 3:
-        raise ConfigError("ladder", "ladder must have at least 3 rungs")
+    ladder = _parse_ladder(args.ladder, cfg.t_end)
+    if plan.oracle is None:
+        # the self-convergence reference runs at half the finest step, and
+        # every rung's grid must be a subgrid of it
+        steps = [IntegratorConfig(h=h, t_end=cfg.t_end).grid().n_steps for h in ladder]
+        ref_steps = IntegratorConfig(h=min(ladder) / 2.0, t_end=cfg.t_end).grid().n_steps
+        if any(ref_steps % n for n in steps):
+            raise ConfigError("ladder", "rung grids do not nest in the reference grid")
 
     def run(h: float) -> SampleSeries:
         res = plan.execute(IntegratorConfig(h=h, t_end=cfg.t_end, scheme=cfg.scheme))

@@ -152,13 +152,13 @@ def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     t = grid.nodes()
     w2 = spec.omega2
     z = -w2 * t**beta
-    e1 = np.array([ml(MLParams(beta, 1.0), zi) for zi in z])
-    e2 = np.array([ml(MLParams(beta, 2.0), zi) for zi in z])
+    e1 = ml(MLParams(beta, 1.0), z)
+    e2 = ml(MLParams(beta, 2.0), z)
     q = spec.q0 * e1 + spec.qp0 * t * e2
 
     q_grid = np.asarray(forcing(spec, t), dtype=float)
     if np.any(q_grid != 0.0):
-        ebb = np.array([ml(MLParams(beta, beta), zi) for zi in z])
+        ebb = ml(MLParams(beta, beta), z)
         m0, m1 = _power_moments(t, beta, grid.h)
         q = q + _convolve_kernel(ebb, q_grid, m0, m1)
     return SampleSeries(grid, q)

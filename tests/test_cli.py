@@ -267,3 +267,23 @@ class TestInputFaults:
     )
     def test_vanishing_constraint_vector(self, tmp_path, capsys, data, key):
         self.rejected(tmp_path, capsys, data, key)
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [
+            "abc,1,2",
+            "1/0,1/2,1/4",
+            "0.1,0.05,-0.01",
+            "1/16,1/32,0",
+            "nan,0.1,0.05",
+            "0.1,0.03,0.07",  # no rung grid nests in the h = 0.015 reference
+            "2,1,0.5",  # every rung exceeds t_end
+        ],
+    )
+    def test_bad_ladder(self, tmp_path, capsys, ladder):
+        cfg = write_cfg(tmp_path, dict(LINEAR, grid={"h": 0.0025, "t_end": 0.5}))
+        out = tmp_path / "out"
+        argv = ["convergence", "--config", cfg, "--out", str(out), "--quiet", "--ladder", ladder]
+        assert main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: config key 'ladder': ")

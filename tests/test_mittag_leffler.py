@@ -5,16 +5,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfcx
 from scipy.special import gamma as sgamma
+from scipy.special import rgamma
 
 from fracdyn.errors import FracDomainError
-from fracdyn.mittag_leffler import (
-    SERIES_SWITCH,
-    MLParams,
-    ml,
-    ml_decomp_f,
-    ml_decomp_g,
-)
+from fracdyn.mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g
 
 
 def ml_oracle(alpha, beta, z, dps=220):
@@ -87,12 +85,62 @@ class TestOracleAgreement:
                 assert abs(ml(MLParams(alpha, 1.0), z) - ref) < 1e-10 + 1e-8 * abs(ref)
 
 
+class TestClosedForms:
+    def test_erfcx(self):
+        # E_{1/2}(z) = erfcx(-z); past z ~ 8.8 the value exceeds 1e33
+        for z in np.arange(-500, 261) / 10.0:
+            ref = erfcx(-z)
+            assert abs(ml(MLParams(0.5, 1.0), z) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("alpha,z", [(0.3, 4.0), (0.8, 40.0)])
+    def test_large_finite_values(self, alpha, z):
+        # ~4.41e44 and ~6.09e43: finite, though exp(z^(1/alpha)) is far out
+        # of the range a plain float series can sum
+        ref = ml_oracle(alpha, 1.0, z)
+        assert abs(ml(MLParams(alpha, 1.0), z) - ref) <= 1e-12 * abs(ref)
+
+    def test_oscillator_grid_bound(self):
+        # every 16th node of the golden oscillator-1d grid (h = 2^-9, t <= 3)
+        for t in np.arange(0, 1537, 16) * 2.0**-9:
+            for beta in (1.0, 1.5, 2.0):
+                z = -(t**1.5)
+                assert abs(ml(MLParams(1.5, beta), z) - ml_oracle(1.5, beta, z)) <= 1e-14
+
+
+class TestCallContract:
+    def test_array_matches_scalar_calls(self):
+        z = np.linspace(-30.0, 12.0, 24).reshape(4, 6)
+        out = ml(MLParams(0.7, 1.2), z)
+        assert isinstance(out, np.ndarray) and out.shape == z.shape
+        scalar = [ml(MLParams(0.7, 1.2), zi) for zi in z.ravel()]
+        assert out.ravel().tobytes() == np.array(scalar).tobytes()
+
+    def test_scalar_returns_float(self):
+        for z in (-3.0, 0.0, 2.5, np.float64(-1.5), 4):
+            assert type(ml(MLParams(1.5, 1.0), z)) is float
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.3, 3.0),
+        beta=st.floats(0.5, 2.0),
+        z=st.floats(-50.0, 50.0),
+    )
+    def test_recurrence(self, alpha, beta, z):
+        # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z)
+        lhs = ml(MLParams(alpha, beta), z)
+        rhs_ml = ml(MLParams(alpha, alpha + beta), z)
+        assert not math.isnan(lhs) and not math.isnan(rhs_ml)
+        if math.isfinite(lhs) and math.isfinite(rhs_ml):
+            rhs = rgamma(beta) + z * rhs_ml
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
 class TestSwitchContinuity:
     def test_values_straddling_switch(self):
         for alpha, beta in ((0.6, 1.0), (1.5, 1.0)):
             for sign in (-1.0, 1.0):
-                z0 = sign * (SERIES_SWITCH - 1e-11)
-                z1 = sign * (SERIES_SWITCH + 1e-11)
+                z0 = sign * (5.0 - 1e-11)
+                z1 = sign * (5.0 + 1e-11)
                 a = ml(MLParams(alpha, beta), z0)
                 b = ml(MLParams(alpha, beta), z1)
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
