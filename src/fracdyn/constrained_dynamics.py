@@ -31,7 +31,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from . import fode_solver
 from .errors import (
     ConstraintViolationError,
     FracDomainError,
@@ -39,11 +38,7 @@ from .errors import (
     SingularConstraintError,
 )
 from .fode_solver import RHS
-from .frac_ops import (
-    caputo_right,
-    fractional_integral_last,
-    l1_caputo_series,
-)
+from .frac_ops import caputo_right, l1_caputo_series
 from .series import FracOrder, SampleSeries
 
 __all__ = [
@@ -297,6 +292,8 @@ class _LinearRHS(RHS):
         self._shift_amp = -np.dot(self.b, self.qm0) / gamma(self._shift_pow + 1.0) * (
             self.a / self.a2
         )
+        self._has_qm0 = bool(np.any(self.qm0))
+        self._has_shift = bool(np.any(self._shift_amp))
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         if self.mode == "prop1":
@@ -311,7 +308,7 @@ class _LinearRHS(RHS):
                 d1d = (dq_now - hist.aux_view[-2]) / hist.h
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
         d1d_rep = d1d
-        if self.mode == "prop1" and np.any(self.qm0):
+        if self.mode == "prop1" and self._has_qm0:
             # report the step-effective multiplier: the singular startup term
             # is averaged over [t, t+h], matching the exact velocity increment
             p = self._shift_pow
@@ -323,7 +320,7 @@ class _LinearRHS(RHS):
         return -self.proj @ grad - (self.a / self.a2) * np.dot(self.b, d1d)
 
     def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
-        if self.mode != "prop1" or not np.any(self._shift_amp):
+        if self.mode != "prop1" or not self._has_shift:
             return None
         p = self._shift_pow
         return self._shift_amp * (t1**p - t0**p)
@@ -348,12 +345,13 @@ class _GeneralRHS(RHS):
             else (self.qdot_start.copy() if c.order.m == 1 else np.zeros(sys.n))
         )
         self._shift_pow = c.order.m - self.alpha - 1.0
+        self._has_qm0 = bool(np.any(self.qm0))
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         c = self.sys.constraint
         dq = hist.caputo_q(self.alpha)
         d1d = hist.caputo_qdot(self.alpha)
-        if np.any(self.qm0):
+        if self._has_qm0:
             # the startup power t^(m-alpha-1) is not summable pointwise near
             # t = 0; use its exact average over the step [t, t+h] instead
             p = self._shift_pow + 1.0
@@ -438,13 +436,12 @@ class _NonlinearPreRHS(RHS):
             # fractional terms vanish at 0+ along smooth motion
             return np.array([-self.K(float(q[0]))])
         v0 = hist.qdot_view[0, 0]
-        # F at the next node with x_{i+1} split out; K is lagged one sample
-        xe = np.append(x, 0.0)
-        k = hist.aux_view[:, 0]
-        ke = np.append(k, k[-1])
+        # F at the next node with x_{i+1} split out (taken as 0 in the L1
+        # sum); K is lagged one sample
         coef = h ** (-self.alpha) / gamma(3.0 - self.alpha)
-        f_known = fode_solver.l1_caputo_last(xe, h, self.alpha) + fractional_integral_last(
-            ke, 2.0 - self.alpha, h
+        f_known = (
+            hist.caputo_q(self.alpha, ahead=0.0)[0]
+            + hist.integral_aux(2.0 - self.alpha, ahead=hist.aux_view[-1])[0]
         )
         x_next = (x[-1] + h * (v0 - self.g * f_known)) / (
             1.0 + h * self.g * coef

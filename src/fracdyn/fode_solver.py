@@ -2,7 +2,11 @@
 
 The right-hand sides built in ``constrained_dynamics`` need the Caputo
 derivative of the trajectory-so-far at every step; ``History`` keeps the
-accumulated samples and answers those queries with the L1 scheme.  All
+accumulated samples and answers those queries with the L1 scheme (and the
+product-trapezoidal fractional integral).  It builds each weight table once
+per run and keeps the differences of each series incrementally, so a query
+is one dot product per column; its results are bit-identical to
+``l1_caputo_last`` and ``fractional_integral_last`` on the same prefix.  All
 schemes are explicit with the history term lagged at most one step, so the
 per-step cost grows linearly with the step index (O(N^2) per run).
 
@@ -24,8 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from .errors import DivergenceError, FracDomainError
-from .frac_ops import l1_caputo_last
+from .errors import DivergenceError, FracDomainError, UnsupportedOrderError
+from .frac_ops import _l1_weights, _trapezoid_weights
 from .series import Grid, SampleSeries
 
 __all__ = [
@@ -76,21 +80,35 @@ class SimulationResult:
 
 
 class History:
-    """All the memory of one run, with causal Caputo queries on it.
+    """All the memory of one run, with causal fractional queries on it.
 
     Besides the (q, qdot) samples it holds one n-vector per node that the
     right-hand side supplies through ``store`` (a fractional integrand, say),
     and records whether any stored vector was nonzero.
+
+    Each query is one contiguous dot product per column.  The weight tables
+    are built on the first query of each order and sized to the grid; the
+    first or second differences of each series are kept per column and
+    extended as the run grows.  ``store`` may overwrite the newest aux row,
+    so the difference that touches the newest node is always recomputed.
+    The arithmetic is that of ``l1_caputo_last`` and
+    ``fractional_integral_last`` on the same prefix, bit for bit.  ``terms``
+    counts the products summed.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
         self.h = grid.h
         self.n = n
+        self._size = grid.n_nodes
         self._q = np.empty((grid.n_nodes, n))
         self._qd = np.empty((grid.n_nodes, n))
         self._aux = np.zeros((grid.n_nodes, n))
         self.aux_nonzero = False
         self.count = 0
+        self.terms = 0
+        self._weights: dict = {}
+        # (series, difference order) -> [(n, nodes) buffer, entries final]
+        self._diffs: dict = {}
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         self._q[self.count] = q
@@ -122,20 +140,95 @@ class History:
     def last_qdot(self) -> np.ndarray:
         return self._qd[self.count - 1]
 
-    def _caputo(self, arr: np.ndarray, alpha: float) -> np.ndarray:
-        cols = arr[: self.count]
-        return np.array(
-            [l1_caputo_last(cols[:, k], self.h, alpha) for k in range(self.n)]
-        )
-
-    def caputo_q(self, alpha: float) -> np.ndarray:
-        return self._caputo(self._q, alpha)
+    def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
+        """L1 Caputo derivative of q at the newest node; with ``ahead``, at
+        one node past it on the prefix extended by the value ``ahead``."""
+        return self._caputo("q", self._q, alpha, ahead)
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        return self._caputo(self._qd, alpha)
+        return self._caputo("qdot", self._qd, alpha)
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
-        return self._caputo(self._aux, alpha)
+        return self._caputo("aux", self._aux, alpha)
+
+    def integral_aux(self, eps: float, ahead) -> np.ndarray:
+        """Product-trapezoidal J^eps of the stored vectors, extended by the
+        value ``ahead``, at the node past the newest."""
+        if not 0.0 < eps <= 1.0:
+            raise FracDomainError(f"eps must be in (0, 1], got {eps}")
+        f = self._aux
+        m = self.count
+        if m == 0:
+            return np.zeros(self.n)
+        total = ((m - 1.0) ** (eps + 1.0) - (m - 1.0 - eps) * m**eps) * f[0] + ahead
+        if m >= 2:
+            c = self._table(("trapezoid", eps))[: m - 1]
+            for k in range(self.n):
+                total[k] += np.dot(c, f[m - 1 : 0 : -1, k])
+            self.terms += (m - 1) * self.n
+        return self.h**eps / gamma(eps + 2.0) * total
+
+    def _table(self, key) -> np.ndarray:
+        """The weights of one (scheme, order), for every history length.
+
+        L1 weights are stored reversed, so the last n are the weights of n
+        panels in the order the differences are summed."""
+        w = self._weights.get(key)
+        if w is None:
+            kind, p = key
+            if kind == "l1":
+                w = np.ascontiguousarray(_l1_weights(self._size, p)[::-1])
+            else:
+                w = _trapezoid_weights(self._size, p)
+            self._weights[key] = w
+        return w
+
+    def _caputo(self, name: str, arr: np.ndarray, alpha: float, ahead=None) -> np.ndarray:
+        panels = self.count - (ahead is None)
+        if panels < 1:
+            return np.zeros(self.n)
+        if 0.0 < alpha < 1.0:
+            order, p, scale, g = 1, 1.0 - alpha, self.h ** (-alpha), gamma(2.0 - alpha)
+        elif 1.0 < alpha < 2.0:
+            order, p, scale, g = 2, 2.0 - alpha, self.h ** (2.0 - alpha), gamma(3.0 - alpha)
+        else:
+            raise UnsupportedOrderError(
+                f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
+            )
+        w = self._table(("l1", p))[self._size - panels :]
+        d = self._differences(name, arr, order, panels, ahead)
+        self.terms += panels * self.n
+        return np.array([float(np.dot(w, d[k]) * scale / g) for k in range(self.n)])
+
+    def _differences(
+        self, name: str, arr: np.ndarray, order: int, panels: int, ahead
+    ) -> np.ndarray:
+        """(n, panels) per-panel differences of the prefix (and ``ahead``).
+
+        Second differences are divided by h^2 and panel 0 repeats panel 1,
+        as in ``frac_ops``.  Entries that touch only nodes before the newest
+        are final and kept; the rest are recomputed."""
+        entry = self._diffs.get((name, order))
+        if entry is None:
+            entry = self._diffs[(name, order)] = [np.zeros((self.n, self._size)), 0]
+        buf, lo = entry
+        if order == 2 and lo < 2:
+            lo = 0
+        start = max(lo - order + 1, 0)
+        seg = arr[start : self.count]
+        if ahead is not None:
+            seg = np.vstack((seg, np.broadcast_to(ahead, (1, self.n))))
+        if order == 1:
+            buf[:, lo:panels] = (seg[1:] - seg[:-1]).T
+        elif panels >= 2:
+            first = max(lo, 1)
+            buf[:, first:panels] = ((seg[2:] - 2.0 * seg[1:-1] + seg[:-2]) / self.h**2).T
+            if lo == 0:
+                buf[:, 0] = buf[:, 1]
+        else:
+            buf[:, 0] = 0.0
+        entry[1] = max(self.count - 2, 0)
+        return buf[:, :panels]
 
 
 class RHS:
@@ -162,10 +255,14 @@ class RHS:
 
 
 def _check_state(q: np.ndarray, qdot: np.ndarray, thr: float, partial) -> None:
+    """Raise DivergenceError with ``partial()`` unless |q|, |qdot| <= thr.
+
+    NaN fails the bound, so the finiteness test runs only on failure."""
+    if np.max(np.abs(q)) <= thr and np.max(np.abs(qdot)) <= thr:
+        return
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-        raise DivergenceError("state became non-finite", partial=partial)
-    if np.max(np.abs(q)) > thr or np.max(np.abs(qdot)) > thr:
-        raise DivergenceError("state exceeded the divergence threshold", partial=partial)
+        raise DivergenceError("state became non-finite", partial=partial())
+    raise DivergenceError("state exceeded the divergence threshold", partial=partial())
 
 
 def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
@@ -227,7 +324,7 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
     def accept(i: int) -> None:
         _check_state(
             q[i + 1], qd[i + 1], cfg.divergence_threshold,
-            _partial(grid, q, qd, lam, res, i + 1),
+            lambda: _partial(grid, q, qd, lam, res, i + 1),
         )
         hist.append(q[i + 1], qd[i + 1])
 
@@ -259,8 +356,8 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
         record(nn - 1)
 
     diags = {"scheme": scheme, "h": h}
+    diags["history_terms"] = hist.terms
     if scheme != "hamilton-euler":
-        diags["history_ops"] = nn * (nn - 1) // 2
         diags["max_singular_increment"] = max_inc
     residual = None if np.all(np.isnan(res)) else res
     return SimulationResult(grid, q, qd, lam, residual, diags)
@@ -336,9 +433,11 @@ def convergence_study(
 ):
     """Error ladder: rows of (h, sup error, empirical order, monotone flag).
 
-    ``run(h)`` produces the trajectory at step h.  Without an analytic
-    ``reference`` the finest requested grid, halved once more, serves as the
-    self-convergence baseline (step ratios must then be powers of two).
+    ``run(h)`` produces the trajectory at step h.  The order of a rung is
+    log(e_prev/e) / log(h_prev/h) against the previous, coarser rung.
+    Without an analytic ``reference`` the finest requested grid, halved once
+    more, serves as the self-convergence baseline; every rung's grid must
+    then nest in it.
     """
     steps = sorted(steps, reverse=True)
     if len(steps) < 3:
@@ -354,16 +453,16 @@ def convergence_study(
             return ref_series.values[idx]
 
     rows = []
-    prev_err = None
+    prev_err = prev_h = None
     monotone = True
     for hstep in steps:
         series = run(hstep)
         err = float(np.max(np.abs(series.values - reference(series.grid.nodes()))))
         order = float("nan")
         if prev_err is not None and err > 0.0 and prev_err > 0.0:
-            order = math.log(prev_err / err) / math.log(2.0)
+            order = math.log(prev_err / err) / math.log(prev_h / hstep)
             if err >= prev_err:
                 monotone = False
         rows.append({"h": hstep, "error": err, "order": order, "monotone": monotone})
-        prev_err = err
+        prev_err, prev_h = err, hstep
     return rows

@@ -80,14 +80,18 @@ def fractional_integral_last(values: np.ndarray, eps: float, h: float) -> float:
     n = len(f) - 1
     if n == 0:
         return 0.0
-    k = np.arange(0, n + 1, dtype=float)
-    kp = k ** (eps + 1.0)
     a0 = (n - 1.0) ** (eps + 1.0) - (n - 1.0 - eps) * n**eps
     total = a0 * f[0] + f[n]
     if n >= 2:
-        c = kp[2 : n + 1] - 2.0 * kp[1:n] + kp[0 : n - 1]
-        total += np.dot(c, f[n - 1 : 0 : -1])
+        total += np.dot(_trapezoid_weights(n, eps), f[n - 1 : 0 : -1])
     return float(h**eps / gamma(eps + 2.0) * total)
+
+
+def _trapezoid_weights(n: int, eps: float) -> np.ndarray:
+    """Interior product-trapezoid weights c_1 ... c_(n-1) of J^eps."""
+    k = np.arange(0, n + 1, dtype=float)
+    kp = k ** (eps + 1.0)
+    return kp[2 : n + 1] - 2.0 * kp[1:n] + kp[0 : n - 1]
 
 
 def fractional_integral(f: SampleSeries, eps: float) -> SampleSeries:
@@ -120,9 +124,10 @@ def caputo_right(f_m: SampleSeries, order: FracOrder) -> SampleSeries:
 # ---------------------------------------------------------------------------
 # causal L1 evaluation on history prefixes
 
-def _l1_first_weights(n: int, alpha: float) -> np.ndarray:
+def _l1_weights(n: int, p: float) -> np.ndarray:
+    """L1 panel weights (k+1)^p - k^p for k = 0 ... n-1; p = m - alpha."""
     k = np.arange(0, n + 1, dtype=float)
-    return k[1:] ** (1.0 - alpha) - k[:-1] ** (1.0 - alpha)
+    return k[1:] ** p - k[:-1] ** p
 
 
 def _second_differences(q: np.ndarray, h: float) -> np.ndarray:
@@ -146,12 +151,11 @@ def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
     if n < 1:
         return 0.0
     if 0.0 < alpha < 1.0:
-        w = _l1_first_weights(n, alpha)[::-1]
+        w = _l1_weights(n, 1.0 - alpha)[::-1]
         return float(np.dot(w, np.diff(q)) * h ** (-alpha) / gamma(2.0 - alpha))
     if 1.0 < alpha < 2.0:
         d2 = _second_differences(np.asarray(q, dtype=float), h)
-        k = np.arange(0, n + 1, dtype=float)
-        w = (k[1:] ** (2.0 - alpha) - k[:-1] ** (2.0 - alpha))[::-1]
+        w = _l1_weights(n, 2.0 - alpha)[::-1]
         return float(np.dot(w, d2) * h ** (2.0 - alpha) / gamma(3.0 - alpha))
     raise UnsupportedOrderError(
         f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
@@ -167,14 +171,13 @@ def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
         return out
     if 0.0 < alpha < 1.0:
         diffs = np.diff(q)
-        c = np.concatenate(([0.0], _l1_first_weights(n, alpha)))
+        c = np.concatenate(([0.0], _l1_weights(n, 1.0 - alpha)))
         conv = np.convolve(diffs, c)[: n + 1]
         out[1:] = conv[1:] * h ** (-alpha) / gamma(2.0 - alpha)
         return out
     if 1.0 < alpha < 2.0:
         d2 = _second_differences(q, h)
-        k = np.arange(0, n + 1, dtype=float)
-        w = np.concatenate(([0.0], k[1:] ** (2.0 - alpha) - k[:-1] ** (2.0 - alpha)))
+        w = np.concatenate(([0.0], _l1_weights(n, 2.0 - alpha)))
         conv = np.convolve(d2, w)[: n + 1]
         out[1:] = conv[1:] * h ** (2.0 - alpha) / gamma(3.0 - alpha)
         return out

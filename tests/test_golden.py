@@ -20,6 +20,7 @@ from fracdyn.constrained_dynamics import (
     HamiltonSpec,
     SystemSpec,
     hamilton_rhs,
+    rhs_general,
     rhs_linear,
 )
 from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_second_order
@@ -81,6 +82,14 @@ SCENARIOS = {
                        "K": {"kind": "cubic", "k": 1.0}},
         "initial": {"q": [1.0], "qdot": [0.0]},
     },
+    "linear-nd-a15-verlet": {
+        "scenario": "linear-nd",
+        "grid": {"h": 0.0025, "t_end": 2.0},
+        "scheme": "velocity-verlet",
+        "parameters": {"alpha": 1.5, "a": [1.0, 2.0], "b": [0.5, -0.3],
+                       "potential": {"kind": "quadratic", "k": 1.0}},
+        "initial": {"q": [1.0, 0.5], "qdot": [2.0, -1.0]},
+    },
     "hamilton-linear": {
         "scenario": "hamilton-linear",
         "grid": {"h": 0.001, "t_end": 2.0},
@@ -104,6 +113,8 @@ GOLDEN = {
     "direct-velocity-verlet": "c782e1cc49cbaaa607f2c221260c61a400a6aeed05407838b8a889b7dc6703a3",
     "hamilton-dA_dD": "8112e8f77f297bce7f8aa14543cc5eea0986e1946d339b7c7dfd8fc324c6a56d",
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
+    "linear-nd-a15-verlet": "8cfb43ad413b8a42ec632fadca1e1e880839a422f2e19283e4f8e75e4500ffc0",
+    "general": "e16c73f5a2c5a7935275a57751343e446d4b0359b01a4f603bdda42bbbdf80b4",
 }
 
 
@@ -153,6 +164,37 @@ def hamilton_spec() -> HamiltonSpec:
     )
 
 
+def general_system() -> SystemSpec:
+    """A constraint nonlinear in (q, qdot, D^alpha q), so ``rhs_general``
+    needs both history queries and every partial derivative."""
+
+    def f(q, qd, dl, dr):
+        return (qd[0] + 2.0 * qd[1] + 0.5 * dl[0] - 0.3 * dl[1]
+                + 0.2 * q[0] * dl[1] + 0.1 * dl[0] * qd[1])
+
+    return SystemSpec(
+        n=2,
+        potential=lambda q: 0.5 * float(q @ q),
+        grad_potential=lambda q: q,
+        constraint=ConstraintSpec.general(
+            FracOrder(0.5),
+            f=f,
+            df_dq=lambda q, qd, dl, dr: np.array([0.2 * dl[1], 0.0]),
+            df_dqdot=lambda q, qd, dl, dr: np.array([1.0, 2.0 + 0.1 * dl[0]]),
+            df_ddql=lambda q, qd, dl, dr: np.array([0.5 + 0.1 * qd[1], -0.3 + 0.2 * q[0]]),
+        ),
+        q_init=[1.0, 0.5],
+        qdot_init=[2.0, -1.0],
+    )
+
+
+def _run_general(_tmp) -> bytes:
+    sys = general_system()
+    rr = rhs_general(sys)
+    cfg = IntegratorConfig(h=0.005, t_end=1.0)
+    return _arrays(integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg))
+
+
 def _run_direct(scheme, _tmp) -> bytes:
     sys = direct_system()
     rr = rhs_linear(sys, mode="direct")
@@ -173,6 +215,7 @@ CASES = {
     "direct-semi-implicit-euler": lambda tmp: _run_direct("semi-implicit-euler", tmp),
     "direct-velocity-verlet": lambda tmp: _run_direct("velocity-verlet", tmp),
     "hamilton-dA_dD": _run_hamilton,
+    "general": _run_general,
 }
 
 

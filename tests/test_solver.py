@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdyn.errors import DivergenceError, FracDomainError
 from fracdyn.fode_solver import (
@@ -14,7 +16,7 @@ from fracdyn.fode_solver import (
     integrate_fractional_abm,
     integrate_second_order,
 )
-from fracdyn.frac_ops import l1_caputo_last
+from fracdyn.frac_ops import fractional_integral_last, l1_caputo_last
 from fracdyn.mittag_leffler import MLParams, ml
 from fracdyn.series import Grid, SampleSeries
 
@@ -63,6 +65,56 @@ class TestHistory:
         ref = l1_caputo_last(hist.aux_view[:, 1], g.h, 0.5)
         assert hist.caputo_aux(0.5)[1] == ref
         assert hist.caputo_aux(0.5)[0] == 0.0
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        nodes=st.integers(2, 48),
+        n=st.integers(1, 3),
+        alpha=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
+        eps=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_queries_equal_frac_ops_bit_for_bit(self, nodes, n, alpha, eps, seed):
+        """Every query equals the frac_ops sum on the same prefix with ==,
+        at every count, with queries skipped at some counts and the newest
+        stored row overwritten between queries (as velocity Verlet and
+        direct mode do)."""
+        rng = np.random.default_rng(seed)
+        g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
+        hist = History(g, n)
+        h = hist.h
+        scale = 10.0 ** rng.integers(-3, 4, size=3)
+
+        def cols(view, k, extra=None):
+            col = view[:, k]
+            return col if extra is None else np.append(col, extra)
+
+        def check():
+            for k, got in enumerate(hist.caputo_q(alpha)):
+                assert got == l1_caputo_last(cols(hist.q_view, k), h, alpha)
+            for k, got in enumerate(hist.caputo_qdot(alpha)):
+                assert got == l1_caputo_last(cols(hist.qdot_view, k), h, alpha)
+            for k, got in enumerate(hist.caputo_aux(alpha)):
+                assert got == l1_caputo_last(cols(hist.aux_view, k), h, alpha)
+            ahead = rng.normal(size=n) * scale[0]
+            for k, got in enumerate(hist.caputo_q(alpha, ahead=ahead)):
+                ref = l1_caputo_last(cols(hist.q_view, k, ahead[k]), h, alpha)
+                assert got == ref
+            last = hist.aux_view[-1]
+            for k, got in enumerate(hist.integral_aux(eps, ahead=last)):
+                ref = fractional_integral_last(cols(hist.aux_view, k, last[k]), eps, h)
+                assert got == ref
+
+        for i in range(nodes):
+            hist.append(rng.normal(size=n) * scale[0], rng.normal(size=n) * scale[1])
+            hist.store(rng.normal(size=n) * scale[2])
+            if i < 2 or rng.random() < 0.6:
+                check()
+            if rng.random() < 0.5:
+                hist.store(rng.normal(size=n) * scale[2])
+                if rng.random() < 0.5:
+                    check()
+        check()
 
 
 class TestSecondOrder:
@@ -129,11 +181,31 @@ class TestSecondOrder:
             integrate_second_order(NaN(), ([0.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0))
 
     def test_diagnostics_cost_model(self):
-        res = integrate_second_order(
-            OscRHS(), ([1.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0)
-        )
-        nn = res.grid.n_nodes
-        assert res.diagnostics["history_ops"] == nn * (nn - 1) // 2
+        """``history_terms`` counts the products the history sums, here
+        tallied by the right-hand side from the prefix lengths it sees."""
+        tally = []
+
+        class Memory(RHS):
+            n = 2
+
+            def __call__(self, t, q, qd, hist):
+                tally.append(self.n * (hist.count - 1))
+                hist.caputo_q(0.5)
+                tally.append(self.n * (hist.count - 1))
+                hist.caputo_qdot(1.5)
+                return -q
+
+            def residual_last(self, hist):
+                tally.append(self.n * (hist.count - 1))
+                return float(hist.caputo_q(0.5)[0])
+
+        for scheme in ("semi-implicit-euler", "velocity-verlet"):
+            tally.clear()
+            res = integrate_second_order(
+                Memory(), ([1.0, 0.5], [0.0, 1.0]),
+                IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme),
+            )
+            assert res.diagnostics["history_terms"] == sum(tally) > 0
 
 
 class TestFractionalABM:
@@ -205,3 +277,13 @@ class TestConvergenceStudy:
 
         rows = convergence_study(fake_run, [0.1, 0.05, 0.025], reference=lambda t: 0.0 * t)
         assert not rows[-1]["monotone"]
+
+    def test_order_uses_step_ratio(self):
+        # error exactly 3 h^2 on a ladder that divides the step by three
+        def run(h):
+            g = Grid.from_step(0.0, 1.0, h)
+            return SampleSeries(g, np.full(g.n_nodes, 3.0 * h**2))
+
+        rows = convergence_study(run, [0.1, 1 / 30, 1 / 90], reference=lambda t: 0.0 * t)
+        for r in rows[1:]:
+            assert abs(r["order"] - 2.0) < 1e-12
