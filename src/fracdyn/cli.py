@@ -51,7 +51,7 @@ from .fode_solver import (
     integrate_second_order,
 )
 from .oscillator_exact import OscillatorSpec, exact_solution
-from .series import FracOrder, SampleSeries
+from .series import FracOrder, Grid, SampleSeries
 
 SCENARIOS = (
     "oscillator-1d",
@@ -174,23 +174,23 @@ def _param(cfg: ScenarioConfig, key: str, kind=float, default=None):
     return _require(cfg.parameters, key, kind, "parameters", default)
 
 
-def _potential(cfg: ScenarioConfig, n: int):
+def _grad_potential(cfg: ScenarioConfig, n: int):
     sel = cfg.parameters.get("potential", {"kind": "zero"})
     if not isinstance(sel, dict) or "kind" not in sel:
         raise ConfigError("parameters.potential", "needs a 'kind' field")
     kind = sel["kind"]
     if kind == "zero":
-        return (lambda q: 0.0), (lambda q: np.zeros(n))
+        return lambda q: np.zeros(n)
     k = _require(sel, "k", float, "parameters.potential", 1.0)
     if kind == "quadratic":
-        return (lambda q: 0.5 * k * float(q @ q)), (lambda q: k * np.asarray(q))
+        return lambda q: k * np.asarray(q)
     if kind == "quadratic-q1":
         def grad(q):
             g = np.zeros(n)
             g[0] = k * q[0]
             return g
 
-        return (lambda q: 0.5 * k * q[0] ** 2), grad
+        return grad
     raise ConfigError("parameters.potential.kind", f"unknown kind {kind!r}")
 
 
@@ -237,11 +237,9 @@ def _frac_order(cfg: ScenarioConfig, key: str = "alpha", lo=0.0, hi=2.0) -> Frac
 
 def _linear_plan(cfg: ScenarioConfig, a, b, order: FracOrder) -> RunPlan:
     n = len(a)
-    u, grad = _potential(cfg, n)
+    grad = _grad_potential(cfg, n)
     q0, qd0 = _init_vectors(cfg, n)
     sys = SystemSpec(
-        n=n,
-        potential=u,
         grad_potential=grad,
         constraint=ConstraintSpec.linear(a, b, order),
         q_init=q0,
@@ -334,12 +332,9 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
         if n == 0 or not np.any(avec):
             raise ConfigError("parameters.A", "must be a nonzero vector")
         order = _frac_order(cfg)
-        u, grad = _potential(cfg, n)
         q0, p0 = _init_vectors(cfg, n)
         spec = HamiltonSpec(
-            n=n,
-            potential=u,
-            grad_potential=grad,
+            grad_potential=_grad_potential(cfg, n),
             A=lambda q, d: avec,
             dA_dq=lambda q, d: np.zeros((n, n)),
             dA_dD=lambda q, d: np.zeros((n, n)),
@@ -360,14 +355,20 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
 # ---------------------------------------------------------------------------
 # artifacts
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+def _write_csv(path: Path, header: list, columns: list) -> None:
+    """Write the header and one row per node; ``columns`` are vectors or
+    (nodes, k) arrays, every value formatted as '%.17g'.  Rows become
+    Python floats 512 at a time, so that copy of the data stays small."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), 512):
+            rows = np.column_stack([c[i : i + 512] for c in columns]).tolist()
+            template = ",".join(["%.17g"] * len(rows[0])) + "\n"
+            fh.writelines(template % tuple(r) for r in rows)
 
 
 def write_trajectory_csv(path: Path, res: SimulationResult, n: int) -> None:
-    cols = (
+    header = (
         ["t"]
         + [f"q_{k + 1}" for k in range(n)]
         + [f"qdot_{k + 1}" for k in range(n)]
@@ -375,28 +376,17 @@ def write_trajectory_csv(path: Path, res: SimulationResult, n: int) -> None:
     )
     t = res.grid.nodes()
     resid = res.residual if res.residual is not None else np.full(len(t), np.nan)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(t)):
-            row = (
-                [t[i]]
-                + list(res.q[i])
-                + list(res.qdot[i])
-                + [res.multiplier[i], resid[i]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, header, [t, res.q, res.qdot, res.multiplier, resid])
 
 
 def write_comparison_csv(path: Path, res: SimulationResult, oracle) -> float:
-    t = res.grid.nodes()
     exact = oracle(res.grid)
     err = np.abs(res.q[:, 0] - exact)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,numerical,exact,abs_error\n")
-        for i in range(len(t)):
-            fh.write(
-                ",".join(_fmt(v) for v in (t[i], res.q[i, 0], exact[i], err[i])) + "\n"
-            )
+    _write_csv(
+        path,
+        ["t", "numerical", "exact", "abs_error"],
+        [res.grid.nodes(), res.q[:, 0], exact, err],
+    )
     return float(np.max(err))
 
 
@@ -480,7 +470,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in rows) else 4
 
 
-def _parse_ladder(text: str, t_end: float):
+def _parse_ladder(text: str, t_end: float, nest: bool):
+    """The ladder's steps.  Their grids must differ, and with ``nest`` each
+    must be a subgrid of the self-convergence reference grid, which has
+    half the finest step."""
     out = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         num, _, den = part.partition("/")
@@ -493,47 +486,37 @@ def _parse_ladder(text: str, t_end: float):
         out.append(h)
     if len(out) < 3:
         raise ConfigError("ladder", "ladder must have at least 3 rungs")
+    steps = [IntegratorConfig(h=h, t_end=t_end).grid().n_steps for h in out]
+    if len(set(steps)) < len(steps):
+        raise ConfigError("ladder", "two rungs give the same grid")
+    if nest:
+        ref_steps = IntegratorConfig(h=min(out) / 2.0, t_end=t_end).grid().n_steps
+        if any(ref_steps % n for n in steps):
+            raise ConfigError("ladder", "rung grids do not nest in the reference grid")
     return out
 
 
 def cmd_convergence(args) -> int:
     cfg = _load_config(args)
     plan = build_plan(cfg)
-    ladder = _parse_ladder(args.ladder, cfg.t_end)
-    if plan.oracle is None:
-        # the self-convergence reference runs at half the finest step, and
-        # every rung's grid must be a subgrid of it
-        steps = [IntegratorConfig(h=h, t_end=cfg.t_end).grid().n_steps for h in ladder]
-        ref_steps = IntegratorConfig(h=min(ladder) / 2.0, t_end=cfg.t_end).grid().n_steps
-        if any(ref_steps % n for n in steps):
-            raise ConfigError("ladder", "rung grids do not nest in the reference grid")
+    ladder = _parse_ladder(args.ladder, cfg.t_end, nest=plan.oracle is None)
 
     def run(h: float) -> SampleSeries:
         res = plan.execute(IntegratorConfig(h=h, t_end=cfg.t_end, scheme=cfg.scheme))
         return res.q_series(0)
 
-    oracle = plan.oracle
     reference = None
-    if oracle is not None:
-        # wrap: convergence_study hands us node times, the oracle wants a grid
-        gmap = {}
-
+    if plan.oracle is not None:
+        # convergence_study hands over node times, the oracle wants a grid
         def reference(ts):
-            key = (len(ts), ts[-1])
-            if key not in gmap:
-                from .series import Grid
-
-                gmap[key] = oracle(Grid(0.0, float(ts[-1]), len(ts) - 1))
-            return gmap[key]
+            return plan.oracle(Grid(0.0, float(ts[-1]), len(ts) - 1))
 
     rows = convergence_study(run, ladder, reference)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.prefix}_convergence.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("h,error,order\n")
-        for r in rows:
-            fh.write(f"{_fmt(r['h'])},{_fmt(r['error'])},{_fmt(r['order'])}\n")
+    keys = ["h", "error", "order"]
+    _write_csv(path, keys, [[r[k] for r in rows] for k in keys])
     if not args.quiet:
         for r in rows:
             print(f"h={r['h']:.6g}  error={r['error']:.6e}  order={r['order']:.3f}")

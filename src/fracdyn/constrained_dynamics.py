@@ -3,8 +3,8 @@
 A nonholonomic constraint f(q, qdot, D^a q) = 0 is enforced through the
 d'Alembert-Lagrange multiplier
 
-    lambda = [ sum_l f_qdot_l u_q_l - sum_l f_Dl_l D1Da_l
-               - sum_l f_Dr_l D1Da_r_l - sum_l f_q_l qdot_l ] / sum_m f_qdot_m^2
+    lambda = [ sum_l f_qdot_l u_q_l - sum_l f_D_l D1Da_l
+               - sum_l f_q_l qdot_l ] / sum_m f_qdot_m^2
 
 giving qddot_k = -u_q_k + f_qdot_k lambda.  For the linear constraint
 f = a.qdot + b.D^alpha q this collapses to a projector form
@@ -18,14 +18,11 @@ velocity history.  The power-law correction is singular at t = 0; its
 exact per-step integral is handed to the solver separately instead of
 being sampled.  A direct path (backward difference of the D^alpha q
 history) is kept for cross-checks.
-
-Right-sided derivatives are anti-causal and never enter forward
-simulation; they appear only in the post-hoc variational residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +35,7 @@ from .errors import (
     SingularConstraintError,
 )
 from .fode_solver import RHS
-from .frac_ops import caputo_right, l1_caputo_series
+from .frac_ops import l1_caputo_series
 from .series import FracOrder, SampleSeries
 
 __all__ = [
@@ -65,22 +62,21 @@ _CHETAEV_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """One scalar constraint, either linear in (qdot, D^alpha q) or general.
+    """One scalar constraint f(q, qdot, D^alpha q) = 0 and its gradients.
 
-    The general form supplies f and its partial derivatives as callables of
-    (q, qdot, dq_left, dq_right), each returning a length-n vector (f itself
-    returns a scalar).
+    ``f`` returns a scalar; ``df_dq``, ``df_dqdot`` and ``df_ddq`` return
+    length-n vectors.  Each is a callable of (q, qdot, dq) with
+    dq = D^alpha q.  Only ``linear`` sets ``a`` and ``b``, the constant
+    vectors of f = a.qdot + b.dq, which the projector form needs.
     """
 
     order: FracOrder
-    kind: str
+    f: Callable
+    df_dq: Callable
+    df_dqdot: Callable
+    df_ddq: Callable
     a: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
-    f: Optional[Callable] = None
-    df_dq: Optional[Callable] = None
-    df_dqdot: Optional[Callable] = None
-    df_ddql: Optional[Callable] = None
-    df_ddqr: Optional[Callable] = None
 
     @classmethod
     def linear(cls, a: Sequence[float], b: Sequence[float], order: FracOrder) -> "ConstraintSpec":
@@ -90,42 +86,36 @@ class ConstraintSpec:
             raise FracDomainError("a and b must be 1-d vectors of equal length")
         if not np.dot(a, a) > 0.0:
             raise SingularConstraintError("linear constraint needs a != 0")
-        return cls(order=order, kind="linear", a=a, b=b)
-
-    @classmethod
-    def general(
-        cls,
-        order: FracOrder,
-        f: Callable,
-        df_dq: Callable,
-        df_dqdot: Callable,
-        df_ddql: Callable,
-        df_ddqr: Optional[Callable] = None,
-    ) -> "ConstraintSpec":
+        zeros = np.zeros_like(a)
         return cls(
             order=order,
-            kind="general",
-            f=f,
-            df_dq=df_dq,
-            df_dqdot=df_dqdot,
-            df_ddql=df_ddql,
-            df_ddqr=df_ddqr,
+            f=lambda q, qdot, dq: float(np.dot(a, qdot) + np.dot(b, dq)),
+            df_dq=lambda q, qdot, dq: zeros,
+            df_dqdot=lambda q, qdot, dq: a,
+            df_ddq=lambda q, qdot, dq: b,
+            a=a,
+            b=b,
         )
 
-    def value(self, q, qdot, dq_left, dq_right=None) -> float:
-        if self.kind == "linear":
-            return float(np.dot(self.a, qdot) + np.dot(self.b, dq_left))
-        if dq_right is None:
-            dq_right = np.zeros_like(np.asarray(q, dtype=float))
-        return float(self.f(q, qdot, dq_left, dq_right))
+    def value(self, q, qdot, dq) -> float:
+        return float(self.f(q, qdot, dq))
+
+
+def _set_initial_pair(spec, second: str) -> None:
+    """Store ``q_init`` and the initial vector named ``second`` as floats;
+    both must be 1-d and of one length."""
+    q = np.asarray(spec.q_init, dtype=float)
+    v = np.asarray(getattr(spec, second), dtype=float)
+    if q.ndim != 1 or v.shape != q.shape:
+        raise FracDomainError(f"q_init and {second} must be 1-d vectors of equal length")
+    object.__setattr__(spec, "q_init", q)
+    object.__setattr__(spec, second, v)
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Dimension, potential, constraint and initial state."""
+    """Potential gradient, constraint and initial state."""
 
-    n: int
-    potential: Callable[[np.ndarray], float]
     grad_potential: Callable[[np.ndarray], np.ndarray]
     constraint: Optional[ConstraintSpec]
     q_init: np.ndarray
@@ -133,14 +123,16 @@ class SystemSpec:
     higher_init: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q_init", np.asarray(self.q_init, dtype=float))
-        object.__setattr__(self, "qdot_init", np.asarray(self.qdot_init, dtype=float))
-        if len(self.q_init) != self.n or len(self.qdot_init) != self.n:
-            raise FracDomainError("initial vectors must have length n")
+        _set_initial_pair(self, "qdot_init")
         if self.higher_init is not None:
-            object.__setattr__(
-                self, "higher_init", np.asarray(self.higher_init, dtype=float)
-            )
+            higher = np.asarray(self.higher_init, dtype=float)
+            if higher.shape != self.q_init.shape:
+                raise FracDomainError("higher_init must have the shape of q_init")
+            object.__setattr__(self, "higher_init", higher)
+
+    @property
+    def n(self) -> int:
+        return len(self.q_init)
 
 
 @dataclass(frozen=True)
@@ -151,8 +143,6 @@ class HamiltonSpec:
     dA_l/d(D^alpha q_k).
     """
 
-    n: int
-    potential: Callable[[np.ndarray], float]
     grad_potential: Callable[[np.ndarray], np.ndarray]
     A: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dA_dq: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -162,11 +152,14 @@ class HamiltonSpec:
     p_init: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q_init", np.asarray(self.q_init, dtype=float))
-        object.__setattr__(self, "p_init", np.asarray(self.p_init, dtype=float))
+        _set_initial_pair(self, "p_init")
         a0 = np.asarray(self.A(self.q_init, np.zeros(self.n)), dtype=float)
         if not np.dot(a0, a0) > 0.0:
             raise SingularConstraintError("A vanishes at the initial state")
+
+    @property
+    def n(self) -> int:
+        return len(self.q_init)
 
 
 # ---------------------------------------------------------------------------
@@ -176,43 +169,26 @@ def lambda_general(
     sys: SystemSpec,
     q: np.ndarray,
     qdot: np.ndarray,
-    dq_left: Optional[np.ndarray] = None,
-    dq_right: Optional[np.ndarray] = None,
-    d1d_left: Optional[np.ndarray] = None,
-    d1d_right: Optional[np.ndarray] = None,
+    dq: Optional[np.ndarray] = None,
+    d1d: Optional[np.ndarray] = None,
 ) -> float:
-    """Constraint multiplier from the Chetaev-projected force balance."""
+    """Constraint multiplier from the Chetaev-projected force balance.
+
+    ``dq`` is D^alpha q and ``d1d`` is D^1 D^alpha q; both default to zero.
+    """
     c = sys.constraint
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     zeros = np.zeros_like(q)
-    dq_left = zeros if dq_left is None else dq_left
-    dq_right = zeros if dq_right is None else dq_right
-    d1d_left = zeros if d1d_left is None else d1d_left
-    d1d_right = zeros if d1d_right is None else d1d_right
-    if c.kind == "linear":
-        g = c.a
-        fq = zeros
-        fl = c.b
-        fr = zeros
-    else:
-        g = np.asarray(c.df_dqdot(q, qdot, dq_left, dq_right), dtype=float)
-        fq = np.asarray(c.df_dq(q, qdot, dq_left, dq_right), dtype=float)
-        fl = np.asarray(c.df_ddql(q, qdot, dq_left, dq_right), dtype=float)
-        fr = (
-            zeros
-            if c.df_ddqr is None
-            else np.asarray(c.df_ddqr(q, qdot, dq_left, dq_right), dtype=float)
-        )
+    dq = zeros if dq is None else dq
+    d1d = zeros if d1d is None else d1d
+    g = np.asarray(c.df_dqdot(q, qdot, dq), dtype=float)
+    fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
+    fd = np.asarray(c.df_ddq(q, qdot, dq), dtype=float)
     g2 = float(np.dot(g, g))
     if g2 <= _CHETAEV_TOL:
         raise SingularConstraintError("Chetaev gradient vanished")
-    num = (
-        np.dot(g, sys.grad_potential(q))
-        - np.dot(fl, d1d_left)
-        - np.dot(fr, d1d_right)
-        - np.dot(fq, qdot)
-    )
+    num = np.dot(g, sys.grad_potential(q)) - np.dot(fd, d1d) - np.dot(fq, qdot)
     return float(num / g2)
 
 
@@ -228,23 +204,20 @@ def _check_initial_residual(sys: SystemSpec, project: bool) -> np.ndarray:
     c = sys.constraint
     zeros = np.zeros(sys.n)
     qdot = sys.qdot_init.copy()
-    f0 = c.value(sys.q_init, qdot, zeros, zeros)
+    f0 = c.value(sys.q_init, qdot, zeros)
     if abs(f0) <= _INIT_TOL:
         return qdot
     if not project:
         raise ConstraintViolationError(
             f"initial data violates the constraint: f(0) = {f0:.3e}"
         )
-    if c.kind == "linear":
-        g = c.a
-    else:
-        g = np.asarray(c.df_dqdot(sys.q_init, qdot, zeros, zeros), dtype=float)
+    g = np.asarray(c.df_dqdot(sys.q_init, qdot, zeros), dtype=float)
     g2 = float(np.dot(g, g))
     if g2 <= _CHETAEV_TOL:
         raise SingularConstraintError("cannot project along vanishing gradient")
     for _ in range(50):
         qdot = qdot - f0 / g2 * g
-        f0 = c.value(sys.q_init, qdot, zeros, zeros)
+        f0 = c.value(sys.q_init, qdot, zeros)
         if abs(f0) <= _INIT_TOL:
             return qdot
     raise ConstraintViolationError("projection onto the constraint failed")
@@ -264,10 +237,8 @@ def _estimate_higher_init(sys: SystemSpec, qdot0: np.ndarray) -> np.ndarray:
         return qdot0.copy()
     a = sys.constraint.a
     grad = np.asarray(sys.grad_potential(sys.q_init), dtype=float)
-    if a is not None:
-        a2 = float(np.dot(a, a))
-        return -(grad - a * np.dot(a, grad) / a2)
-    return -grad
+    a2 = float(np.dot(a, a))
+    return -(grad - a * np.dot(a, grad) / a2)
 
 
 class _LinearRHS(RHS):
@@ -275,11 +246,10 @@ class _LinearRHS(RHS):
         if mode not in ("prop1", "direct"):
             raise FracDomainError(f"mode must be 'prop1' or 'direct', got {mode}")
         c = sys.constraint
-        if c is None or c.kind != "linear":
+        if c is None or c.a is None:
             raise FracDomainError("rhs_linear needs a linear constraint")
         self.sys = sys
         self.mode = mode
-        self.n = sys.n
         self.a = c.a
         self.b = c.b
         self.alpha = c.order.alpha
@@ -303,7 +273,7 @@ class _LinearRHS(RHS):
             dq_now = hist.caputo_q(self.alpha)
             hist.store(dq_now)
             if hist.count < 2:
-                d1d = np.zeros(self.n)
+                d1d = np.zeros_like(dq_now)
             else:
                 d1d = (dq_now - hist.aux_view[-2]) / hist.h
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
@@ -333,10 +303,9 @@ class _LinearRHS(RHS):
 class _GeneralRHS(RHS):
     def __init__(self, sys: SystemSpec, project_init: bool) -> None:
         c = sys.constraint
-        if c is None or c.kind != "general":
-            raise FracDomainError("rhs_general needs a general constraint")
+        if c is None:
+            raise FracDomainError("rhs_general needs a constraint")
         self.sys = sys
-        self.n = sys.n
         self.alpha = c.order.alpha
         self.qdot_start = _check_initial_residual(sys, project_init)
         self.qm0 = (
@@ -357,11 +326,9 @@ class _GeneralRHS(RHS):
             p = self._shift_pow + 1.0
             avg = ((t + hist.h) ** p - t**p) / (hist.h * gamma(p + 1.0))
             d1d = d1d + avg * self.qm0
-        lam = lambda_general(self.sys, q, qdot, dq_left=dq, d1d_left=d1d)
+        lam = lambda_general(self.sys, q, qdot, dq=dq, d1d=d1d)
         self.last_multiplier = lam
-        g = np.asarray(
-            c.df_dqdot(q, qdot, dq, np.zeros(self.n)), dtype=float
-        )
+        g = np.asarray(c.df_dqdot(q, qdot, dq), dtype=float)
         return -np.asarray(self.sys.grad_potential(q), dtype=float) + g * lam
 
     def residual_last(self, hist) -> float:
@@ -421,8 +388,6 @@ class _NonlinearPreRHS(RHS):
     the history.
     """
 
-    n = 1
-
     def __init__(self, g: float, K: Callable[[float], float], alpha: float) -> None:
         self.g = g
         self.K = K
@@ -456,8 +421,6 @@ class _NonlinearReducedRHS(RHS):
     xdot + g D^alpha x + g D^(alpha-2) K(x) = xdot(0); the operator turns
     xdot into D^(3-alpha) x exactly and annihilates the constant.
     """
-
-    n = 1
 
     def __init__(self, g: float, K: Callable[[float], float], alpha: float) -> None:
         self.g = g
@@ -501,7 +464,6 @@ class _HamiltonRHS(RHS):
 
     def __init__(self, spec: HamiltonSpec) -> None:
         self.spec = spec
-        self.n = spec.n
         self.last_residual = float("nan")
 
     def __call__(self, t, q, p, hist):
@@ -535,7 +497,7 @@ def hamilton_rhs(spec: HamiltonSpec):
 
 
 # ---------------------------------------------------------------------------
-# variational diagnostic (post-hoc; right-sided derivatives allowed here)
+# variational diagnostic (post-hoc)
 
 def variational_residual(traj, mu: SampleSeries, sys: SystemSpec):
     """Residual of the variational (conditional-extremum) equations along a
@@ -572,34 +534,16 @@ def variational_residual(traj, mu: SampleSeries, sys: SystemSpec):
         [l1_caputo_series(q[:, k], h, alpha) for k in range(n)]
     )
     mu_v = mu.values
-    if c.kind == "linear":
-        fq = np.zeros((nn, n))
-        fqd = np.tile(c.a, (nn, 1))
-        fl = np.tile(c.b, (nn, 1))
-        fr = np.zeros((nn, n))
-    else:
-        zeros = np.zeros(n)
-        fq = np.array([c.df_dq(q[i], qdot[i], dql[i], zeros) for i in range(nn)])
-        fqd = np.array([c.df_dqdot(q[i], qdot[i], dql[i], zeros) for i in range(nn)])
-        fl = np.array([c.df_ddql(q[i], qdot[i], dql[i], zeros) for i in range(nn)])
-        if c.df_ddqr is None:
-            fr = np.zeros((nn, n))
-        else:
-            fr = np.array(
-                [c.df_ddqr(q[i], qdot[i], dql[i], zeros) for i in range(nn)]
-            )
+    fq = np.array([c.df_dq(q[i], qdot[i], dql[i]) for i in range(nn)])
+    fqd = np.array([c.df_dqdot(q[i], qdot[i], dql[i]) for i in range(nn)])
+    fd = np.array([c.df_ddq(q[i], qdot[i], dql[i]) for i in range(nn)])
 
     res += mu_v[:, None] * fq
     res -= np.gradient(mu_v[:, None] * fqd, h, axis=0)
     for k in range(n):
-        left_arg = mu_v * fl[:, k]
-        if np.any(left_arg):
-            res[:, k] += l1_caputo_series(left_arg, h, alpha)
-        right_arg = mu_v * fr[:, k]
-        if np.any(right_arg):
-            darg = SampleSeries(grid, np.gradient(right_arg, h))
-            rc = caputo_right(darg, c.order).values
-            res[:, k] += rc
+        arg = mu_v * fd[:, k]
+        if np.any(arg):
+            res[:, k] += l1_caputo_series(arg, h, alpha)
     return [SampleSeries(grid, res[:, k]) for k in range(n)]
 
 
@@ -610,7 +554,7 @@ def chetaev_projected(residuals, sys: SystemSpec) -> SampleSeries:
     grid = residuals[0].grid
     r = np.column_stack([s.values for s in residuals])
     c = sys.constraint
-    if c is not None and c.kind == "linear":
+    if c is not None and c.a is not None:
         g = c.a / np.linalg.norm(c.a)
         r = r - np.outer(r @ g, g)
     return SampleSeries(grid, np.linalg.norm(r, axis=1))

@@ -43,7 +43,7 @@ __all__ = [
     "convergence_study",
 ]
 
-_SCHEMES = ("semi-implicit-euler", "velocity-verlet", "abm-fractional")
+_SCHEMES = ("semi-implicit-euler", "velocity-verlet")
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ class History:
         panels in the order the differences are summed."""
         w = self._weights.get(key)
         if w is None:
-            kind, p = key
-            if kind == "l1":
+            scheme, p = key
+            if scheme == "l1":
                 w = np.ascontiguousarray(_l1_weights(self._size, p)[::-1])
             else:
                 w = _trapezoid_weights(self._size, p)
@@ -235,13 +235,13 @@ class RHS:
     """The protocol the steppers consume.
 
     ``rhs(t, q, qdot, hist)`` returns the acceleration at node t (the
-    Hamilton form returns the pair (qdot, pdot) instead).  After each call the stepper reads ``last_multiplier`` and
-    ``residual_last(hist)``; after each step it adds
-    ``singular_velocity_increment(t0, t1)`` to the velocity when that is not
-    None.  Whatever a run must remember goes into ``hist``.
+    Hamilton form returns the pair (qdot, pdot) instead).  After each call
+    the stepper reads ``last_multiplier`` and ``residual_last(hist)``; after
+    each step it adds ``singular_velocity_increment(t0, t1)`` to the
+    velocity when that is not None.  Whatever a run must remember goes into
+    ``hist``.
     """
 
-    n: int
     last_multiplier: float = float("nan")
 
     def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray, hist: History):
@@ -276,10 +276,6 @@ def integrate_second_order(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationR
 
     ``init`` is the pair (q0, qdot0).
     """
-    if cfg.scheme == "abm-fractional":
-        raise FracDomainError(
-            "use integrate_fractional_abm for the abm-fractional scheme"
-        )
     return _integrate(rhs, init, cfg, cfg.scheme)
 
 
@@ -389,12 +385,8 @@ def integrate_fractional_abm(
     for j, v in enumerate(init):
         taylor += v * t**j / math.factorial(j)
 
-    k = np.arange(0, nn, dtype=float)
-    bw = (k + 1.0) ** beta - k**beta
-    kp = k ** (beta + 1.0)
-    cw = np.zeros(nn)
-    if nn >= 3:
-        cw[1 : nn - 1] = kp[2:nn] - 2.0 * kp[1 : nn - 1] + kp[0 : nn - 2]
+    bw = _l1_weights(nn, beta)
+    cw = _trapezoid_weights(nn - 1, beta)
     c_pred = h**beta / gamma(beta + 1.0)
     c_corr = h**beta / gamma(beta + 2.0)
 
@@ -403,7 +395,7 @@ def integrate_fractional_abm(
         a0 = (i - 1.0) ** (beta + 1.0) - (i - 1.0 - beta) * i**beta
         hist_sum = a0 * fv[0]
         if i >= 2:
-            hist_sum += np.dot(cw[1:i], fv[i - 1 : 0 : -1])
+            hist_sum += np.dot(cw[: i - 1], fv[i - 1 : 0 : -1])
         x[i] = taylor[i] + c_corr * (hist_sum + rhs(t[i], pred))
         if not np.isfinite(x[i]) or abs(x[i]) > cfg.divergence_threshold:
             raise DivergenceError(
@@ -422,7 +414,7 @@ def integrate_fractional_abm(
         qdot[:, None],
         np.full(nn, np.nan),
         None,
-        {"scheme": "abm-fractional", "h": h},
+        {"scheme": "fractional-abm", "h": h},
     )
 
 
@@ -442,6 +434,8 @@ def convergence_study(
     steps = sorted(steps, reverse=True)
     if len(steps) < 3:
         raise FracDomainError("ladder must have at least 3 rungs")
+    if any(a == b for a, b in zip(steps, steps[1:])):
+        raise FracDomainError("ladder repeats a step")
     if reference is None:
         ref_series = run(steps[-1] / 2.0)
         ref_t = ref_series.grid.nodes()

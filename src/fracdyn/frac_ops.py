@@ -56,14 +56,13 @@ def fractional_integral_values(values: np.ndarray, eps: float, h: float) -> np.n
     out = np.zeros(n + 1)
     if n == 0:
         return out
-    k = np.arange(0, n + 1, dtype=float)
-    kp = k ** (eps + 1.0)
-    # interior convolution weights c_k = (k+1)^(eps+1) - 2k^(eps+1) + (k-1)^(eps+1)
+    # convolution weights c_k = (k+1)^(eps+1) - 2k^(eps+1) + (k-1)^(eps+1)
     c = np.zeros(n + 1)
-    if n >= 2:
-        c[1:n] = kp[2 : n + 1] - 2.0 * kp[1:n] + kp[0 : n - 1]
-    if n >= 1:
-        c[n] = (n + 1.0) ** (eps + 1.0) - 2.0 * kp[n] + kp[n - 1]
+    c[1:n] = _trapezoid_weights(n, eps)
+    # an array power, as in the table: numpy's vector pow and the scalar one
+    # may round differently
+    kp = np.array([n - 1.0, n]) ** (eps + 1.0)
+    c[n] = (n + 1.0) ** (eps + 1.0) - 2.0 * kp[1] + kp[0]
     conv = np.convolve(f, c)[: n + 1]
     ns = np.arange(1, n + 1, dtype=float)
     a0 = (ns - 1.0) ** (eps + 1.0) - (ns - 1.0 - eps) * ns**eps

@@ -161,8 +161,6 @@ def suite_operators() -> List[CheckRow]:
 
 def _chain_run(h: float):
     s = SystemSpec(
-        n=1,
-        potential=lambda q: 0.0,
         grad_potential=lambda q: np.zeros(1),
         constraint=ConstraintSpec.linear([1.0], [1.0], FracOrder(1.5)),
         q_init=[1.0],
@@ -197,10 +195,8 @@ def _preservation_ratio(sys: SystemSpec, t_end: float, h: float) -> float:
     return out[0] / out[1]
 
 
-def _quad_sys(n: int, a, b, q0, qd0, alpha: float = 0.5) -> SystemSpec:
+def _quad_sys(a, b, q0, qd0, alpha: float = 0.5) -> SystemSpec:
     return SystemSpec(
-        n=n,
-        potential=lambda q: 0.5 * float(q @ q),
         grad_potential=lambda q: q,
         constraint=ConstraintSpec.linear(a, b, FracOrder(alpha)),
         q_init=q0,
@@ -212,23 +208,23 @@ def suite_constraints() -> List[CheckRow]:
     rows = []
     target = 2.0**0.75 - 0.05
 
-    sys2 = _quad_sys(2, [1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+    sys2 = _quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
     rows.append(
         _row("preservation ratio linear-nd n=2", _preservation_ratio(sys2, 2.0, 1 / 400), target, larger_ok=True)
     )
     sys3 = _quad_sys(
-        3, [1.0, 2.0, -1.0], [0.5, -0.3, 0.2], [1.0, 0.5, -0.5], [2.0, -1.5, -1.0]
+        [1.0, 2.0, -1.0], [0.5, -0.3, 0.2], [1.0, 0.5, -0.5], [2.0, -1.5, -1.0]
     )
     rows.append(
         _row("preservation ratio linear-nd n=3", _preservation_ratio(sys3, 2.0, 1 / 400), target, larger_ok=True)
     )
-    sysc2 = _quad_sys(2, [1.0, 1.0], [0.0, 0.5], [1.0, 0.5], [1.0, -1.0])
+    sysc2 = _quad_sys([1.0, 1.0], [0.0, 0.5], [1.0, 0.5], [1.0, -1.0])
     rows.append(
         _row("preservation ratio case2-2d", _preservation_ratio(sysc2, 2.0, 1 / 400), target, larger_ok=True)
     )
 
     # classical limit b = 0: free direction is a plain oscillator
-    sysb0 = _quad_sys(2, [1.0, 0.0], [0.0, 0.0], [0.3, 1.0], [0.0, 0.0])
+    sysb0 = _quad_sys([1.0, 0.0], [0.0, 0.0], [0.3, 1.0], [0.0, 0.0])
     cfg = IntegratorConfig(h=1e-3, t_end=10.0, scheme="velocity-verlet")
     res = integrate_second_order(rhs_linear(sysb0), (sysb0.q_init, sysb0.qdot_init), cfg)
     t = res.grid.nodes()
@@ -243,8 +239,6 @@ def suite_constraints() -> List[CheckRow]:
     # Hamilton form vs Lagrange form with constant A
     A = np.array([1.0, 2.0])
     hspec = HamiltonSpec(
-        n=2,
-        potential=lambda q: 0.5 * float(q @ q),
         grad_potential=lambda q: q,
         A=lambda q, d: A,
         dA_dq=lambda q, d: np.zeros((2, 2)),
@@ -253,7 +247,7 @@ def suite_constraints() -> List[CheckRow]:
         q_init=[1.0, 0.5],
         p_init=[2.0, -1.0],
     )
-    sysL = _quad_sys(2, A, [0.0, 0.0], [1.0, 0.5], [2.0, -1.0])
+    sysL = _quad_sys(A, [0.0, 0.0], [1.0, 0.5], [2.0, -1.0])
 
     def run_h(h):
         return integrate_hamilton(

@@ -278,6 +278,8 @@ class TestInputFaults:
             "nan,0.1,0.05",
             "0.1,0.03,0.07",  # no rung grid nests in the h = 0.015 reference
             "2,1,0.5",  # every rung exceeds t_end
+            "0.1,0.1,0.05",  # a repeated rung: log(h_prev/h) = 0
+            "0.1,0.1000001,0.05",  # two rungs on one 5-step grid
         ],
     )
     def test_bad_ladder(self, tmp_path, capsys, ladder):

@@ -26,10 +26,8 @@ from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_
 from fracdyn.series import FracOrder, Grid, SampleSeries
 
 
-def quad_sys(n, a, b, q0, qd0, alpha=0.5, **kw):
+def quad_sys(a, b, q0, qd0, alpha=0.5, **kw):
     return SystemSpec(
-        n=n,
-        potential=lambda q: 0.5 * float(q @ q),
         grad_potential=lambda q: q,
         constraint=ConstraintSpec.linear(a, b, FracOrder(alpha)),
         q_init=q0,
@@ -53,9 +51,61 @@ class TestConstraintSpec:
         assert v == pytest.approx(1.0 + 2.0 + 1.0)
 
 
+class TestSpecs:
+    def test_n_is_the_state_length(self):
+        assert quad_sys([1.0, 2.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3).n == 3
+
+    @pytest.mark.parametrize(
+        "q0,qd0,higher",
+        [
+            ([1, 0], [1.0], None),
+            ([[1.0, 0.0]], [[0.0, 1.0]], None),
+            # rhs_general would broadcast a one-entry higher_init
+            ([1.0, 0.5], [2.0, -1.0], [1.0]),
+        ],
+    )
+    def test_system_shapes_checked(self, q0, qd0, higher):
+        with pytest.raises(FracDomainError):
+            SystemSpec(
+                grad_potential=lambda q: q,
+                constraint=None,
+                q_init=q0,
+                qdot_init=qd0,
+                higher_init=higher,
+            )
+
+    def test_hamilton_lengths_checked(self):
+        # a one-entry p_init would otherwise broadcast over both coordinates
+        with pytest.raises(FracDomainError):
+            HamiltonSpec(
+                grad_potential=lambda q: np.zeros(2),
+                A=lambda q, d: np.array([1.0, 2.0]),
+                dA_dq=lambda q, d: np.zeros((2, 2)),
+                dA_dD=lambda q, d: np.zeros((2, 2)),
+                order=FracOrder(0.5),
+                q_init=[1, 0],
+                p_init=[1.0],
+            )
+
+    def test_rhs_linear_needs_constant_vectors(self):
+        c = ConstraintSpec(
+            FracOrder(0.5),
+            f=lambda q, qd, dl: float(qd[0]),
+            df_dq=lambda q, qd, dl: np.zeros(2),
+            df_dqdot=lambda q, qd, dl: np.array([1.0, 0.0]),
+            df_ddq=lambda q, qd, dl: np.zeros(2),
+        )
+        sys = SystemSpec(
+            grad_potential=lambda q: q, constraint=c, q_init=[0.0, 0.0], qdot_init=[0.0, 1.0]
+        )
+        with pytest.raises(FracDomainError):
+            rhs_linear(sys)
+        assert rhs_general(sys).qdot_start[1] == 1.0
+
+
 class TestProjector:
     def test_annihilates_gradient_and_is_idempotent(self):
-        sys = quad_sys(3, [1.0, 2.0, -1.0], [0.0, 0.1, 0.2], [0, 0, 0], [2, 0, 2])
+        sys = quad_sys([1.0, 2.0, -1.0], [0.0, 0.1, 0.2], [0, 0, 0], [2, 0, 2])
         rr = rhs_linear(sys)
         a = sys.constraint.a
         assert np.max(np.abs(rr.proj @ a)) < 1e-12
@@ -67,8 +117,6 @@ class TestLambda:
     def test_hand_evaluation_velocity_constraint(self):
         # f = qdot_1, u = q_1: lambda = 1 and the reaction cancels the force
         sys = SystemSpec(
-            n=2,
-            potential=lambda q: q[0],
             grad_potential=lambda q: np.array([1.0, 0.0]),
             constraint=ConstraintSpec.linear([1.0, 0.0], [0.0, 0.0], FracOrder(0.5)),
             q_init=[0.0, 0.0],
@@ -85,16 +133,14 @@ class TestLambda:
         assert np.max(np.abs(res.multiplier - 1.0)) < 1e-13
 
     def test_vanishing_gradient(self):
-        c = ConstraintSpec.general(
+        c = ConstraintSpec(
             FracOrder(0.5),
-            f=lambda q, qd, dl, dr: 0.0,
-            df_dq=lambda q, qd, dl, dr: np.zeros(2),
-            df_dqdot=lambda q, qd, dl, dr: np.zeros(2),
-            df_ddql=lambda q, qd, dl, dr: np.zeros(2),
+            f=lambda q, qd, dl: 0.0,
+            df_dq=lambda q, qd, dl: np.zeros(2),
+            df_dqdot=lambda q, qd, dl: np.zeros(2),
+            df_ddq=lambda q, qd, dl: np.zeros(2),
         )
         sys = SystemSpec(
-            n=2,
-            potential=lambda q: 0.0,
             grad_potential=lambda q: np.zeros(2),
             constraint=c,
             q_init=[0.0, 0.0],
@@ -106,12 +152,12 @@ class TestLambda:
 
 class TestInitialData:
     def test_violation_raises(self):
-        sys = quad_sys(2, [1.0, 0.0], [0.0, 0.0], [0, 0], [1.0, 0.0])
+        sys = quad_sys([1.0, 0.0], [0.0, 0.0], [0, 0], [1.0, 0.0])
         with pytest.raises(ConstraintViolationError):
             rhs_linear(sys)
 
     def test_projection_repairs(self):
-        sys = quad_sys(2, [1.0, 1.0], [0.0, 0.0], [0, 0], [1.0, 0.0])
+        sys = quad_sys([1.0, 1.0], [0.0, 0.0], [0, 0], [1.0, 0.0])
         rr = rhs_linear(sys, project_init=True)
         assert np.dot(sys.constraint.a, rr.qdot_start) == pytest.approx(0.0, abs=1e-10)
 
@@ -119,17 +165,15 @@ class TestInitialData:
 class TestGeneralVsLinear:
     def test_same_trajectory_and_multiplier(self):
         a, b = [1.0, 2.0], [0.5, -0.3]
-        lin = quad_sys(2, a, b, [1.0, 0.5], [2.0, -1.0])
-        gen_c = ConstraintSpec.general(
+        lin = quad_sys(a, b, [1.0, 0.5], [2.0, -1.0])
+        gen_c = ConstraintSpec(
             FracOrder(0.5),
-            f=lambda q, qd, dl, dr: float(np.dot(a, qd) + np.dot(b, dl)),
-            df_dq=lambda q, qd, dl, dr: np.zeros(2),
-            df_dqdot=lambda q, qd, dl, dr: np.array(a),
-            df_ddql=lambda q, qd, dl, dr: np.array(b),
+            f=lambda q, qd, dl: float(np.dot(a, qd) + np.dot(b, dl)),
+            df_dq=lambda q, qd, dl: np.zeros(2),
+            df_dqdot=lambda q, qd, dl: np.array(a),
+            df_ddq=lambda q, qd, dl: np.array(b),
         )
         gen = SystemSpec(
-            n=2,
-            potential=lin.potential,
             grad_potential=lin.grad_potential,
             constraint=gen_c,
             q_init=lin.q_init,
@@ -145,7 +189,7 @@ class TestGeneralVsLinear:
 
 class TestShiftModes:
     def test_prop1_and_direct_converge_together(self):
-        sys = quad_sys(2, [1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+        sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
         diffs = []
         for h in (1 / 200, 1 / 400, 1 / 800):
             cfg = IntegratorConfig(h=h, t_end=1.0)
@@ -159,7 +203,7 @@ class TestShiftModes:
         assert diffs[0] > diffs[1] > diffs[2]
 
     def test_bad_mode(self):
-        sys = quad_sys(1, [1.0], [1.0], [1.0], [-1.0])
+        sys = quad_sys([1.0], [1.0], [1.0], [-1.0])
         with pytest.raises(FracDomainError):
             rhs_linear(sys, mode="implicit")
 
@@ -211,8 +255,6 @@ class TestHamilton:
     def test_multiplier_and_velocity(self):
         A = np.array([1.0, 2.0])
         spec = HamiltonSpec(
-            n=2,
-            potential=lambda q: 0.0,
             grad_potential=lambda q: np.zeros(2),
             A=lambda q, d: A,
             dA_dq=lambda q, d: np.zeros((2, 2)),
@@ -231,8 +273,6 @@ class TestHamilton:
     def test_vanishing_A_rejected(self):
         with pytest.raises(SingularConstraintError):
             HamiltonSpec(
-                n=1,
-                potential=lambda q: 0.0,
                 grad_potential=lambda q: np.zeros(1),
                 A=lambda q, d: np.zeros(1),
                 dA_dq=lambda q, d: np.zeros((1, 1)),
@@ -250,8 +290,6 @@ class TestVariationalResidual:
         g = Grid(0.0, 2.0, 400)
         t = g.nodes()
         sys = SystemSpec(
-            n=2,
-            potential=lambda q: 0.0,
             grad_potential=lambda q: np.zeros(2),
             constraint=ConstraintSpec.linear([1.0, 0.0], [0.0, 0.0], FracOrder(0.5)),
             q_init=[0.0, 0.0],
@@ -274,7 +312,7 @@ class TestVariationalResidual:
         from fracdyn.errors import GridMismatchError
 
         g = Grid(0.0, 1.0, 10)
-        sys = quad_sys(1, [1.0], [0.0], [0.0], [0.0])
+        sys = quad_sys([1.0], [0.0], [0.0], [0.0])
 
         class Traj:
             grid = g
@@ -291,8 +329,6 @@ class TestReuse:
 
     def _hamilton(self):
         spec = HamiltonSpec(
-            n=2,
-            potential=lambda q: 0.5 * float(q @ q),
             grad_potential=lambda q: q,
             A=lambda q, d: np.array([1.0 + 0.3 * d[0], 0.5 - 0.2 * d[1]]),
             dA_dq=lambda q, d: np.zeros((2, 2)),
@@ -305,7 +341,7 @@ class TestReuse:
         return lambda cfg: integrate_hamilton(rr, (spec.q_init, spec.p_init), cfg)
 
     def _direct(self):
-        sys = quad_sys(2, [1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+        sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
         rr = rhs_linear(sys, mode="direct")
         return lambda cfg: integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
 

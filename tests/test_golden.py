@@ -140,8 +140,6 @@ def _arrays(res) -> bytes:
 
 def direct_system() -> SystemSpec:
     return SystemSpec(
-        n=2,
-        potential=lambda q: 0.5 * float(q @ q),
         grad_potential=lambda q: q,
         constraint=ConstraintSpec.linear([1.0, 2.0], [0.5, -0.3], FracOrder(0.5)),
         q_init=[1.0, 0.5],
@@ -152,8 +150,6 @@ def direct_system() -> SystemSpec:
 def hamilton_spec() -> HamiltonSpec:
     """A depends on q and on D^alpha q, so the fractional integrand is live."""
     return HamiltonSpec(
-        n=2,
-        potential=lambda q: 0.5 * float(q @ q),
         grad_potential=lambda q: q,
         A=lambda q, d: np.array([1.0 + 0.3 * d[0] + 0.1 * q[1], 0.5 - 0.2 * d[1]]),
         dA_dq=lambda q, d: np.array([[0.0, 0.1], [0.0, 0.0]]),
@@ -168,20 +164,18 @@ def general_system() -> SystemSpec:
     """A constraint nonlinear in (q, qdot, D^alpha q), so ``rhs_general``
     needs both history queries and every partial derivative."""
 
-    def f(q, qd, dl, dr):
+    def f(q, qd, dl):
         return (qd[0] + 2.0 * qd[1] + 0.5 * dl[0] - 0.3 * dl[1]
                 + 0.2 * q[0] * dl[1] + 0.1 * dl[0] * qd[1])
 
     return SystemSpec(
-        n=2,
-        potential=lambda q: 0.5 * float(q @ q),
         grad_potential=lambda q: q,
-        constraint=ConstraintSpec.general(
+        constraint=ConstraintSpec(
             FracOrder(0.5),
             f=f,
-            df_dq=lambda q, qd, dl, dr: np.array([0.2 * dl[1], 0.0]),
-            df_dqdot=lambda q, qd, dl, dr: np.array([1.0, 2.0 + 0.1 * dl[0]]),
-            df_ddql=lambda q, qd, dl, dr: np.array([0.5 + 0.1 * qd[1], -0.3 + 0.2 * q[0]]),
+            df_dq=lambda q, qd, dl: np.array([0.2 * dl[1], 0.0]),
+            df_dqdot=lambda q, qd, dl: np.array([1.0, 2.0 + 0.1 * dl[0]]),
+            df_ddq=lambda q, qd, dl: np.array([0.5 + 0.1 * qd[1], -0.3 + 0.2 * q[0]]),
         ),
         q_init=[1.0, 0.5],
         qdot_init=[2.0, -1.0],

@@ -1,6 +1,7 @@
 """Mittag-Leffler evaluation against high-precision oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -39,6 +40,18 @@ def ml_oracle(alpha, beta, z, dps=220):
                 return float(total)
 
 
+def series_overflows(alpha, beta, z):
+    """True when one term z^k / Gamma(alpha k + beta) of the series for
+    z > 0 already exceeds the float range.  Every term is then positive,
+    so the sum overflows too.  The term tested sits near the peak, where
+    alpha k + beta ~ z^(1/alpha)."""
+    if z <= 0.0:
+        return False
+    k = max(0, round((z ** (1.0 / alpha) - beta) / alpha))
+    log_term = k * mpmath.log(z) - mpmath.loggamma(mpmath.mpf(alpha) * k + beta)
+    return log_term > math.log(sys.float_info.max)
+
+
 class TestIdentities:
     def test_exponential(self):
         for z in np.linspace(-5, 5, 21):
@@ -66,8 +79,11 @@ class TestOracleAgreement:
         # absolute tolerance where it is attainable; relative once the value
         # itself exceeds float absolute resolution (E can reach exp(z^(1/a)))
         for z in (-10.0, -5.0, -1.0, -0.1, 0.5, 3.0, 10.0):
-            ref = ml_oracle(alpha, beta, z)
             val = ml(MLParams(alpha, beta), z)
+            if series_overflows(alpha, beta, z):
+                assert math.isinf(val) and val > 0
+                continue
+            ref = ml_oracle(alpha, beta, z)
             if math.isinf(ref):
                 # value overflows float range; both sides must agree on that
                 assert math.isinf(val) and val > 0

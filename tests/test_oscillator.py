@@ -75,7 +75,7 @@ class TestExactSolution:
         # independent path: D^beta q = Q - w2 q stepped by the fractional Adams
         spec = OscillatorSpec.from_initial_data(alpha=2.6, omega2=1.5, q0=0.5, qp0=0.3)
         beta = spec.alpha - 1.0
-        cfg = IntegratorConfig(h=1 / 512, t_end=4.0, scheme="abm-fractional")
+        cfg = IntegratorConfig(h=1 / 512, t_end=4.0)
         res = integrate_fractional_abm(
             beta,
             lambda t, x: float(forcing(spec, t)) - spec.omega2 * x,

@@ -211,13 +211,13 @@ class TestSecondOrder:
 class TestFractionalABM:
     def test_polynomial_free_motion_exact(self):
         # D^1.5 x = 0 with x(0)=a, x'(0)=b keeps the Taylor part a + b t
-        cfg = IntegratorConfig(h=0.05, t_end=2.0, scheme="abm-fractional")
+        cfg = IntegratorConfig(h=0.05, t_end=2.0)
         res = integrate_fractional_abm(1.5, lambda t, x: 0.0, [0.7, -0.4], cfg)
         t = res.grid.nodes()
         assert np.max(np.abs(res.q[:, 0] - (0.7 - 0.4 * t))) < 1e-14
 
     def test_relaxation_ml_oracle(self):
-        cfg = IntegratorConfig(h=1 / 512, t_end=2.0, scheme="abm-fractional")
+        cfg = IntegratorConfig(h=1 / 512, t_end=2.0)
         res = integrate_fractional_abm(0.5, lambda t, x: -x, [1.0], cfg)
         ref = np.array(
             [ml(MLParams(0.5, 1.0), -math.sqrt(tv)) for tv in res.grid.nodes()]
@@ -225,7 +225,7 @@ class TestFractionalABM:
         assert np.max(np.abs(res.q[:, 0] - ref)) < 1e-3
 
     def test_two_term_oscillator(self):
-        cfg = IntegratorConfig(h=1 / 256, t_end=2.0, scheme="abm-fractional")
+        cfg = IntegratorConfig(h=1 / 256, t_end=2.0)
         res = integrate_fractional_abm(1.5, lambda t, x: -x, [1.0, 0.0], cfg)
         ref = np.array(
             [ml(MLParams(1.5, 1.0), -(tv**1.5)) for tv in res.grid.nodes()]
@@ -233,7 +233,7 @@ class TestFractionalABM:
         assert np.max(np.abs(res.q[:, 0] - ref)) < 1e-5
 
     def test_init_count_checked(self):
-        cfg = IntegratorConfig(h=0.1, t_end=1.0, scheme="abm-fractional")
+        cfg = IntegratorConfig(h=0.1, t_end=1.0)
         with pytest.raises(FracDomainError):
             integrate_fractional_abm(1.5, lambda t, x: 0.0, [1.0], cfg)
         with pytest.raises(FracDomainError):
@@ -267,6 +267,10 @@ class TestConvergenceStudy:
     def test_short_ladder_rejected(self):
         with pytest.raises(FracDomainError):
             convergence_study(self.run_factory(), [0.1], reference=np.cos)
+
+    def test_repeated_step_rejected(self):
+        with pytest.raises(FracDomainError):
+            convergence_study(self.run_factory(), [0.1, 0.05, 0.1], reference=np.cos)
 
     def test_non_monotone_flagged(self):
         calls = iter([1e-3, 1e-4, 1e-4])
