@@ -22,11 +22,11 @@ history) is kept for cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import (
     ConstraintViolationError,
@@ -176,20 +176,25 @@ def lambda_general(
 
     ``dq`` is D^alpha q and ``d1d`` is D^1 D^alpha q; both default to zero.
     """
-    c = sys.constraint
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     zeros = np.zeros_like(q)
     dq = zeros if dq is None else dq
     d1d = zeros if d1d is None else d1d
+    grad = np.asarray(sys.grad_potential(q), dtype=float)
+    return _multiplier(sys.constraint, q, qdot, dq, d1d, grad)[0]
+
+
+def _multiplier(c: ConstraintSpec, q, qdot, dq, d1d, grad):
+    """(lambda, df/dqdot) at one state, for the potential gradient ``grad``."""
     g = np.asarray(c.df_dqdot(q, qdot, dq), dtype=float)
     fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
     fd = np.asarray(c.df_ddq(q, qdot, dq), dtype=float)
     g2 = float(np.dot(g, g))
     if g2 <= _CHETAEV_TOL:
         raise SingularConstraintError("Chetaev gradient vanished")
-    num = np.dot(g, sys.grad_potential(q)) - np.dot(fd, d1d) - np.dot(fq, qdot)
-    return float(num / g2)
+    num = np.dot(g, grad) - np.dot(fd, d1d) - np.dot(fq, qdot)
+    return float(num / g2), g
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ class _LinearRHS(RHS):
         self.qm0 = _estimate_higher_init(sys, self.qdot_start)
         # exponent of the shift power t^(m-alpha-1)
         self._shift_pow = c.order.m - self.alpha
-        self._shift_amp = -np.dot(self.b, self.qm0) / gamma(self._shift_pow + 1.0) * (
+        self._shift_amp = -np.dot(self.b, self.qm0) / math.gamma(self._shift_pow + 1.0) * (
             self.a / self.a2
         )
         self._has_qm0 = bool(np.any(self.qm0))
@@ -282,7 +287,7 @@ class _LinearRHS(RHS):
             # report the step-effective multiplier: the singular startup term
             # is averaged over [t, t+h], matching the exact velocity increment
             p = self._shift_pow
-            avg = ((t + hist.h) ** p - t**p) / (hist.h * gamma(p + 1.0))
+            avg = ((t + hist.h) ** p - t**p) / (hist.h * math.gamma(p + 1.0))
             d1d_rep = d1d + avg * self.qm0
         self.last_multiplier = float(
             (np.dot(self.a, grad) - np.dot(self.b, d1d_rep)) / self.a2
@@ -317,19 +322,18 @@ class _GeneralRHS(RHS):
         self._has_qm0 = bool(np.any(self.qm0))
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
-        c = self.sys.constraint
         dq = hist.caputo_q(self.alpha)
         d1d = hist.caputo_qdot(self.alpha)
         if self._has_qm0:
             # the startup power t^(m-alpha-1) is not summable pointwise near
             # t = 0; use its exact average over the step [t, t+h] instead
             p = self._shift_pow + 1.0
-            avg = ((t + hist.h) ** p - t**p) / (hist.h * gamma(p + 1.0))
+            avg = ((t + hist.h) ** p - t**p) / (hist.h * math.gamma(p + 1.0))
             d1d = d1d + avg * self.qm0
-        lam = lambda_general(self.sys, q, qdot, dq=dq, d1d=d1d)
+        grad = np.asarray(self.sys.grad_potential(q), dtype=float)
+        lam, g = _multiplier(self.sys.constraint, q, qdot, dq, d1d, grad)
         self.last_multiplier = lam
-        g = np.asarray(c.df_dqdot(q, qdot, dq), dtype=float)
-        return -np.asarray(self.sys.grad_potential(q), dtype=float) + g * lam
+        return -grad + g * lam
 
     def residual_last(self, hist) -> float:
         dq = hist.caputo_q(self.alpha)
@@ -403,7 +407,7 @@ class _NonlinearPreRHS(RHS):
         v0 = hist.qdot_view[0, 0]
         # F at the next node with x_{i+1} split out (taken as 0 in the L1
         # sum); K is lagged one sample
-        coef = h ** (-self.alpha) / gamma(3.0 - self.alpha)
+        coef = h ** (-self.alpha) / math.gamma(3.0 - self.alpha)
         f_known = (
             hist.caputo_q(self.alpha, ahead=0.0)[0]
             + hist.integral_aux(2.0 - self.alpha, ahead=hist.aux_view[-1])[0]

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import DivergenceError, FracDomainError, UnsupportedOrderError
 from .frac_ops import _l1_weights, _trapezoid_weights
@@ -92,8 +91,11 @@ class History:
     extended as the run grows.  ``store`` may overwrite the newest aux row,
     so the difference that touches the newest node is always recomputed.
     The arithmetic is that of ``l1_caputo_last`` and
-    ``fractional_integral_last`` on the same prefix, bit for bit.  ``terms``
-    counts the products summed.
+    ``fractional_integral_last`` on the same prefix, bit for bit.  A
+    ``caputo_q`` or ``caputo_qdot`` query at the newest node that repeats
+    one at the same count returns the earlier result; aux queries are never
+    reused, as ``store`` may change the newest row.  ``terms`` counts the
+    products summed.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
@@ -109,6 +111,8 @@ class History:
         self._weights: dict = {}
         # (series, difference order) -> [(n, nodes) buffer, entries final]
         self._diffs: dict = {}
+        # (series, order) -> (count, result) of the last query at the newest node
+        self._last: dict = {}
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         self._q[self.count] = q
@@ -143,10 +147,12 @@ class History:
     def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node; with ``ahead``, at
         one node past it on the prefix extended by the value ``ahead``."""
-        return self._caputo("q", self._q, alpha, ahead)
+        if ahead is not None:
+            return self._caputo("q", self._q, alpha, ahead)
+        return self._remembered("q", self._q, alpha)
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        return self._caputo("qdot", self._qd, alpha)
+        return self._remembered("qdot", self._qd, alpha)
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
         return self._caputo("aux", self._aux, alpha)
@@ -166,7 +172,7 @@ class History:
             for k in range(self.n):
                 total[k] += np.dot(c, f[m - 1 : 0 : -1, k])
             self.terms += (m - 1) * self.n
-        return self.h**eps / gamma(eps + 2.0) * total
+        return self.h**eps / math.gamma(eps + 2.0) * total
 
     def _table(self, key) -> np.ndarray:
         """The weights of one (scheme, order), for every history length.
@@ -183,14 +189,27 @@ class History:
             self._weights[key] = w
         return w
 
+    def _remembered(self, name: str, arr: np.ndarray, alpha: float) -> np.ndarray:
+        """``_caputo`` at the newest node, answered again from the last
+        result while the count is unchanged: appended rows never change.
+        The result is read-only, since the next query may return it."""
+        key = (name, alpha)
+        last = self._last.get(key)
+        if last is not None and last[0] == self.count:
+            return last[1]
+        out = self._caputo(name, arr, alpha)
+        out.flags.writeable = False
+        self._last[key] = (self.count, out)
+        return out
+
     def _caputo(self, name: str, arr: np.ndarray, alpha: float, ahead=None) -> np.ndarray:
         panels = self.count - (ahead is None)
         if panels < 1:
             return np.zeros(self.n)
         if 0.0 < alpha < 1.0:
-            order, p, scale, g = 1, 1.0 - alpha, self.h ** (-alpha), gamma(2.0 - alpha)
+            order, p, scale, g = 1, 1.0 - alpha, self.h ** (-alpha), math.gamma(2.0 - alpha)
         elif 1.0 < alpha < 2.0:
-            order, p, scale, g = 2, 2.0 - alpha, self.h ** (2.0 - alpha), gamma(3.0 - alpha)
+            order, p, scale, g = 2, 2.0 - alpha, self.h ** (2.0 - alpha), math.gamma(3.0 - alpha)
         else:
             raise UnsupportedOrderError(
                 f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
@@ -198,7 +217,11 @@ class History:
         w = self._table(("l1", p))[self._size - panels :]
         d = self._differences(name, arr, order, panels, ahead)
         self.terms += panels * self.n
-        return np.array([float(np.dot(w, d[k]) * scale / g) for k in range(self.n)])
+        out = np.empty(self.n)
+        for k in range(self.n):
+            # scalar scaling: for a few columns it is cheaper than array ops
+            out[k] = np.dot(w, d[k]) * scale / g
+        return out
 
     def _differences(
         self, name: str, arr: np.ndarray, order: int, panels: int, ahead
@@ -258,7 +281,7 @@ def _check_state(q: np.ndarray, qdot: np.ndarray, thr: float, partial) -> None:
     """Raise DivergenceError with ``partial()`` unless |q|, |qdot| <= thr.
 
     NaN fails the bound, so the finiteness test runs only on failure."""
-    if np.max(np.abs(q)) <= thr and np.max(np.abs(qdot)) <= thr:
+    if np.abs(q).max() <= thr and np.abs(qdot).max() <= thr:
         return
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
         raise DivergenceError("state became non-finite", partial=partial())
@@ -387,8 +410,8 @@ def integrate_fractional_abm(
 
     bw = _l1_weights(nn, beta)
     cw = _trapezoid_weights(nn - 1, beta)
-    c_pred = h**beta / gamma(beta + 1.0)
-    c_corr = h**beta / gamma(beta + 2.0)
+    c_pred = h**beta / math.gamma(beta + 1.0)
+    c_corr = h**beta / math.gamma(beta + 2.0)
 
     for i in range(1, nn):
         pred = taylor[i] + c_pred * np.dot(bw[i - 1 :: -1][:i], fv[:i])

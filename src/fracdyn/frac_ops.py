@@ -17,8 +17,9 @@ interval endpoint, the corresponding slot carries NaN.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gamma
 
 from .errors import (
     AccuracyLossError,
@@ -66,7 +67,7 @@ def fractional_integral_values(values: np.ndarray, eps: float, h: float) -> np.n
     conv = np.convolve(f, c)[: n + 1]
     ns = np.arange(1, n + 1, dtype=float)
     a0 = (ns - 1.0) ** (eps + 1.0) - (ns - 1.0 - eps) * ns**eps
-    coef = h**eps / gamma(eps + 2.0)
+    coef = h**eps / math.gamma(eps + 2.0)
     out[1:] = coef * (a0 * f[0] + (conv[1:] - c[1 : n + 1] * f[0]) + f[1:])
     return out
 
@@ -83,7 +84,7 @@ def fractional_integral_last(values: np.ndarray, eps: float, h: float) -> float:
     total = a0 * f[0] + f[n]
     if n >= 2:
         total += np.dot(_trapezoid_weights(n, eps), f[n - 1 : 0 : -1])
-    return float(h**eps / gamma(eps + 2.0) * total)
+    return float(h**eps / math.gamma(eps + 2.0) * total)
 
 
 def _trapezoid_weights(n: int, eps: float) -> np.ndarray:
@@ -151,11 +152,11 @@ def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
         return 0.0
     if 0.0 < alpha < 1.0:
         w = _l1_weights(n, 1.0 - alpha)[::-1]
-        return float(np.dot(w, np.diff(q)) * h ** (-alpha) / gamma(2.0 - alpha))
+        return float(np.dot(w, np.diff(q)) * h ** (-alpha) / math.gamma(2.0 - alpha))
     if 1.0 < alpha < 2.0:
         d2 = _second_differences(np.asarray(q, dtype=float), h)
         w = _l1_weights(n, 2.0 - alpha)[::-1]
-        return float(np.dot(w, d2) * h ** (2.0 - alpha) / gamma(3.0 - alpha))
+        return float(np.dot(w, d2) * h ** (2.0 - alpha) / math.gamma(3.0 - alpha))
     raise UnsupportedOrderError(
         f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
     )
@@ -172,13 +173,13 @@ def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
         diffs = np.diff(q)
         c = np.concatenate(([0.0], _l1_weights(n, 1.0 - alpha)))
         conv = np.convolve(diffs, c)[: n + 1]
-        out[1:] = conv[1:] * h ** (-alpha) / gamma(2.0 - alpha)
+        out[1:] = conv[1:] * h ** (-alpha) / math.gamma(2.0 - alpha)
         return out
     if 1.0 < alpha < 2.0:
         d2 = _second_differences(q, h)
         w = np.concatenate(([0.0], _l1_weights(n, 2.0 - alpha)))
         conv = np.convolve(d2, w)[: n + 1]
-        out[1:] = conv[1:] * h ** (2.0 - alpha) / gamma(3.0 - alpha)
+        out[1:] = conv[1:] * h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
         return out
     raise UnsupportedOrderError(
         f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
@@ -240,7 +241,7 @@ def commutation_defect(
     t = f.grid.nodes() - f.grid.t_start
     defect = np.empty_like(t)
     defect[0] = np.nan
-    defect[1:] = f_at_a * t[1:] ** (eps - 1.0) / gamma(eps)
+    defect[1:] = f_at_a * t[1:] ** (eps - 1.0) / math.gamma(eps)
     if verify:
         h = f.grid.h
         lhs = np.gradient(fractional_integral_values(f.values, eps, h), h)
@@ -274,4 +275,4 @@ def prop1_shift(order: FracOrder, f_m_at_a: float, t: float) -> float:
         return 0.0
     if t < 0.0:
         raise FracDomainError("t must be >= a")
-    return t**expo / gamma(order.m - order.alpha) * f_m_at_a
+    return t**expo / math.gamma(order.m - order.alpha) * f_m_at_a

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import AccuracyLossError, FracDomainError
 
@@ -122,7 +121,7 @@ def _level(s: complex) -> float:
 
 def _ml(alpha: float, beta: float, z: float) -> float:
     if z == 0.0:
-        return float(rgamma(beta))
+        return 1.0 / math.gamma(beta)
     # poles s^alpha = z on the principal sheet |arg s| <= pi, ordered by
     # level; those on the cut (level ~0) are not singularities there
     theta = 0.0 if z > 0.0 else math.pi

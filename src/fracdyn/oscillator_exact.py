@@ -16,11 +16,11 @@ checks use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import FracDomainError
 from .mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g
@@ -109,7 +109,7 @@ def forcing(spec: OscillatorSpec, t):
         p = np.where(t > 0.0, p, 0.0 if expo > 0.0 else np.inf)
         if expo == 0.0:
             p = np.ones_like(t)
-        out = out + amp / gamma(expo + 1.0) * p
+        out = out + amp / math.gamma(expo + 1.0) * p
     return out if out.shape else float(out)
 
 
@@ -186,7 +186,7 @@ def decomposed_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
         # kernel tau^(b-1) E_{b,b}(-tau^b) = -(f_{b,-1} + g_{b,-1});
         # divide the power factor back out for the product-integration form
         ebb = np.empty_like(t)
-        ebb[0] = 1.0 / gamma(beta)
+        ebb[0] = 1.0 / math.gamma(beta)
         ebb[1:] = np.array(
             [-split(-1, ti) / ti ** (beta - 1.0) for ti in t[1:]]
         )

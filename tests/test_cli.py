@@ -1,10 +1,14 @@
 """CLI contract: exit codes, artifact schema, determinism, config round-trip."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fracdyn
 from fracdyn.cli import ScenarioConfig, main
 from fracdyn.errors import ConfigError
 
@@ -289,3 +293,19 @@ class TestInputFaults:
         assert main(argv) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: config key 'ladder': ")
+
+
+class TestImport:
+    def test_no_scipy_at_runtime(self):
+        # a fresh interpreter: scipy is a test dependency only
+        code = (
+            "import sys, fracdyn, fracdyn.cli, fracdyn.verification; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(fracdyn.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -186,6 +186,36 @@ class TestGeneralVsLinear:
         assert np.max(np.abs(rl.q - rg.q)) < 1e-12
         assert np.nanmax(np.abs(rl.multiplier - rg.multiplier)) < 1e-12
 
+    def test_constraint_gradients_once_per_call(self):
+        # 201 nodes: 200 steps and the closing call, one RHS call each
+        calls = {"df_dqdot": 0, "grad_potential": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        a, b = np.array([1.0, 2.0]), np.array([0.5, -0.3])
+        c = ConstraintSpec(
+            FracOrder(0.5),
+            f=lambda q, qd, dl: float(np.dot(a, qd) + np.dot(b, dl)),
+            df_dq=lambda q, qd, dl: np.zeros(2),
+            df_dqdot=counted("df_dqdot", lambda q, qd, dl: a),
+            df_ddq=lambda q, qd, dl: b,
+        )
+        sys = SystemSpec(
+            grad_potential=counted("grad_potential", lambda q: q),
+            constraint=c,
+            q_init=[1.0, 0.5],
+            qdot_init=[2.0, -1.0],
+        )
+        res = integrate_second_order(
+            rhs_general(sys), (sys.q_init, sys.qdot_init), IntegratorConfig(h=0.005, t_end=1.0)
+        )
+        assert res.grid.n_nodes == 201
+        assert calls == {"df_dqdot": 201, "grad_potential": 201}
+
 
 class TestShiftModes:
     def test_prop1_and_direct_converge_together(self):

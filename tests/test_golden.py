@@ -3,9 +3,10 @@
 Each case hashes either the CSVs that ``fracdyn run`` writes for a README
 scenario (shortened to about 2k steps or fewer) or the result arrays of a
 library run that no CLI config reaches.  The hashes were recorded on
-x86-64 Linux with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and mpmath 1.3.0;
-another stack may round differently, and then the values must be recorded
-again on that stack from a commit whose output is trusted.
+x86-64 Linux (glibc 2.36) with Python 3.11.7 and numpy 2.4.6: every Gamma
+value comes from Python's ``math.gamma``, and no other library enters the
+runs.  Another stack may round differently, and then the values must be
+recorded again on that stack from a commit whose output is trusted.
 """
 
 import hashlib
@@ -101,20 +102,20 @@ SCENARIOS = {
 
 GOLDEN = {
     "oscillator-1d": "b2179e1261cf21e843dbcbf10bf41209d3d25c3a640b1b9ac73f9fcee9aec9d9",
-    "linear-nd": "e6088b6835a6d459bef11832a5fcffbfb187abe5b66e212b22daa467817da516",
-    "linear-nd-verlet": "ea9ddbd913c538e234984d01627bd52ed42370540a1c5ce2edfd935b6ecb6848",
-    "case1-2d": "09170f90dbd8e3dc0e6f4828693e31fb4ad5a82e9f06f75a63a4ac1c51e1e0cd",
-    "case1-2d-b2zero": "1045e6e99ef1e129508b68782a6b31a4ef13b358b1f184c276fcdfdef6a0d5d3",
-    "case2-2d": "108ddb5ea30b6fdc3723f36259b1aef29494440bf7092dfe806682e3b4131cf2",
-    "nonlinear-fracosc": "5447423781fb87d30907bdca21a5f88d5bb3c2490132e09c97f2ce78e6ebc455",
-    "nonlinear-fracosc-pre": "86c5ae7ddd692a78745c0873eb467808a3e073fef9aa52f623f325b7fd853bc8",
+    "linear-nd": "df37525f4f3e7702b4698216d632d0dc1f18936628b6b68b30e76ebe3292738c",
+    "linear-nd-verlet": "acb358adc8a03084eb42783f10614540846970a975251d1e45e585f3ffb02a2e",
+    "case1-2d": "5f0386403a4775e2992bc8994cef6165909d485a6d1472c61550c94bc388d9f2",
+    "case1-2d-b2zero": "58b15f87533c0c06ece3853f05c7ed4257b29e4226c1cfdbd2681e114fcc2ef7",
+    "case2-2d": "c7b67dc105d5b8ec675a182c4d38141462a712d4b53c5fd4e33ef4f15ec38bfb",
+    "nonlinear-fracosc": "84aadfeb72965b51390f427df1a4b495f0c97e7d1cc7e4f01b10d922afc4bc24",
+    "nonlinear-fracosc-pre": "98bc6fb7a96a5d8691e9126f66dabb106b863843cecd880120eb37b37db90999",
     "hamilton-linear": "6e6b2d9e7f72b5d1b7f36a9a6d79916fb21cd347043ec7949f96d8270e381d0a",
-    "direct-semi-implicit-euler": "1d682818154bc6379b88d5390b13fb9f5ef7099da5df7652e9b31ba9b5a79a04",
-    "direct-velocity-verlet": "c782e1cc49cbaaa607f2c221260c61a400a6aeed05407838b8a889b7dc6703a3",
-    "hamilton-dA_dD": "8112e8f77f297bce7f8aa14543cc5eea0986e1946d339b7c7dfd8fc324c6a56d",
+    "direct-semi-implicit-euler": "974f80029c9c2cac3c74a415b793f29dfff5dccba7dca1b5af92890c55e9c86e",
+    "direct-velocity-verlet": "fc8aaadcb0ade3064570c97f123718179cb156b2e3f19af6e59de2f343527247",
+    "hamilton-dA_dD": "938f2df569fc7bc176fd4ced556748c1093ef319d18a762ab274a0f8c2f91947",
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
-    "linear-nd-a15-verlet": "8cfb43ad413b8a42ec632fadca1e1e880839a422f2e19283e4f8e75e4500ffc0",
-    "general": "e16c73f5a2c5a7935275a57751343e446d4b0359b01a4f603bdda42bbbdf80b4",
+    "linear-nd-a15-verlet": "3c1ddc1c4d5dfcb37cb1690fe759878fa6d8a0166bae9baf937ffd0d83f99764",
+    "general": "8d69b3c8fcc836f4049a069034cf878a4674fb3bb5f24e7e46f187965d9057b9",
 }
 
 
@@ -182,18 +183,18 @@ def general_system() -> SystemSpec:
     )
 
 
-def _run_general(_tmp) -> bytes:
+def _general_result():
     sys = general_system()
     rr = rhs_general(sys)
     cfg = IntegratorConfig(h=0.005, t_end=1.0)
-    return _arrays(integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg))
+    return integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
 
 
-def _run_direct(scheme, _tmp) -> bytes:
+def _direct_result(scheme):
     sys = direct_system()
     rr = rhs_linear(sys, mode="direct")
     cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
-    return _arrays(integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg))
+    return integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
 
 
 def _run_hamilton(_tmp) -> bytes:
@@ -206,13 +207,28 @@ CASES = {
     **{name: (lambda tmp, name=name: _run_cli(name, tmp)) for name in SCENARIOS},
     # the integrator's output alone, apart from the oracle's comparison CSV
     "oscillator-1d-trajectory": lambda tmp: _run_cli("oscillator-1d", tmp, comparison=False),
-    "direct-semi-implicit-euler": lambda tmp: _run_direct("semi-implicit-euler", tmp),
-    "direct-velocity-verlet": lambda tmp: _run_direct("velocity-verlet", tmp),
+    "direct-semi-implicit-euler": lambda _tmp: _arrays(_direct_result("semi-implicit-euler")),
+    "direct-velocity-verlet": lambda _tmp: _arrays(_direct_result("velocity-verlet")),
     "hamilton-dA_dD": _run_hamilton,
-    "general": _run_general,
+    "general": lambda _tmp: _arrays(_general_result()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hash(name, tmp_path):
     assert hashlib.sha256(CASES[name](tmp_path)).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "result,terms",
+    [
+        # 201 nodes, n = 2: D^alpha q and D^alpha qdot at each count, once
+        (_general_result, 2 * 2 * (200 * 201 // 2)),
+        # direct mode sums D^alpha q only; the residual reuses that sum
+        (lambda: _direct_result("semi-implicit-euler"), 2 * (200 * 201 // 2)),
+    ],
+    ids=["general", "direct-semi-implicit-euler"],
+)
+def test_history_terms(result, terms):
+    """The residual reuses the sum its right-hand side just paid for."""
+    assert result().diagnostics["history_terms"] == terms

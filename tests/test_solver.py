@@ -76,9 +76,9 @@ class TestHistory:
     )
     def test_queries_equal_frac_ops_bit_for_bit(self, nodes, n, alpha, eps, seed):
         """Every query equals the frac_ops sum on the same prefix with ==,
-        at every count, with queries skipped at some counts and the newest
-        stored row overwritten between queries (as velocity Verlet and
-        direct mode do)."""
+        at every count and at two orders, with queries skipped at some
+        counts, repeated at others, and the newest stored row overwritten
+        between queries (as velocity Verlet and direct mode do)."""
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
         hist = History(g, n)
@@ -90,12 +90,13 @@ class TestHistory:
             return col if extra is None else np.append(col, extra)
 
         def check():
-            for k, got in enumerate(hist.caputo_q(alpha)):
-                assert got == l1_caputo_last(cols(hist.q_view, k), h, alpha)
-            for k, got in enumerate(hist.caputo_qdot(alpha)):
-                assert got == l1_caputo_last(cols(hist.qdot_view, k), h, alpha)
-            for k, got in enumerate(hist.caputo_aux(alpha)):
-                assert got == l1_caputo_last(cols(hist.aux_view, k), h, alpha)
+            for a in (alpha, 2.0 - alpha):
+                for k, got in enumerate(hist.caputo_q(a)):
+                    assert got == l1_caputo_last(cols(hist.q_view, k), h, a)
+                for k, got in enumerate(hist.caputo_qdot(a)):
+                    assert got == l1_caputo_last(cols(hist.qdot_view, k), h, a)
+                for k, got in enumerate(hist.caputo_aux(a)):
+                    assert got == l1_caputo_last(cols(hist.aux_view, k), h, a)
             ahead = rng.normal(size=n) * scale[0]
             for k, got in enumerate(hist.caputo_q(alpha, ahead=ahead)):
                 ref = l1_caputo_last(cols(hist.q_view, k, ahead[k]), h, alpha)
@@ -182,21 +183,23 @@ class TestSecondOrder:
 
     def test_diagnostics_cost_model(self):
         """``history_terms`` counts the products the history sums, here
-        tallied by the right-hand side from the prefix lengths it sees."""
-        tally = []
+        tallied by the right-hand side from the prefix lengths it sees.  A
+        query repeated at one count is answered from memory, so each
+        (series, order, count) is tallied once."""
+        tally = {}
 
         class Memory(RHS):
             n = 2
 
             def __call__(self, t, q, qd, hist):
-                tally.append(self.n * (hist.count - 1))
+                tally[("q", 0.5, hist.count)] = self.n * (hist.count - 1)
                 hist.caputo_q(0.5)
-                tally.append(self.n * (hist.count - 1))
+                tally[("qdot", 1.5, hist.count)] = self.n * (hist.count - 1)
                 hist.caputo_qdot(1.5)
                 return -q
 
             def residual_last(self, hist):
-                tally.append(self.n * (hist.count - 1))
+                tally[("q", 0.5, hist.count)] = self.n * (hist.count - 1)
                 return float(hist.caputo_q(0.5)[0])
 
         for scheme in ("semi-implicit-euler", "velocity-verlet"):
@@ -205,7 +208,7 @@ class TestSecondOrder:
                 Memory(), ([1.0, 0.5], [0.0, 1.0]),
                 IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme),
             )
-            assert res.diagnostics["history_terms"] == sum(tally) > 0
+            assert res.diagnostics["history_terms"] == sum(tally.values()) > 0
 
 
 class TestFractionalABM:
