@@ -32,7 +32,7 @@ from .frac_ops import (
     riemann_liouville_left,
     riemann_liouville_right,
 )
-from .mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g
+from .mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g, ml_grid
 from .oscillator_exact import OscillatorSpec, decomposed_solution, exact_solution, forcing
 from .series import FracOrder, Grid, SampleSeries
 
@@ -53,6 +53,7 @@ __all__ = [
     "ml",
     "ml_decomp_f",
     "ml_decomp_g",
+    "ml_grid",
     "OscillatorSpec",
     "forcing",
     "exact_solution",

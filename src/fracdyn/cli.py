@@ -13,7 +13,8 @@ Configs are JSON.  Example (linear constraint in n dimensions):
     }
 
 Data CSVs are deterministic (no timestamps); the JSON summary keeps wall
-time in its own field so everything else can be hashed.
+time and the per-phase ``timings`` in their own fields so everything else
+can be hashed.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ def write_comparison_csv(path: Path, res: SimulationResult, oracle) -> float:
     return float(np.max(err))
 
 
-def _summary(cfg: ScenarioConfig, res: SimulationResult, wall: float, extra: dict) -> dict:
+def _summary(cfg: ScenarioConfig, res: SimulationResult, extra: dict, timings: dict) -> dict:
     resid = res.residual
     return {
         "scenario": cfg.scenario,
@@ -406,7 +407,9 @@ def _summary(cfg: ScenarioConfig, res: SimulationResult, wall: float, extra: dic
         },
         "diagnostics": res.diagnostics,
         **extra,
-        "wall_time_s": wall,  # isolated: excluded when hashing summaries
+        # isolated: excluded when hashing summaries
+        "wall_time_s": timings["integrate"],
+        "timings": timings,  # seconds spent in plan, integrate, oracle, write
     }
 
 
@@ -435,22 +438,34 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def cmd_run(args) -> int:
+    clock = time.perf_counter
+    start = clock()
     cfg = _load_config(args)
     plan = build_plan(cfg)  # full validation before any file is written
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     icfg = IntegratorConfig(h=cfg.h, t_end=cfg.t_end, scheme=cfg.scheme)
-    start = time.perf_counter()
+    timings = {"plan": clock() - start, "integrate": 0.0, "oracle": 0.0, "write": 0.0}
+    start = clock()
     res = plan.execute(icfg)
-    wall = time.perf_counter() - start
+    timings["integrate"] = clock() - start
+    start = clock()
     traj = out_dir / f"{cfg.prefix}_trajectory.csv"
     write_trajectory_csv(traj, res, plan.n)
     extra = {}
     if plan.oracle is not None:
+
+        def oracle(grid):
+            t0 = clock()
+            exact = plan.oracle(grid)
+            timings["oracle"] += clock() - t0
+            return exact
+
         comp = out_dir / f"{cfg.prefix}_comparison.csv"
-        extra["max_abs_error_vs_exact"] = write_comparison_csv(comp, res, plan.oracle)
+        extra["max_abs_error_vs_exact"] = write_comparison_csv(comp, res, oracle)
         extra["comparison_csv"] = comp.name
-    summary = _summary(cfg, res, wall, extra)
+    timings["write"] = clock() - start - timings["oracle"]
+    summary = _summary(cfg, res, extra, timings)
     (out_dir / f"{cfg.prefix}_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n"
     )

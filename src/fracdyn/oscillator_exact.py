@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FracDomainError
-from .mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g
+from .mittag_leffler import ml_decomp_f, ml_decomp_g, ml_grid
 from .series import Grid, SampleSeries
 
 __all__ = ["OscillatorSpec", "forcing", "exact_solution", "decomposed_solution"]
@@ -146,19 +146,17 @@ def _convolve_kernel(e_grid: np.ndarray, q_grid: np.ndarray, m0, m1) -> np.ndarr
 
 def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     """Solution trajectory on the grid, by Mittag-Leffler evaluation plus
-    product-integration of the forcing convolution."""
+    product-integration of the forcing convolution.  One ``ml_grid`` call
+    gives the three kernels E_{b,1}, E_{b,2} and E_{b,b} at every node,
+    on contours shared by each band of nodes."""
     _check_exact_domain(spec, grid)
     beta = spec.alpha - 1.0
     t = grid.nodes()
-    w2 = spec.omega2
-    z = -w2 * t**beta
-    e1 = ml(MLParams(beta, 1.0), z)
-    e2 = ml(MLParams(beta, 2.0), z)
+    e1, e2, ebb = ml_grid(beta, (1.0, 2.0, beta), spec.omega2, t)
     q = spec.q0 * e1 + spec.qp0 * t * e2
 
     q_grid = np.asarray(forcing(spec, t), dtype=float)
     if np.any(q_grid != 0.0):
-        ebb = ml(MLParams(beta, beta), z)
         m0, m1 = _power_moments(t, beta, grid.h)
         q = q + _convolve_kernel(ebb, q_grid, m0, m1)
     return SampleSeries(grid, q)

@@ -75,6 +75,9 @@ class TestRunVerb:
         s = json.loads(summ.read_text())
         assert "wall_time_s" in s and "max_abs_error_vs_exact" in s
         assert s["max_abs_error_vs_exact"] < 1e-4
+        assert sorted(s["timings"]) == ["integrate", "oracle", "plan", "write"]
+        assert all(v >= 0.0 for v in s["timings"].values())
+        assert s["timings"]["integrate"] == s["wall_time_s"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, OSC)

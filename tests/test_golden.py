@@ -101,7 +101,7 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "oscillator-1d": "b2179e1261cf21e843dbcbf10bf41209d3d25c3a640b1b9ac73f9fcee9aec9d9",
+    "oscillator-1d": "b437a3cb6bc51638a1e729bca9bd4a29a9377c6476bc5fe50279650a6f905118",
     "linear-nd": "df37525f4f3e7702b4698216d632d0dc1f18936628b6b68b30e76ebe3292738c",
     "linear-nd-verlet": "acb358adc8a03084eb42783f10614540846970a975251d1e45e585f3ffb02a2e",
     "case1-2d": "5f0386403a4775e2992bc8994cef6165909d485a6d1472c61550c94bc388d9f2",

@@ -13,7 +13,7 @@ from scipy.special import gamma as sgamma
 from scipy.special import rgamma
 
 from fracdyn.errors import FracDomainError
-from fracdyn.mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g
+from fracdyn.mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g, ml_grid
 
 
 def ml_oracle(alpha, beta, z, dps=220):
@@ -168,6 +168,75 @@ class TestCallContract:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+class TestGrid:
+    def test_oscillator_grid_bound(self):
+        # every 16th node of the oracle-osc benchmark grid (h = 2^-9, t <= 10),
+        # within the bound test_oscillator_grid_bound sets for point-wise ml
+        t = np.arange(5121) * 2.0**-9
+        betas = (1.0, 2.0, 1.5)
+        out = ml_grid(1.5, betas, 1.0, t)
+        for i in range(0, len(t), 16):
+            for k, beta in enumerate(betas):
+                assert abs(out[k, i] - ml_oracle(1.5, beta, -(t[i] ** 1.5))) <= 1e-14
+
+    @pytest.mark.parametrize("t_end", [10.0, 40.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.5, 1.9])
+    def test_matches_pointwise(self, alpha, t_end):
+        # 2e-13: at alpha = 0.9, beta = 2 both paths sit ~3e-13 from the
+        # series near t = 0.02 and differ by up to 1e-13 (7.3e-14 on these
+        # nodes); for the other alphas by at most 1.2e-14
+        t = np.linspace(0.0, t_end, 401)
+        betas = (1.0, 2.0, alpha)
+        for lam in (0.5, 1.0, 2.25):
+            out = ml_grid(alpha, betas, lam, t)
+            for k, beta in enumerate(betas):
+                ref = ml(MLParams(alpha, beta), -lam * t**alpha)
+                assert np.max(np.abs(out[k] - ref)) <= 2e-13
+
+    def test_zero_nodes_exact(self):
+        betas = (1.0, 2.0, 1.5, 0.7)
+        out = ml_grid(1.5, betas, 2.0, [0.0, 0.0, 0.5])
+        for k, beta in enumerate(betas):
+            assert out[k, 0] == out[k, 1] == 1.0 / math.gamma(beta)
+
+    def test_overflow_is_inf(self):
+        # alpha > 2: the pole pair right of the contour grows like e^(0.31 t)
+        t = np.array([0.0, 100.0, 3000.0])
+        out = ml_grid(2.5, (1.0,), 1.0, t)
+        ref = ml(MLParams(2.5, 1.0), -(t**2.5))
+        assert math.isinf(out[0, 2]) and math.isinf(ref[2])
+        assert abs(out[0, 1] - ref[1]) <= 1e-13 * abs(ref[1])
+
+    @pytest.mark.parametrize(
+        "t,lam",
+        [([0.0, 2.0, 1.0], 1.0), ([-1.0, 0.0, 1.0], 1.0), ([0.0, 1.0], 0.0),
+         ([0.0, 1.0], -1.0), ([0.0, math.nan], 1.0), ([0.0, math.inf], 1.0)],
+    )
+    def test_domain(self, t, lam):
+        with pytest.raises(FracDomainError):
+            ml_grid(1.5, (1.0,), lam, t)
+
+
+class TestLargeBeta:
+    @pytest.mark.parametrize("beta", [20.0, 50.0, 150.0, 172.0])
+    def test_rejected_by_both_paths(self, beta):
+        # at the parent E_{0.5,20}(0.1) came out 3.69e-8 against 8.4e-18,
+        # beta = 150 raised OverflowError and beta = 172 ZeroDivisionError
+        for z in (0.1, -0.1, 0.0):
+            with pytest.raises(FracDomainError, match="beta"):
+                ml(MLParams(0.5, beta), z)
+        with pytest.raises(FracDomainError, match="beta"):
+            ml_grid(0.5, (1.0, beta), 1.0, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "alpha,z", [(2.0001, 0.1), (2.05, 0.2), (0.45, 0.01), (1.0001, -0.01), (0.3, -5.0)]
+    )
+    def test_largest_beta_meets_tolerance(self, alpha, z):
+        # the worst points of the beta sweep; beta = 8 misses 1e-10 at the first
+        val = ml(MLParams(alpha, 6.0), z)
+        assert abs(val - ml_oracle(alpha, 6.0, z)) <= 1e-10
+
+
 class TestSwitchContinuity:
     def test_values_straddling_switch(self):
         for alpha, beta in ((0.6, 1.0), (1.5, 1.0)):
@@ -236,3 +305,5 @@ class TestParams:
             MLParams(-1.0, 1.0)
         with pytest.raises(FracDomainError):
             MLParams(1.0, 0.0)
+        with pytest.raises(FracDomainError):
+            MLParams(1.0, 6.01)

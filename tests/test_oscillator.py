@@ -1,9 +1,12 @@
 """Closed-form fractional oscillator solutions vs independent integrators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+import fracdyn.mittag_leffler
 from fracdyn.errors import FracDomainError
 from fracdyn.fode_solver import IntegratorConfig, integrate_fractional_abm
 from fracdyn.mittag_leffler import MLParams, ml
@@ -84,6 +87,28 @@ class TestExactSolution:
         )
         ref = exact_solution(spec, res.grid)
         assert np.max(np.abs(res.q[:, 0] - ref.values)) < 5e-4
+
+    def test_readme_grid_shares_contours(self, monkeypatch):
+        # the README oscillator-1d grid: no scalar evaluations, and the
+        # exp(s t) work stays in blocks of a few rows
+        calls = []
+        scalar = fracdyn.mittag_leffler._ml
+
+        def counted(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(fracdyn.mittag_leffler, "_ml", counted)
+        spec = OscillatorSpec.from_initial_data(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0)
+        g = Grid(0.0, 10.0, 20480)
+        tracemalloc.start()
+        try:
+            exact_solution(spec, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.nodes()) == 20481 and calls == []
+        assert peak < 4 * 2**20
 
     def test_domain_checks(self):
         good = OscillatorSpec(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0)
