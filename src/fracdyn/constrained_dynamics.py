@@ -259,14 +259,15 @@ class _LinearRHS(RHS):
         self.b = c.b
         self.alpha = c.order.alpha
         self.a2 = float(np.dot(self.a, self.a))
+        self._a_unit = self.a / self.a2  # a/|a|^2
         self.proj = np.eye(sys.n) - np.outer(self.a, self.a) / self.a2
+        self._neg_proj = -self.proj
         self.qdot_start = _check_initial_residual(sys, project_init)
         self.qm0 = _estimate_higher_init(sys, self.qdot_start)
         # exponent of the shift power t^(m-alpha-1)
         self._shift_pow = c.order.m - self.alpha
-        self._shift_amp = -np.dot(self.b, self.qm0) / math.gamma(self._shift_pow + 1.0) * (
-            self.a / self.a2
-        )
+        self._shift_gamma = math.gamma(self._shift_pow + 1.0)
+        self._shift_amp = -np.dot(self.b, self.qm0) / self._shift_gamma * self._a_unit
         self._has_qm0 = bool(np.any(self.qm0))
         self._has_shift = bool(np.any(self._shift_amp))
 
@@ -287,12 +288,12 @@ class _LinearRHS(RHS):
             # report the step-effective multiplier: the singular startup term
             # is averaged over [t, t+h], matching the exact velocity increment
             p = self._shift_pow
-            avg = ((t + hist.h) ** p - t**p) / (hist.h * math.gamma(p + 1.0))
+            avg = ((t + hist.h) ** p - t**p) / (hist.h * self._shift_gamma)
             d1d_rep = d1d + avg * self.qm0
         self.last_multiplier = float(
             (np.dot(self.a, grad) - np.dot(self.b, d1d_rep)) / self.a2
         )
-        return -self.proj @ grad - (self.a / self.a2) * np.dot(self.b, d1d)
+        return self._neg_proj @ grad - self._a_unit * np.dot(self.b, d1d)
 
     def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
         if self.mode != "prop1" or not self._has_shift:

@@ -3,10 +3,12 @@
 The right-hand sides built in ``constrained_dynamics`` need the Caputo
 derivative of the trajectory-so-far at every step; ``History`` keeps the
 accumulated samples and answers those queries with the L1 scheme (and the
-product-trapezoidal fractional integral).  It builds each weight table once
-per run and keeps the differences of each series incrementally, so a query
-is one dot product per column; its results are bit-identical to
-``l1_caputo_last`` and ``fractional_integral_last`` on the same prefix.  All
+product-trapezoidal fractional integral).  It keeps q and qdot side by side
+and their differences incrementally, and builds each L1 weight table once
+per run with the scheme's constant folded in, so one gemv answers the
+queries on both series at a count.  Its results are those of
+``l1_caputo_last`` and ``fractional_integral_last`` on the same prefix
+within the stated rounding bound, (panels + 4) eps sum|c w_k d_k|.  All
 schemes are explicit with the history term lagged at most one step, so the
 per-step cost grows linearly with the step index (O(N^2) per run).
 
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 _SCHEMES = ("semi-implicit-euler", "velocity-verlet")
+# the two state series of a History, as bits of a mask
+_Q, _QDOT = 1, 2
 
 
 @dataclass(frozen=True)
@@ -81,43 +85,57 @@ class SimulationResult:
 class History:
     """All the memory of one run, with causal fractional queries on it.
 
-    Besides the (q, qdot) samples it holds one n-vector per node that the
-    right-hand side supplies through ``store`` (a fractional integrand, say),
-    and records whether any stored vector was nonzero.
+    The q and qdot samples sit side by side in one (nodes, 2n) state array;
+    besides them the history holds one n-vector per node that the
+    right-hand side supplies through ``store`` (a fractional integrand,
+    say), and records whether any stored vector was nonzero.
 
-    Each query is one contiguous dot product per column.  The weight tables
-    are built on the first query of each order and sized to the grid; the
-    first or second differences of each series are kept per column and
+    An L1 query is one gemv of the differences with a weight table.  The
+    tables are built on the first query of each order, sized to the grid
+    and multiplied once by the scheme's constant, h^(-alpha)/Gamma(2-alpha)
+    or h^(2-alpha)/Gamma(3-alpha).  The first or second differences of the
+    state (both series at once) and of the stored vectors are kept and
     extended as the run grows.  ``store`` may overwrite the newest aux row,
     so the difference that touches the newest node is always recomputed.
-    The arithmetic is that of ``l1_caputo_last`` and
-    ``fractional_integral_last`` on the same prefix, bit for bit.  A
-    ``caputo_q`` or ``caputo_qdot`` query at the newest node that repeats
-    one at the same count returns the earlier result; aux queries are never
-    reused, as ``store`` may change the newest row.  ``terms`` counts the
-    products summed.
+
+    The first ``caputo_q`` or ``caputo_qdot`` query at a count sums, in the
+    same gemv, every state series asked at that order at the previous
+    count; the other series is then answered from that sum, and so is a
+    repeated query at one count.  Aux queries are never reused, as ``store``
+    may change the newest row.  L1 results are those of ``l1_caputo_last``
+    on the same prefix within (panels + 4) eps sum|c w_k d_k|, since the
+    sums run in another order with the constant c folded into the weights;
+    ``integral_aux`` keeps the arithmetic of ``fractional_integral_last``.
+    ``terms`` counts the products of each query answered, once per
+    (series, order, count).
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
         self.h = grid.h
         self.n = n
         self._size = grid.n_nodes
-        self._q = np.empty((grid.n_nodes, n))
-        self._qd = np.empty((grid.n_nodes, n))
+        self._state = np.empty((grid.n_nodes, 2 * n))
+        self._q = self._state[:, :n]
+        self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
         self.aux_nonzero = False
         self.count = 0
         self.terms = 0
         self._weights: dict = {}
-        # (series, difference order) -> [(n, nodes) buffer, entries final]
+        # (array name, difference order) -> [(columns, nodes) buffer, entries final]
         self._diffs: dict = {}
-        # (series, order) -> (count, result) of the last query at the newest node
-        self._last: dict = {}
+        # state columns of the series masks: q, qdot and both
+        self._cols = {_Q: slice(0, n), _QDOT: slice(n, 2 * n), _Q | _QDOT: slice(0, 2 * n)}
+        # alpha -> [count, {series: result}, mask of the series answered at that count]
+        self._sums: dict = {}
 
-    def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
-        self._q[self.count] = q
-        self._qd[self.count] = qdot
+    def append(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+        """Add the state at the next node; returns its (q, qdot) row."""
+        row = self._state[self.count]
+        row[: self.n] = q
+        row[self.n :] = qdot
         self.count += 1
+        return row
 
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
@@ -147,15 +165,21 @@ class History:
     def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node; with ``ahead``, at
         one node past it on the prefix extended by the value ``ahead``."""
-        if ahead is not None:
-            return self._caputo("q", self._q, alpha, ahead)
-        return self._remembered("q", self._q, alpha)
+        if ahead is None:
+            return self._state_caputo(_Q, alpha)
+        # qdot's entries past the newest node are recomputed by the next
+        # query, so its newest value may stand in for the missing one
+        row = self._state[self.count - 1].copy()
+        row[: self.n] = ahead
+        self.terms += self.count * self.n
+        return self._caputo("state", self._state, alpha, self._cols[_Q], row)
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        return self._remembered("qdot", self._qd, alpha)
+        return self._state_caputo(_QDOT, alpha)
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
-        return self._caputo("aux", self._aux, alpha)
+        self.terms += max(self.count - 1, 0) * self.n
+        return self._caputo("aux", self._aux, alpha, slice(0, self.n))
 
     def integral_aux(self, eps: float, ahead) -> np.ndarray:
         """Product-trapezoidal J^eps of the stored vectors, extended by the
@@ -168,84 +192,100 @@ class History:
             return np.zeros(self.n)
         total = ((m - 1.0) ** (eps + 1.0) - (m - 1.0 - eps) * m**eps) * f[0] + ahead
         if m >= 2:
-            c = self._table(("trapezoid", eps))[: m - 1]
+            c = self._weights.get(("trapezoid", eps))
+            if c is None:
+                c = self._weights[("trapezoid", eps)] = _trapezoid_weights(self._size, eps)
+            c = c[: m - 1]
             for k in range(self.n):
                 total[k] += np.dot(c, f[m - 1 : 0 : -1, k])
             self.terms += (m - 1) * self.n
         return self.h**eps / math.gamma(eps + 2.0) * total
 
-    def _table(self, key) -> np.ndarray:
-        """The weights of one (scheme, order), for every history length.
+    def _state_caputo(self, series: int, alpha: float) -> np.ndarray:
+        """D^alpha of the ``series`` (``_Q`` or ``_QDOT``) at the newest node.
 
-        L1 weights are stored reversed, so the last n are the weights of n
-        panels in the order the differences are summed."""
-        w = self._weights.get(key)
-        if w is None:
-            scheme, p = key
-            if scheme == "l1":
-                w = np.ascontiguousarray(_l1_weights(self._size, p)[::-1])
-            else:
-                w = _trapezoid_weights(self._size, p)
-            self._weights[key] = w
-        return w
-
-    def _remembered(self, name: str, arr: np.ndarray, alpha: float) -> np.ndarray:
-        """``_caputo`` at the newest node, answered again from the last
-        result while the count is unchanged: appended rows never change.
         The result is read-only, since the next query may return it."""
-        key = (name, alpha)
-        last = self._last.get(key)
-        if last is not None and last[0] == self.count:
-            return last[1]
-        out = self._caputo(name, arr, alpha)
-        out.flags.writeable = False
-        self._last[key] = (self.count, out)
-        return out
+        memo = self._sums.get(alpha)
+        if memo is None or memo[0] != self.count:
+            # this series and those answered at the previous count, at once
+            want = series | (memo[2] if memo is not None else 0)
+            memo = self._sums[alpha] = [self.count, self._sum_state(alpha, want), 0]
+        elif series not in memo[1]:
+            memo[1].update(self._sum_state(alpha, series))
+        if not memo[2] & series:
+            memo[2] |= series
+            self.terms += max(self.count - 1, 0) * self.n
+        return memo[1][series]
 
-    def _caputo(self, name: str, arr: np.ndarray, alpha: float, ahead=None) -> np.ndarray:
+    def _sum_state(self, alpha: float, want: int) -> dict:
+        """{series: L1 sum at the newest node} for the series in the mask
+        ``want``, from one gemv."""
+        out = self._caputo("state", self._state, alpha, self._cols[want])
+        out.flags.writeable = False
+        if want == _Q | _QDOT:
+            return {_Q: out[: self.n], _QDOT: out[self.n :]}
+        return {want: out}
+
+    def _l1_table(self, alpha: float):
+        """(difference order, weights) of the L1 scheme at ``alpha``.
+
+        The panel weights are stored reversed, so the last n are those of n
+        panels in the order the differences are summed, and multiplied by
+        the scheme's constant."""
+        entry = self._weights.get(("l1", alpha))
+        if entry is None:
+            if 0.0 < alpha < 1.0:
+                order, p, c = 1, 1.0 - alpha, self.h ** (-alpha) / math.gamma(2.0 - alpha)
+            elif 1.0 < alpha < 2.0:
+                order, p, c = 2, 2.0 - alpha, self.h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+            else:
+                raise UnsupportedOrderError(
+                    f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
+                )
+            entry = self._weights[("l1", alpha)] = (order, _l1_weights(self._size, p)[::-1] * c)
+        return entry
+
+    def _caputo(
+        self, name: str, arr: np.ndarray, alpha: float, cols: slice, ahead=None
+    ) -> np.ndarray:
+        """The L1 sums of the columns ``cols`` of ``arr`` at the newest node
+        or, given the row ``ahead``, at the node past it."""
         panels = self.count - (ahead is None)
         if panels < 1:
-            return np.zeros(self.n)
-        if 0.0 < alpha < 1.0:
-            order, p, scale, g = 1, 1.0 - alpha, self.h ** (-alpha), math.gamma(2.0 - alpha)
-        elif 1.0 < alpha < 2.0:
-            order, p, scale, g = 2, 2.0 - alpha, self.h ** (2.0 - alpha), math.gamma(3.0 - alpha)
-        else:
-            raise UnsupportedOrderError(
-                f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
-            )
-        w = self._table(("l1", p))[self._size - panels :]
-        d = self._differences(name, arr, order, panels, ahead)
-        self.terms += panels * self.n
-        out = np.empty(self.n)
-        for k in range(self.n):
-            # scalar scaling: for a few columns it is cheaper than array ops
-            out[k] = np.dot(w, d[k]) * scale / g
-        return out
+            return np.zeros(cols.stop - cols.start)
+        order, w = self._l1_table(alpha)
+        d = self._differences(name, arr, order, panels, ahead)[cols]
+        w = w[self._size - panels :]
+        if d.shape[0] == 1:
+            # on a single row the dot product is cheaper than a gemv
+            return np.dot(d, w)
+        return d @ w
 
     def _differences(
         self, name: str, arr: np.ndarray, order: int, panels: int, ahead
     ) -> np.ndarray:
-        """(n, panels) per-panel differences of the prefix (and ``ahead``).
+        """(columns, panels) per-panel differences of the prefix (and
+        ``ahead``).
 
         Second differences are divided by h^2 and panel 0 repeats panel 1,
         as in ``frac_ops``.  Entries that touch only nodes before the newest
         are final and kept; the rest are recomputed."""
         entry = self._diffs.get((name, order))
         if entry is None:
-            entry = self._diffs[(name, order)] = [np.zeros((self.n, self._size)), 0]
+            entry = self._diffs[(name, order)] = [np.zeros((arr.shape[1], self._size)), 0]
         buf, lo = entry
         if order == 2 and lo < 2:
             lo = 0
         start = max(lo - order + 1, 0)
         seg = arr[start : self.count]
         if ahead is not None:
-            seg = np.vstack((seg, np.broadcast_to(ahead, (1, self.n))))
+            seg = np.vstack((seg, ahead))
         if order == 1:
-            buf[:, lo:panels] = (seg[1:] - seg[:-1]).T
+            np.subtract(seg[1:], seg[:-1], out=buf[:, lo:panels].T)
         elif panels >= 2:
             first = max(lo, 1)
-            buf[:, first:panels] = ((seg[2:] - 2.0 * seg[1:-1] + seg[:-2]) / self.h**2).T
+            d2 = seg[2:] - 2.0 * seg[1:-1] + seg[:-2]
+            np.divide(d2, self.h**2, out=buf[:, first:panels].T)
             if lo == 0:
                 buf[:, 0] = buf[:, 1]
         else:
@@ -261,8 +301,9 @@ class RHS:
     Hamilton form returns the pair (qdot, pdot) instead).  After each call
     the stepper reads ``last_multiplier`` and ``residual_last(hist)``; after
     each step it adds ``singular_velocity_increment(t0, t1)`` to the
-    velocity when that is not None.  Whatever a run must remember goes into
-    ``hist``.
+    velocity.  That is None at every step or at none: the stepper asks once,
+    over the first step, and skips the call for the run when it is None.
+    Whatever a run must remember goes into ``hist``.
     """
 
     last_multiplier: float = float("nan")
@@ -277,15 +318,12 @@ class RHS:
         return None
 
 
-def _check_state(q: np.ndarray, qdot: np.ndarray, thr: float, partial) -> None:
-    """Raise DivergenceError with ``partial()`` unless |q|, |qdot| <= thr.
-
-    NaN fails the bound, so the finiteness test runs only on failure."""
-    if np.abs(q).max() <= thr and np.abs(qdot).max() <= thr:
-        return
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-        raise DivergenceError("state became non-finite", partial=partial())
-    raise DivergenceError("state exceeded the divergence threshold", partial=partial())
+def _diverged(row: np.ndarray, partial: SimulationResult) -> DivergenceError:
+    """The error for a state row that failed |row| <= threshold, which NaN
+    fails too."""
+    if np.isfinite(row).all():
+        return DivergenceError("state exceeded the divergence threshold", partial=partial)
+    return DivergenceError("state became non-finite", partial=partial)
 
 
 def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
@@ -326,26 +364,29 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
     qd[0] = np.asarray(init[1], dtype=float)
     hist = History(grid, n)
     hist.append(q[0], qd[0])
-    t = grid.nodes()
-    max_inc = 0.0
+    t = grid.nodes().tolist()  # Python floats: cheaper in scalar arithmetic
+    thr = cfg.divergence_threshold
+    singular = (
+        scheme != "hamilton-euler"
+        and rhs.singular_velocity_increment(t[0], t[1]) is not None
+    )
+    incs = np.zeros((nn - 1, n))  # the singular increments, for their max
 
     def record(i: int) -> None:
         lam[i] = rhs.last_multiplier
         res[i] = rhs.residual_last(hist)
 
     def add_singular_increment(i: int) -> None:
-        nonlocal max_inc
-        inc = rhs.singular_velocity_increment(t[i], t[i + 1])
-        if inc is not None:
+        if singular:
+            inc = incs[i] = rhs.singular_velocity_increment(t[i], t[i + 1])
             qd[i + 1] += inc
-            max_inc = max(max_inc, float(np.max(np.abs(inc))))
 
     def accept(i: int) -> None:
-        _check_state(
-            q[i + 1], qd[i + 1], cfg.divergence_threshold,
-            lambda: _partial(grid, q, qd, lam, res, i + 1),
-        )
-        hist.append(q[i + 1], qd[i + 1])
+        row = hist.append(q[i + 1], qd[i + 1])
+        # one reduction over q and qdot; NaN fails it.  The ufunc's own
+        # reduce skips the Python wrapper of ndarray.max
+        if not np.maximum.reduce(np.abs(row)) <= thr:
+            raise _diverged(row, _partial(grid, q, qd, lam, res, i + 1))
 
     if scheme == "velocity-verlet":
         acc = rhs(t[0], q[0], qd[0], hist)
@@ -377,7 +418,7 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
     diags = {"scheme": scheme, "h": h}
     diags["history_terms"] = hist.terms
     if scheme != "hamilton-euler":
-        diags["max_singular_increment"] = max_inc
+        diags["max_singular_increment"] = float(np.abs(incs).max())
     residual = None if np.all(np.isnan(res)) else res
     return SimulationResult(grid, q, qd, lam, residual, diags)
 

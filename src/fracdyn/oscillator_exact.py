@@ -133,15 +133,21 @@ def _power_moments(nodes: np.ndarray, beta: float, h: float):
 
 
 def _convolve_kernel(e_grid: np.ndarray, q_grid: np.ndarray, m0, m1) -> np.ndarray:
-    """sum over panels of int tau^(b-1) lin[E(tau) Q(t_n - tau)] dtau."""
+    """sum over panels of int tau^(b-1) lin[E(tau) Q(t_n - tau)] dtau.
+
+    The panel weights of both interpolation ends are convolved with Q at
+    once, by FFT at a power-of-two length of at least 2N + 1, which keeps
+    the circular convolution from wrapping."""
+    from numpy.fft import irfft, rfft  # loaded on first use: runs need no FFT
+
     n = len(e_grid) - 1
     a = np.zeros(n + 1)
     a[:n] = e_grid[:n] * (m0 - m1)
-    b = np.zeros(n + 1)
-    b[1:] = e_grid[1:] * m1
-    conv = np.convolve(a, q_grid)[: n + 1] - a * q_grid[0]
-    conv += np.convolve(b, q_grid)[: n + 1]
-    return conv
+    ab = a.copy()
+    ab[1:] += e_grid[1:] * m1
+    size = 1 << (2 * n).bit_length()
+    conv = irfft(rfft(ab, size) * rfft(q_grid, size), size)[: n + 1]
+    return conv - a * q_grid[0]
 
 
 def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:

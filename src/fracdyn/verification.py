@@ -1,15 +1,19 @@
 """Self-check suites: measured errors against documented tolerances.
 
-Each suite returns rows of (name, measured, tolerance, passed); the CLI
-``verify`` verb prints them as a table and the acceptance tests assert on
-them, so both always see the same numbers.
+Each suite returns rows of (name, measured, tolerance, passed, elapsed_s);
+the CLI ``verify`` verb prints them as a table and the acceptance tests
+assert on them, so both always see the same numbers.  ``elapsed_s`` is the
+time a check took: the seconds since the suite's previous row, or since
+the suite started.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, List
+import time
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, List
 
 import numpy as np
 
@@ -41,6 +45,8 @@ class CheckRow:
     measured: float
     tolerance: float
     passed: bool
+    # wall time, so left out of comparisons
+    elapsed_s: float = field(default=0.0, compare=False)
 
 
 def _row(name: str, measured: float, tol: float, larger_ok: bool = False) -> CheckRow:
@@ -48,23 +54,39 @@ def _row(name: str, measured: float, tol: float, larger_ok: bool = False) -> Che
     return CheckRow(name, float(measured), float(tol), bool(ok))
 
 
+def _timed(suite: Callable[[], Iterator[CheckRow]]) -> Callable[[], List[CheckRow]]:
+    """The suite's rows as a list, each with the seconds it took to yield."""
+
+    @functools.wraps(suite)
+    def run() -> List[CheckRow]:
+        rows = []
+        last = time.perf_counter()
+        for row in suite():
+            now = time.perf_counter()
+            rows.append(replace(row, elapsed_s=now - last))
+            last = now
+        return rows
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # special functions
 
-def suite_mittag_leffler() -> List[CheckRow]:
-    rows = []
+@_timed
+def suite_mittag_leffler() -> Iterator[CheckRow]:
     zs = np.linspace(-5.0, 5.0, 41)
     e11 = max(abs(ml(MLParams(1.0, 1.0), z) - math.exp(z)) for z in zs)
-    rows.append(_row("E_{1,1}(z) = exp(z) on [-5,5]", e11, 1e-10))
+    yield _row("E_{1,1}(z) = exp(z) on [-5,5]", e11, 1e-10)
     ts = np.linspace(0.0, 10.0, 41)
     e21 = max(abs(ml(MLParams(2.0, 1.0), -t * t) - math.cos(t)) for t in ts)
-    rows.append(_row("E_{2,1}(-t^2) = cos(t) on [0,10]", e21, 1e-10))
+    yield _row("E_{2,1}(-t^2) = cos(t) on [0,10]", e21, 1e-10)
     e12 = max(
         abs(ml(MLParams(1.0, 2.0), z) - (math.exp(z) - 1.0) / z)
         for z in zs
         if z != 0.0
     )
-    rows.append(_row("E_{1,2}(z) = (exp(z)-1)/z on [-5,5]", e12, 1e-10))
+    yield _row("E_{1,2}(z) = (exp(z)-1)/z on [-5,5]", e12, 1e-10)
 
     worst = 0.0
     for alpha in (1.25, 1.5, 1.75):
@@ -72,20 +94,19 @@ def suite_mittag_leffler() -> List[CheckRow]:
             lhs = ml(MLParams(alpha, 1.0), -(t**alpha))
             rhs = ml_decomp_f(alpha, 0, t) + ml_decomp_g(alpha, 0, t)
             worst = max(worst, abs(lhs - rhs))
-    rows.append(_row("decomposition E = f + g, alpha in {1.25,1.5,1.75}", worst, 1e-6))
+    yield _row("decomposition E = f + g, alpha in {1.25,1.5,1.75}", worst, 1e-6)
 
     for alpha in (1.25, 1.5, 1.75):
         tt = np.geomspace(50.0, 500.0, 9)
         vals = np.array([abs(ml(MLParams(alpha, 1.0), -(t**alpha))) for t in tt])
         slope = np.polyfit(np.log(tt), np.log(vals), 1)[0]
-        rows.append(_row(f"tail slope alpha={alpha}", abs(slope + alpha), 0.05))
+        yield _row(f"tail slope alpha={alpha}", abs(slope + alpha), 0.05)
         ratio = max(
             abs(ml_decomp_g(alpha, 0, t))
             / ((2.0 / alpha) * math.exp(t * math.cos(math.pi / alpha)))
             for t in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
         )
-        rows.append(_row(f"|g| within envelope alpha={alpha}", ratio, 1.0 + 1e-12))
-    return rows
+        yield _row(f"|g| within envelope alpha={alpha}", ratio, 1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +121,8 @@ def _ladder_order(errs: List[float]) -> float:
     return min(orders) if orders else float("nan")
 
 
-def suite_operators() -> List[CheckRow]:
-    rows = []
+@_timed
+def suite_operators() -> Iterator[CheckRow]:
     hs = [1 / 256, 1 / 512, 1 / 1024, 1 / 2048, 1 / 4096]
 
     # product-trapezoidal path: D^0.5 t^3 from exact derivative samples
@@ -113,7 +134,7 @@ def suite_operators() -> List[CheckRow]:
         num = caputo_left(fm, FracOrder(0.5)).values
         ref = math.gamma(4.0) / math.gamma(3.5) * t**2.5
         errs.append(float(np.max(np.abs(num - ref))))
-    rows.append(
+    yield (
         _row("power rule order, product-trapezoidal alpha=0.5", _ladder_order(errs), 1.8, larger_ok=True)
     )
 
@@ -126,13 +147,13 @@ def suite_operators() -> List[CheckRow]:
             num = l1_caputo_series(t**p, h, alpha)
             ref = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha) * t ** (p - alpha)
             errs.append(float(np.max(np.abs(num[1:] - ref[1:]))))
-        rows.append(
+        yield (
             _row(
                 f"power rule order, L1 alpha={alpha}",
                 _ladder_order(errs),
                 2.0 - alpha - 0.1 if alpha < 1.0 else 0.4,
                 larger_ok=True,
-            )
+        )
         )
 
     # derivative-shift identity for t^3 at both orders: d/dt D^a f vs D^(a+1) f
@@ -150,9 +171,8 @@ def suite_operators() -> List[CheckRow]:
             k = round(1.0 / h)
             resids.append(abs(float(lhs[k] - rhs_v[k])))
         mono = all(resids[i + 1] < resids[i] for i in range(len(resids) - 1))
-        rows.append(_row(f"shift identity t^3 alpha={alpha}, residual at t=1", resids[-1], 1e-2))
-        rows.append(_row(f"shift identity alpha={alpha} refinement monotone", 0.0 if mono else 1.0, 0.5))
-    return rows
+        yield _row(f"shift identity t^3 alpha={alpha}, residual at t=1", resids[-1], 1e-2)
+        yield _row(f"shift identity alpha={alpha} refinement monotone", 0.0 if mono else 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +192,12 @@ def _chain_run(h: float):
     return float(np.max(np.abs(res.q[:, 0] - ex.values)))
 
 
-def suite_oscillator() -> List[CheckRow]:
+@_timed
+def suite_oscillator() -> Iterator[CheckRow]:
     e_fine = _chain_run(1.0 / 2048)
+    yield _row("1d chain vs exact solution, h=1/2048", e_fine, 1e-2)
     e_coarse = _chain_run(1.0 / 1024)
-    return [
-        _row("1d chain vs exact solution, h=1/2048", e_fine, 1e-2),
-        _row("1d chain error halving factor", e_coarse / e_fine, 1.7, larger_ok=True),
-    ]
+    yield _row("1d chain error halving factor", e_coarse / e_fine, 1.7, larger_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +222,22 @@ def _quad_sys(a, b, q0, qd0, alpha: float = 0.5) -> SystemSpec:
     )
 
 
-def suite_constraints() -> List[CheckRow]:
-    rows = []
+@_timed
+def suite_constraints() -> Iterator[CheckRow]:
     target = 2.0**0.75 - 0.05
 
     sys2 = _quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
-    rows.append(
+    yield (
         _row("preservation ratio linear-nd n=2", _preservation_ratio(sys2, 2.0, 1 / 400), target, larger_ok=True)
     )
     sys3 = _quad_sys(
         [1.0, 2.0, -1.0], [0.5, -0.3, 0.2], [1.0, 0.5, -0.5], [2.0, -1.5, -1.0]
     )
-    rows.append(
+    yield (
         _row("preservation ratio linear-nd n=3", _preservation_ratio(sys3, 2.0, 1 / 400), target, larger_ok=True)
     )
     sysc2 = _quad_sys([1.0, 1.0], [0.0, 0.5], [1.0, 0.5], [1.0, -1.0])
-    rows.append(
+    yield (
         _row("preservation ratio case2-2d", _preservation_ratio(sysc2, 2.0, 1 / 400), target, larger_ok=True)
     )
 
@@ -227,11 +246,11 @@ def suite_constraints() -> List[CheckRow]:
     cfg = IntegratorConfig(h=1e-3, t_end=10.0, scheme="velocity-verlet")
     res = integrate_second_order(rhs_linear(sysb0), (sysb0.q_init, sysb0.qdot_init), cfg)
     t = res.grid.nodes()
-    rows.append(
+    yield (
         _row("classical limit b=0: cos-t trajectory", float(np.max(np.abs(res.q[:, 1] - np.cos(t)))), 1e-4)
     )
     energy = 0.5 * np.sum(res.qdot**2, axis=1) + 0.5 * np.sum(res.q**2, axis=1)
-    rows.append(
+    yield (
         _row("unconstrained energy drift, T=10, h=1e-3", float(np.max(np.abs(energy - energy[0]))), 1e-6)
     )
 
@@ -265,7 +284,7 @@ def suite_constraints() -> List[CheckRow]:
         float(np.max(np.abs(h2.q[::2] - h1.q))), float(np.max(np.abs(l2.q[::2] - l1.q)))
     )
     cross = float(np.max(np.abs(h1.q - l1.q)))
-    rows.append(_row("hamilton vs lagrange / solver tolerance", cross / self_tol, 5.0))
+    yield _row("hamilton vs lagrange / solver tolerance", cross / self_tol, 5.0)
 
     # nonlinear oscillator: pre-reduction vs reduced form
     def run_n(h, form):
@@ -276,8 +295,7 @@ def suite_constraints() -> List[CheckRow]:
     red2 = run_n(1 / 800, "reduced")
     self_tol = float(np.max(np.abs(red2.q[::2, 0] - red.q[:, 0])))
     agree = float(np.max(np.abs(red.q[:, 0] - pre.q[:, 0])))
-    rows.append(_row("nonlinear pre vs reduced / solver tolerance", agree / self_tol, 5.0))
-    return rows
+    yield _row("nonlinear pre vs reduced / solver tolerance", agree / self_tol, 5.0)
 
 
 SUITES: dict[str, Callable[[], List[CheckRow]]] = {
@@ -305,10 +323,15 @@ def format_report(rows: List[CheckRow]) -> str:
     lines = []
     for r in rows:
         mark = "PASS" if r.passed else "FAIL"
-        line = f"{r.name:<{width}} measured={r.measured:.6e}  tol={r.tolerance:.3e}  {mark}"
+        line = (
+            f"{r.name:<{width}} measured={r.measured:.6e}  tol={r.tolerance:.3e}  "
+            f"{r.elapsed_s:7.3f}s  {mark}"
+        )
         if not r.passed:
             line = ">>> " + line
         lines.append(line)
     n_fail = sum(not r.passed for r in rows)
     lines.append(f"{len(rows)} checks, {n_fail} failed")
+    slow = max(rows, key=lambda r: r.elapsed_s)
+    lines.append(f"slowest check: {slow.name} ({slow.elapsed_s:.3f}s)")
     return "\n".join(lines)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,3 +313,27 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestVerifyReport:
+    def test_elapsed_per_check_and_slowest(self):
+        from fracdyn.verification import CheckRow, format_report
+
+        rows = [
+            CheckRow("fast", 1e-3, 1e-2, True, elapsed_s=0.25),
+            CheckRow("slow", 2.0, 1.0, False, elapsed_s=1.5),
+        ]
+        lines = format_report(rows).splitlines()
+        assert "0.250s" in lines[0] and "1.500s" in lines[1]
+        assert lines[-1] == "slowest check: slow (1.500s)"
+        # a timing never makes two results differ
+        assert CheckRow("x", 1.0, 1.0, True, elapsed_s=3.0) == CheckRow("x", 1.0, 1.0, True)
+
+    def test_suite_rows_are_timed(self):
+        from fracdyn.verification import SUITES
+
+        start = time.perf_counter()
+        rows = SUITES["operators"]()
+        total = time.perf_counter() - start
+        assert all(r.elapsed_s >= 0.0 for r in rows)
+        assert 0.0 < sum(r.elapsed_s for r in rows) <= total

@@ -1,12 +1,14 @@
 """Integrator properties: causality, exactness, divergence handling, ladders."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdyn.constrained_dynamics import ConstraintSpec, SystemSpec, rhs_linear
 from fracdyn.errors import DivergenceError, FracDomainError
 from fracdyn.fode_solver import (
     RHS,
@@ -16,9 +18,14 @@ from fracdyn.fode_solver import (
     integrate_fractional_abm,
     integrate_second_order,
 )
-from fracdyn.frac_ops import fractional_integral_last, l1_caputo_last
+from fracdyn.frac_ops import (
+    _l1_weights,
+    _second_differences,
+    fractional_integral_last,
+    l1_caputo_last,
+)
 from fracdyn.mittag_leffler import MLParams, ml
-from fracdyn.series import Grid, SampleSeries
+from fracdyn.series import FracOrder, Grid, SampleSeries
 
 
 class OscRHS(RHS):
@@ -28,6 +35,20 @@ class OscRHS(RHS):
 
     def __call__(self, t, q, qdot, hist):
         return -q
+
+
+def l1_bound(col, h, alpha):
+    """(panels + 4) eps sum|c w_k d_k|: a bound on how far two orders of the
+    L1 sum at the last node of ``col`` may round apart, c being the scheme's
+    constant and w_k, d_k the panel weights and differences."""
+    panels = len(col) - 1
+    if alpha < 1.0:
+        d, p, c = np.diff(col), 1.0 - alpha, h ** (-alpha) / math.gamma(2.0 - alpha)
+    else:
+        d, p = _second_differences(col, h), 2.0 - alpha
+        c = h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    terms = c * _l1_weights(panels, p)[::-1] * d
+    return (panels + 4) * np.finfo(float).eps * np.sum(np.abs(terms))
 
 
 class TestConfig:
@@ -74,11 +95,13 @@ class TestHistory:
         eps=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_queries_equal_frac_ops_bit_for_bit(self, nodes, n, alpha, eps, seed):
-        """Every query equals the frac_ops sum on the same prefix with ==,
-        at every count and at two orders, with queries skipped at some
-        counts, repeated at others, and the newest stored row overwritten
-        between queries (as velocity Verlet and direct mode do)."""
+    def test_queries_within_rounding_bound_of_frac_ops(self, nodes, n, alpha, eps, seed):
+        """Every L1 query is within (panels + 4) eps sum|c w_k d_k| of the
+        frac_ops sum on the same prefix (``l1_bound``), at every count and
+        at two orders, with queries skipped at some counts, repeated at
+        others, and the newest stored row overwritten between queries (as
+        velocity Verlet and direct mode do).  The trapezoid integral keeps
+        the arithmetic of ``fractional_integral_last`` and equals it."""
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
         hist = History(g, n)
@@ -89,18 +112,20 @@ class TestHistory:
             col = view[:, k]
             return col if extra is None else np.append(col, extra)
 
+        def close(got, col, a):
+            assert abs(got - l1_caputo_last(col, h, a)) <= l1_bound(col, h, a)
+
         def check():
             for a in (alpha, 2.0 - alpha):
                 for k, got in enumerate(hist.caputo_q(a)):
-                    assert got == l1_caputo_last(cols(hist.q_view, k), h, a)
+                    close(got, cols(hist.q_view, k), a)
                 for k, got in enumerate(hist.caputo_qdot(a)):
-                    assert got == l1_caputo_last(cols(hist.qdot_view, k), h, a)
+                    close(got, cols(hist.qdot_view, k), a)
                 for k, got in enumerate(hist.caputo_aux(a)):
-                    assert got == l1_caputo_last(cols(hist.aux_view, k), h, a)
+                    close(got, cols(hist.aux_view, k), a)
             ahead = rng.normal(size=n) * scale[0]
             for k, got in enumerate(hist.caputo_q(alpha, ahead=ahead)):
-                ref = l1_caputo_last(cols(hist.q_view, k, ahead[k]), h, alpha)
-                assert got == ref
+                close(got, cols(hist.q_view, k, ahead[k]), alpha)
             last = hist.aux_view[-1]
             for k, got in enumerate(hist.integral_aux(eps, ahead=last)):
                 ref = fractional_integral_last(cols(hist.aux_view, k, last[k]), eps, h)
@@ -116,6 +141,34 @@ class TestHistory:
                 if rng.random() < 0.5:
                     check()
         check()
+
+
+class TestStateSums:
+    @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
+    def test_linear_step_sums_state_once(self, scheme, monkeypatch):
+        """A prop1 linear-nd step asks for D^alpha qdot (the right-hand side)
+        and D^alpha q (the residual) at each count, in opposite orders under
+        the two schemes; one history sum per count answers both."""
+        sums = Counter()
+        caputo = History._caputo
+
+        def counted(hist, *args, **kwargs):
+            if hist.count >= 2:  # count 1 has no panel to sum
+                sums[hist.count] += 1
+            return caputo(hist, *args, **kwargs)
+
+        monkeypatch.setattr(History, "_caputo", counted)
+        sys = SystemSpec(
+            grad_potential=lambda q: q,
+            constraint=ConstraintSpec.linear([1.0, 2.0], [0.5, -0.3], FracOrder(0.5)),
+            q_init=[1.0, 0.5],
+            qdot_init=[2.0, -1.0],
+        )
+        rr = rhs_linear(sys)
+        cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+        res = integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+        assert res.grid.n_nodes == 201
+        assert sums == {c: 1 for c in range(2, 202)}
 
 
 class TestSecondOrder:
@@ -180,6 +233,24 @@ class TestSecondOrder:
 
         with pytest.raises(DivergenceError):
             integrate_second_order(NaN(), ([0.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0))
+
+    def test_singular_hook_decided_once(self):
+        """A right-hand side whose increment is None over the first step is
+        not asked again in that run."""
+        calls = []
+
+        class NoShift(OscRHS):
+            def singular_velocity_increment(self, t0, t1):
+                calls.append(t0)
+                return None
+
+        for scheme in ("semi-implicit-euler", "velocity-verlet"):
+            calls.clear()
+            res = integrate_second_order(
+                NoShift(), ([1.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme)
+            )
+            assert calls == [0.0]
+            assert res.diagnostics["max_singular_increment"] == 0.0
 
     def test_diagnostics_cost_model(self):
         """``history_terms`` counts the products the history sums, here
