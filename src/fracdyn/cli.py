@@ -45,6 +45,7 @@ from .errors import (
     DivergenceError,
 )
 from .fode_solver import (
+    _SCHEMES,
     IntegratorConfig,
     SimulationResult,
     convergence_study,
@@ -63,9 +64,6 @@ SCENARIOS = (
     "nonlinear-fracosc",
     "hamilton-linear",
 )
-
-_SCHEMES = ("semi-implicit-euler", "velocity-verlet")
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -101,6 +99,11 @@ def _require(d: dict, key: str, kind, path: str, default=None):
     if not isinstance(v, kind):
         raise ConfigError(name, f"must be {kind.__name__}")
     return v
+
+
+def _velocity_key(scenario: str) -> str:
+    """The ``initial`` key of the velocity vector: p in the Hamilton form."""
+    return "p" if scenario == "hamilton-linear" else "qdot"
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class ScenarioConfig:
         if not isinstance(init, dict):
             raise ConfigError("initial", "must be an object")
         q = tuple(_require(init, "q", list, "initial")) if "q" in init else ()
-        qd_key = "p" if scenario == "hamilton-linear" else "qdot"
+        qd_key = _velocity_key(scenario)
         qdot = (
             tuple(_require(init, qd_key, list, "initial")) if qd_key in init else ()
         )
@@ -157,7 +160,7 @@ class ScenarioConfig:
         return cls(scenario, h, t_end, scheme, dict(params), q, qdot, prefix)
 
     def to_dict(self) -> dict:
-        qd_key = "p" if self.scenario == "hamilton-linear" else "qdot"
+        qd_key = _velocity_key(self.scenario)
         return {
             "scenario": self.scenario,
             "grid": {"h": self.h, "t_end": self.t_end},
@@ -213,7 +216,7 @@ def _init_vectors(cfg: ScenarioConfig, n: int):
     if len(q) != n:
         raise ConfigError("initial.q", f"needs length {n}")
     if len(qd) != n:
-        raise ConfigError("initial.qdot", f"needs length {n}")
+        raise ConfigError(f"initial.{_velocity_key(cfg.scenario)}", f"needs length {n}")
     return np.array(q), np.array(qd)
 
 
@@ -252,13 +255,19 @@ def _linear_plan(cfg: ScenarioConfig, a, b, order: FracOrder) -> RunPlan:
         raise ConfigError("initial.qdot", str(exc)) from exc
 
     def execute(icfg: IntegratorConfig) -> SimulationResult:
-        return integrate_second_order(rr, (sys.q_init, rr.qdot_start), icfg)
+        return integrate_second_order(rr, (sys.q_init, sys.qdot_init), icfg)
 
     return RunPlan(n=n, execute=execute)
 
 
 def build_plan(cfg: ScenarioConfig) -> RunPlan:
     sc = cfg.scenario
+    # hamilton-linear steps by explicit Euler whatever the scheme, and the
+    # pre form returns the acceleration a semi-implicit Euler step needs
+    pre = sc == "nonlinear-fracosc" and cfg.parameters.get("form") == "pre"
+    if cfg.scheme != "semi-implicit-euler" and (pre or sc == "hamilton-linear"):
+        what = "form 'pre'" if pre else sc
+        raise ConfigError("scheme", f"{what} accepts only 'semi-implicit-euler'")
     if sc == "oscillator-1d":
         alpha = _param(cfg, "alpha")
         if not 2.0 < alpha < 3.0:
@@ -395,7 +404,7 @@ def _summary(cfg: ScenarioConfig, res: SimulationResult, extra: dict, timings: d
     resid = res.residual
     return {
         "scenario": cfg.scenario,
-        "scheme": cfg.scheme,
+        "scheme": res.diagnostics["scheme"],  # the scheme that ran
         "h": res.grid.h,
         "t_end": cfg.t_end,
         "max_residual": None

@@ -120,15 +120,9 @@ class SystemSpec:
     constraint: Optional[ConstraintSpec]
     q_init: np.ndarray
     qdot_init: np.ndarray
-    higher_init: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         _set_initial_pair(self, "qdot_init")
-        if self.higher_init is not None:
-            higher = np.asarray(self.higher_init, dtype=float)
-            if higher.shape != self.q_init.shape:
-                raise FracDomainError("higher_init must have the shape of q_init")
-            object.__setattr__(self, "higher_init", higher)
 
     @property
     def n(self) -> int:
@@ -200,46 +194,25 @@ def _multiplier(c: ConstraintSpec, q, qdot, dq, d1d, grad):
 # ---------------------------------------------------------------------------
 # shared plumbing for rhs builders
 
-def _check_initial_residual(sys: SystemSpec, project: bool) -> np.ndarray:
-    """Initial D^alpha q is zero, so f(0) needs only (q0, qdot0).
-
-    Returns the velocity to start with; with ``project`` the velocity is
-    shifted along the Chetaev gradient onto the constraint surface.
-    """
-    c = sys.constraint
-    zeros = np.zeros(sys.n)
-    qdot = sys.qdot_init.copy()
-    f0 = c.value(sys.q_init, qdot, zeros)
-    if abs(f0) <= _INIT_TOL:
-        return qdot
-    if not project:
+def _check_initial_residual(sys: SystemSpec) -> None:
+    """Raise unless (q0, qdot0) lies on the constraint, where D^alpha q = 0."""
+    f0 = sys.constraint.value(sys.q_init, sys.qdot_init, np.zeros(sys.n))
+    if not abs(f0) <= _INIT_TOL:  # NaN fails it too
         raise ConstraintViolationError(
             f"initial data violates the constraint: f(0) = {f0:.3e}"
         )
-    g = np.asarray(c.df_dqdot(sys.q_init, qdot, zeros), dtype=float)
-    g2 = float(np.dot(g, g))
-    if g2 <= _CHETAEV_TOL:
-        raise SingularConstraintError("cannot project along vanishing gradient")
-    for _ in range(50):
-        qdot = qdot - f0 / g2 * g
-        f0 = c.value(sys.q_init, qdot, zeros)
-        if abs(f0) <= _INIT_TOL:
-            return qdot
-    raise ConstraintViolationError("projection onto the constraint failed")
 
 
-def _estimate_higher_init(sys: SystemSpec, qdot0: np.ndarray) -> np.ndarray:
-    """q^(m)(0) for the shift term: supplied, or a one-sided estimate.
+def _derive_qm0(sys: SystemSpec) -> np.ndarray:
+    """q^(m)(0) for the shift term, a one-sided estimate.
 
     m = 1 needs the initial velocity (known).  m = 2 uses the equation of
     motion at t = 0 with the fractional terms dropped (they vanish at 0+
     for smooth motion), i.e. the constrained Newtonian acceleration.
     """
-    if sys.higher_init is not None:
-        return sys.higher_init
     m = sys.constraint.order.m
     if m == 1:
-        return qdot0.copy()
+        return sys.qdot_init.copy()
     a = sys.constraint.a
     grad = np.asarray(sys.grad_potential(sys.q_init), dtype=float)
     a2 = float(np.dot(a, a))
@@ -247,7 +220,7 @@ def _estimate_higher_init(sys: SystemSpec, qdot0: np.ndarray) -> np.ndarray:
 
 
 class _LinearRHS(RHS):
-    def __init__(self, sys: SystemSpec, mode: str, project_init: bool) -> None:
+    def __init__(self, sys: SystemSpec, mode: str) -> None:
         if mode not in ("prop1", "direct"):
             raise FracDomainError(f"mode must be 'prop1' or 'direct', got {mode}")
         c = sys.constraint
@@ -262,8 +235,8 @@ class _LinearRHS(RHS):
         self._a_unit = self.a / self.a2  # a/|a|^2
         self.proj = np.eye(sys.n) - np.outer(self.a, self.a) / self.a2
         self._neg_proj = -self.proj
-        self.qdot_start = _check_initial_residual(sys, project_init)
-        self.qm0 = _estimate_higher_init(sys, self.qdot_start)
+        _check_initial_residual(sys)
+        self.qm0 = _derive_qm0(sys)
         # exponent of the shift power t^(m-alpha-1)
         self._shift_pow = c.order.m - self.alpha
         self._shift_gamma = math.gamma(self._shift_pow + 1.0)
@@ -307,18 +280,15 @@ class _LinearRHS(RHS):
 
 
 class _GeneralRHS(RHS):
-    def __init__(self, sys: SystemSpec, project_init: bool) -> None:
+    def __init__(self, sys: SystemSpec) -> None:
         c = sys.constraint
         if c is None:
             raise FracDomainError("rhs_general needs a constraint")
         self.sys = sys
         self.alpha = c.order.alpha
-        self.qdot_start = _check_initial_residual(sys, project_init)
-        self.qm0 = (
-            sys.higher_init
-            if sys.higher_init is not None
-            else (self.qdot_start.copy() if c.order.m == 1 else np.zeros(sys.n))
-        )
+        _check_initial_residual(sys)
+        # q^(m)(0) of the startup term; for m = 2 it is taken as zero
+        self.qm0 = sys.qdot_init.copy() if c.order.m == 1 else np.zeros(sys.n)
         self._shift_pow = c.order.m - self.alpha - 1.0
         self._has_qm0 = bool(np.any(self.qm0))
 
@@ -341,19 +311,20 @@ class _GeneralRHS(RHS):
         return self.sys.constraint.value(hist.last_q, hist.last_qdot, dq)
 
 
-def rhs_linear(sys: SystemSpec, mode: str = "prop1", project_init: bool = False):
+def rhs_linear(sys: SystemSpec, mode: str = "prop1"):
     """Closed-form right-hand side for the linear constraint.
 
     ``mode='prop1'`` (default) uses the derivative-shift identity;
     ``mode='direct'`` backward-differences the D^alpha q history and exists
-    for cross-validation.
+    for cross-validation.  Initial data off the constraint raise
+    ``ConstraintViolationError``.
     """
-    return _LinearRHS(sys, mode, project_init)
+    return _LinearRHS(sys, mode)
 
 
-def rhs_general(sys: SystemSpec, project_init: bool = False):
+def rhs_general(sys: SystemSpec):
     """Multiplier-eliminated right-hand side for a general constraint."""
-    return _GeneralRHS(sys, project_init)
+    return _GeneralRHS(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, FracDomainError, UnsupportedOrderError
-from .frac_ops import _l1_weights, _trapezoid_weights
+from .errors import DivergenceError, FracDomainError
+from .frac_ops import _l1_scheme, _l1_weights, _trapezoid_start, _trapezoid_weights
 from .series import Grid, SampleSeries
 
 __all__ = [
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _SCHEMES = ("semi-implicit-euler", "velocity-verlet")
+# a state entry past this magnitude ends a run with DivergenceError
+_DIVERGENCE_THRESHOLD = 1e12
 # the two state series of a History, as bits of a mask
 _Q, _QDOT = 1, 2
 
@@ -54,7 +56,6 @@ class IntegratorConfig:
     h: float
     t_end: float
     scheme: str = "semi-implicit-euler"
-    divergence_threshold: float = 1e12
 
     def __post_init__(self) -> None:
         if not self.h > 0.0:
@@ -65,8 +66,7 @@ class IntegratorConfig:
             raise FracDomainError(f"unknown scheme {self.scheme!r}")
 
     def grid(self) -> Grid:
-        n = max(1, round(self.t_end / self.h))
-        return Grid(0.0, self.t_end, n)
+        return Grid.from_step(0.0, self.t_end, self.h)
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ class History:
         m = self.count
         if m == 0:
             return np.zeros(self.n)
-        total = ((m - 1.0) ** (eps + 1.0) - (m - 1.0 - eps) * m**eps) * f[0] + ahead
+        total = _trapezoid_start(m, eps) * f[0] + ahead
         if m >= 2:
             c = self._weights.get(("trapezoid", eps))
             if c is None:
@@ -234,15 +234,9 @@ class History:
         the scheme's constant."""
         entry = self._weights.get(("l1", alpha))
         if entry is None:
-            if 0.0 < alpha < 1.0:
-                order, p, c = 1, 1.0 - alpha, self.h ** (-alpha) / math.gamma(2.0 - alpha)
-            elif 1.0 < alpha < 2.0:
-                order, p, c = 2, 2.0 - alpha, self.h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
-            else:
-                raise UnsupportedOrderError(
-                    f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
-                )
-            entry = self._weights[("l1", alpha)] = (order, _l1_weights(self._size, p)[::-1] * c)
+            order, p, hp, g = _l1_scheme(alpha, self.h)
+            w = _l1_weights(self._size, p)[::-1] * (hp / g)
+            entry = self._weights[("l1", alpha)] = (order, w)
         return entry
 
     def _caputo(
@@ -365,7 +359,7 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
     hist = History(grid, n)
     hist.append(q[0], qd[0])
     t = grid.nodes().tolist()  # Python floats: cheaper in scalar arithmetic
-    thr = cfg.divergence_threshold
+    thr = _DIVERGENCE_THRESHOLD
     singular = (
         scheme != "hamilton-euler"
         and rhs.singular_velocity_increment(t[0], t[1]) is not None
@@ -456,12 +450,11 @@ def integrate_fractional_abm(
 
     for i in range(1, nn):
         pred = taylor[i] + c_pred * np.dot(bw[i - 1 :: -1][:i], fv[:i])
-        a0 = (i - 1.0) ** (beta + 1.0) - (i - 1.0 - beta) * i**beta
-        hist_sum = a0 * fv[0]
+        hist_sum = _trapezoid_start(i, beta) * fv[0]
         if i >= 2:
             hist_sum += np.dot(cw[: i - 1], fv[i - 1 : 0 : -1])
         x[i] = taylor[i] + c_corr * (hist_sum + rhs(t[i], pred))
-        if not np.isfinite(x[i]) or abs(x[i]) > cfg.divergence_threshold:
+        if not np.isfinite(x[i]) or abs(x[i]) > _DIVERGENCE_THRESHOLD:
             raise DivergenceError(
                 "fractional Adams run diverged",
                 partial=_partial(

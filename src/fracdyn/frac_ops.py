@@ -65,8 +65,7 @@ def fractional_integral_values(values: np.ndarray, eps: float, h: float) -> np.n
     kp = np.array([n - 1.0, n]) ** (eps + 1.0)
     c[n] = (n + 1.0) ** (eps + 1.0) - 2.0 * kp[1] + kp[0]
     conv = np.convolve(f, c)[: n + 1]
-    ns = np.arange(1, n + 1, dtype=float)
-    a0 = (ns - 1.0) ** (eps + 1.0) - (ns - 1.0 - eps) * ns**eps
+    a0 = _trapezoid_start(np.arange(1, n + 1, dtype=float), eps)
     coef = h**eps / math.gamma(eps + 2.0)
     out[1:] = coef * (a0 * f[0] + (conv[1:] - c[1 : n + 1] * f[0]) + f[1:])
     return out
@@ -80,11 +79,15 @@ def fractional_integral_last(values: np.ndarray, eps: float, h: float) -> float:
     n = len(f) - 1
     if n == 0:
         return 0.0
-    a0 = (n - 1.0) ** (eps + 1.0) - (n - 1.0 - eps) * n**eps
-    total = a0 * f[0] + f[n]
+    total = _trapezoid_start(n, eps) * f[0] + f[n]
     if n >= 2:
         total += np.dot(_trapezoid_weights(n, eps), f[n - 1 : 0 : -1])
     return float(h**eps / math.gamma(eps + 2.0) * total)
+
+
+def _trapezoid_start(m, eps: float):
+    """Weight of f(a) in J^eps at node m, an int (scalar pow) or an array."""
+    return (m - 1.0) ** (eps + 1.0) - (m - 1.0 - eps) * m**eps
 
 
 def _trapezoid_weights(n: int, eps: float) -> np.ndarray:
@@ -140,26 +143,28 @@ def _second_differences(q: np.ndarray, h: float) -> np.ndarray:
     return d2
 
 
-def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
-    """L1-scheme left Caputo derivative at the final node of the prefix ``q``.
-
-    For 0 < alpha < 1 the scheme acts on first differences; for
-    1 < alpha < 2 on second differences (panel 0 one-sided).  Strictly
-    causal: only the supplied samples enter.
-    """
-    n = len(q) - 1
-    if n < 1:
-        return 0.0
+def _l1_scheme(alpha: float, h: float):
+    """(difference order, weight exponent p, h power, Gamma value) of L1 at
+    ``alpha``; a sum of weights times differences is scaled by power/Gamma."""
     if 0.0 < alpha < 1.0:
-        w = _l1_weights(n, 1.0 - alpha)[::-1]
-        return float(np.dot(w, np.diff(q)) * h ** (-alpha) / math.gamma(2.0 - alpha))
+        return 1, 1.0 - alpha, h ** (-alpha), math.gamma(2.0 - alpha)
     if 1.0 < alpha < 2.0:
-        d2 = _second_differences(np.asarray(q, dtype=float), h)
-        w = _l1_weights(n, 2.0 - alpha)[::-1]
-        return float(np.dot(w, d2) * h ** (2.0 - alpha) / math.gamma(3.0 - alpha))
+        return 2, 2.0 - alpha, h ** (2.0 - alpha), math.gamma(3.0 - alpha)
     raise UnsupportedOrderError(
         f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
     )
+
+
+def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
+    """L1-scheme left Caputo derivative at the final node of the prefix ``q``
+    (first differences below order 1, second ones above); strictly causal."""
+    n = len(q) - 1
+    if n < 1:
+        return 0.0
+    order, p, hp, g = _l1_scheme(alpha, h)
+    q = np.asarray(q, dtype=float)
+    d = np.diff(q) if order == 1 else _second_differences(q, h)
+    return float(np.dot(_l1_weights(n, p)[::-1], d) * hp / g)
 
 
 def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
@@ -169,21 +174,11 @@ def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
     out = np.zeros(n + 1)
     if n < 1:
         return out
-    if 0.0 < alpha < 1.0:
-        diffs = np.diff(q)
-        c = np.concatenate(([0.0], _l1_weights(n, 1.0 - alpha)))
-        conv = np.convolve(diffs, c)[: n + 1]
-        out[1:] = conv[1:] * h ** (-alpha) / math.gamma(2.0 - alpha)
-        return out
-    if 1.0 < alpha < 2.0:
-        d2 = _second_differences(q, h)
-        w = np.concatenate(([0.0], _l1_weights(n, 2.0 - alpha)))
-        conv = np.convolve(d2, w)[: n + 1]
-        out[1:] = conv[1:] * h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
-        return out
-    raise UnsupportedOrderError(
-        f"history scheme supports orders in (0,1) or (1,2), got {alpha}"
-    )
+    order, p, hp, g = _l1_scheme(alpha, h)
+    d = np.diff(q) if order == 1 else _second_differences(q, h)
+    w = np.concatenate(([0.0], _l1_weights(n, p)))
+    out[1:] = np.convolve(d, w)[1 : n + 1] * hp / g
+    return out
 
 
 def caputo_left_history(q_history: SampleSeries, order: FracOrder) -> float:
@@ -191,10 +186,6 @@ def caputo_left_history(q_history: SampleSeries, order: FracOrder) -> float:
     order.require_fractional()
     if len(q_history) < 2:
         raise FracDomainError("history needs at least 2 samples")
-    if order.alpha >= 2.0:
-        raise UnsupportedOrderError(
-            f"order {order.alpha} >= 2: reformulate via state augmentation"
-        )
     return l1_caputo_last(q_history.values, q_history.grid.h, order.alpha)
 
 

@@ -208,7 +208,7 @@ def _preservation_ratio(sys: SystemSpec, t_end: float, h: float) -> float:
     for step in (h, h / 2.0):
         rr = rhs_linear(sys)
         cfg = IntegratorConfig(h=step, t_end=t_end)
-        res = integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+        res = integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
         out.append(float(np.nanmax(np.abs(res.residual))))
     return out[0] / out[1]
 
@@ -273,9 +273,8 @@ def suite_constraints() -> Iterator[CheckRow]:
         )
 
     def run_l(h):
-        rr = rhs_linear(sysL, project_init=True)
         return integrate_second_order(
-            rr, (sysL.q_init, rr.qdot_start), IntegratorConfig(h=h, t_end=5.0)
+            rhs_linear(sysL), (sysL.q_init, sysL.qdot_init), IntegratorConfig(h=h, t_end=5.0)
         )
 
     h1, h2 = run_h(1e-3), run_h(5e-4)

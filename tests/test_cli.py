@@ -184,6 +184,13 @@ NONLINEAR = {
     "parameters": {"alpha": 1.5, "g": 1.0, "K": {"kind": "cubic", "k": 1.0}},
     "initial": {"q": [1.0], "qdot": [0.0]},
 }
+HAMILTON = {
+    "scenario": "hamilton-linear",
+    "grid": {"h": 0.05, "t_end": 1.0},
+    "parameters": {"alpha": 0.5, "A": [1.0, 0.5],
+                   "potential": {"kind": "quadratic", "k": 1.0}},
+    "initial": {"q": [1.0, 0.0], "p": [0.0, 1.0]},
+}
 
 
 def with_param(base, key, value):
@@ -266,6 +273,23 @@ class TestInputFaults:
     def test_initial_data_violates_constraint(self, tmp_path, capsys, data):
         self.rejected(tmp_path, capsys, data, "initial.qdot")
 
+    def test_momentum_length_names_p(self, tmp_path, capsys):
+        data = dict(HAMILTON, initial={"q": [1.0, 0.0], "p": [0.0, 1.0, 2.0]})
+        self.rejected(tmp_path, capsys, data, "config key 'initial.p'")
+
+    @pytest.mark.parametrize(
+        "data, extra",
+        [
+            # the pre form's acceleration is meant for semi-implicit Euler only
+            (dict(with_param(NONLINEAR, "form", "pre"), scheme="velocity-verlet"), ()),
+            (with_param(NONLINEAR, "form", "pre"), ("--scheme", "velocity-verlet")),
+            # the Hamilton form steps by explicit Euler whatever the scheme
+            (dict(HAMILTON, scheme="velocity-verlet"), ()),
+        ],
+    )
+    def test_scheme_the_scenario_cannot_run(self, tmp_path, capsys, data, extra):
+        self.rejected(tmp_path, capsys, data, "config key 'scheme'", *extra)
+
     @pytest.mark.parametrize(
         "data, key",
         [
@@ -337,3 +361,19 @@ class TestVerifyReport:
         total = time.perf_counter() - start
         assert all(r.elapsed_s >= 0.0 for r in rows)
         assert 0.0 < sum(r.elapsed_s for r in rows) <= total
+
+
+class TestSummaryScheme:
+    @pytest.mark.parametrize(
+        "data, ran",
+        [
+            (HAMILTON, "hamilton-euler"),
+            (dict(LINEAR, scheme="velocity-verlet"), "velocity-verlet"),
+            (NONLINEAR, "semi-implicit-euler"),
+        ],
+    )
+    def test_summary_names_the_scheme_that_ran(self, tmp_path, data, ran):
+        cfg = write_cfg(tmp_path, dict(data, output={"prefix": "s"}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "s_summary.json").read_text())
+        assert summary["scheme"] == summary["diagnostics"]["scheme"] == ran

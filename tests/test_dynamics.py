@@ -26,13 +26,12 @@ from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_
 from fracdyn.series import FracOrder, Grid, SampleSeries
 
 
-def quad_sys(a, b, q0, qd0, alpha=0.5, **kw):
+def quad_sys(a, b, q0, qd0, alpha=0.5):
     return SystemSpec(
         grad_potential=lambda q: q,
         constraint=ConstraintSpec.linear(a, b, FracOrder(alpha)),
         q_init=q0,
         qdot_init=qd0,
-        **kw,
     )
 
 
@@ -56,22 +55,19 @@ class TestSpecs:
         assert quad_sys([1.0, 2.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3).n == 3
 
     @pytest.mark.parametrize(
-        "q0,qd0,higher",
+        "q0,qd0",
         [
-            ([1, 0], [1.0], None),
-            ([[1.0, 0.0]], [[0.0, 1.0]], None),
-            # rhs_general would broadcast a one-entry higher_init
-            ([1.0, 0.5], [2.0, -1.0], [1.0]),
+            ([1, 0], [1.0]),
+            ([[1.0, 0.0]], [[0.0, 1.0]]),
         ],
     )
-    def test_system_shapes_checked(self, q0, qd0, higher):
+    def test_system_shapes_checked(self, q0, qd0):
         with pytest.raises(FracDomainError):
             SystemSpec(
                 grad_potential=lambda q: q,
                 constraint=None,
                 q_init=q0,
                 qdot_init=qd0,
-                higher_init=higher,
             )
 
     def test_hamilton_lengths_checked(self):
@@ -100,7 +96,8 @@ class TestSpecs:
         )
         with pytest.raises(FracDomainError):
             rhs_linear(sys)
-        assert rhs_general(sys).qdot_start[1] == 1.0
+        # q^(m)(0) of the startup term is the initial velocity when m = 1
+        assert rhs_general(sys).qm0[1] == 1.0
 
 
 class TestProjector:
@@ -156,11 +153,6 @@ class TestInitialData:
         with pytest.raises(ConstraintViolationError):
             rhs_linear(sys)
 
-    def test_projection_repairs(self):
-        sys = quad_sys([1.0, 1.0], [0.0, 0.0], [0, 0], [1.0, 0.0])
-        rr = rhs_linear(sys, project_init=True)
-        assert np.dot(sys.constraint.a, rr.qdot_start) == pytest.approx(0.0, abs=1e-10)
-
 
 class TestGeneralVsLinear:
     def test_same_trajectory_and_multiplier(self):
@@ -178,7 +170,6 @@ class TestGeneralVsLinear:
             constraint=gen_c,
             q_init=lin.q_init,
             qdot_init=lin.qdot_init,
-            higher_init=lin.qdot_init,
         )
         cfg = IntegratorConfig(h=1 / 200, t_end=1.0)
         rl = integrate_second_order(rhs_linear(lin), (lin.q_init, lin.qdot_init), cfg)
@@ -373,7 +364,7 @@ class TestReuse:
     def _direct(self):
         sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
         rr = rhs_linear(sys, mode="direct")
-        return lambda cfg: integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+        return lambda cfg: integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
 
     def _pre(self):
         rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5), form="pre")

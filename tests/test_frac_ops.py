@@ -25,6 +25,7 @@ from fracdyn.frac_ops import (
     l1_caputo_series,
     prop1_shift,
     riemann_liouville_left,
+    riemann_liouville_right,
 )
 from fracdyn.series import FracOrder, Grid, SampleSeries
 
@@ -140,6 +141,24 @@ class TestRiemannLiouville:
         interior = slice(20, -2)
         assert np.max(np.abs(rl[1:][interior] - expected[interior])) < 2e-3
         assert np.isnan(rl[0])
+
+    @pytest.mark.parametrize("alpha, p", [(0.5, 2.0), (1.5, 3.0)])
+    def test_right_power_rule(self, alpha, p):
+        # D_right^alpha (b - t)^p = Gamma(p+1)/Gamma(p+1-alpha) (b - t)^(p-alpha)
+        b = 1.0
+        errs = []
+        for n in (256, 512, 1024):
+            g = Grid(0.0, b, n)
+            t = g.nodes()
+            out = riemann_liouville_right(SampleSeries(g, (b - t) ** p), FracOrder(alpha)).values
+            # the right endpoint is the singular slot
+            assert np.isnan(out[-1]) and not np.isnan(out[:-1]).any()
+            ref = gamma(p + 1.0) / gamma(p + 1.0 - alpha) * (b - t) ** (p - alpha)
+            interior = (t > 0.05) & (t < 0.95)
+            errs.append(np.max(np.abs(out[interior] - ref[interior])))
+        assert errs[-1] < 1e-5
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert min(orders) > 1.9
 
 
 class TestCommutationDefect:

@@ -192,14 +192,14 @@ def _general_result():
     sys = general_system()
     rr = rhs_general(sys)
     cfg = IntegratorConfig(h=0.005, t_end=1.0)
-    return integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+    return integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
 
 
 def _direct_result(scheme):
     sys = direct_system()
     rr = rhs_linear(sys, mode="direct")
     cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
-    return integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+    return integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
 
 
 def _run_hamilton(_tmp) -> bytes:
@@ -228,7 +228,7 @@ def _prop1_result(scheme):
     sys = direct_system()
     rr = rhs_linear(sys)
     cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
-    return integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+    return integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
 
 
 def _reduced_result():

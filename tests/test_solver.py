@@ -166,7 +166,7 @@ class TestStateSums:
         )
         rr = rhs_linear(sys)
         cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
-        res = integrate_second_order(rr, (sys.q_init, rr.qdot_start), cfg)
+        res = integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
         assert res.grid.n_nodes == 201
         assert sums == {c: 1 for c in range(2, 202)}
 
