@@ -1,5 +1,7 @@
 """Tools for simulating dynamics constrained through fractional derivatives."""
 
+import logging
+
 from .constrained_dynamics import (
     ConstraintSpec,
     HamiltonSpec,
@@ -78,3 +80,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# library code logs to "fracdyn" at debug level; the application decides
+# where records go
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -343,11 +343,14 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
             raise ConfigError("parameters.A", "must be a nonzero vector")
         order = _frac_order(cfg)
         q0, p0 = _init_vectors(cfg, n)
+        # A is constant, so both of its derivatives are this one matrix
+        zeros = np.zeros((n, n))
+        zeros.flags.writeable = False
         spec = HamiltonSpec(
             grad_potential=_grad_potential(cfg, n),
             A=lambda q, d: avec,
-            dA_dq=lambda q, d: np.zeros((n, n)),
-            dA_dD=lambda q, d: np.zeros((n, n)),
+            dA_dq=lambda q, d: zeros,
+            dA_dD=lambda q, d: zeros,
             order=order,
             q_init=q0,
             p_init=p0,

@@ -220,6 +220,11 @@ def _derive_qm0(sys: SystemSpec) -> np.ndarray:
 
 
 class _LinearRHS(RHS):
+    """The projector form from two scalars, ag = a.grad u and
+    bd = b.D^1 D^alpha q: qddot = (a/a^2)(ag - bd) - grad u and
+    lambda = (ag - bd - avg b.q^(m)(0))/a^2, avg being the startup power's
+    average over the step in prop1 mode (zero in direct mode)."""
+
     def __init__(self, sys: SystemSpec, mode: str) -> None:
         if mode not in ("prop1", "direct"):
             raise FracDomainError(f"mode must be 'prop1' or 'direct', got {mode}")
@@ -234,14 +239,15 @@ class _LinearRHS(RHS):
         self.a2 = float(np.dot(self.a, self.a))
         self._a_unit = self.a / self.a2  # a/|a|^2
         self.proj = np.eye(sys.n) - np.outer(self.a, self.a) / self.a2
-        self._neg_proj = -self.proj
         _check_initial_residual(sys)
         self.qm0 = _derive_qm0(sys)
         # exponent of the shift power t^(m-alpha-1)
         self._shift_pow = c.order.m - self.alpha
         self._shift_gamma = math.gamma(self._shift_pow + 1.0)
-        self._shift_amp = -np.dot(self.b, self.qm0) / self._shift_gamma * self._a_unit
-        self._has_qm0 = bool(np.any(self.qm0))
+        bqm0 = float(np.dot(self.b, self.qm0))
+        self._shift_amp = -bqm0 / self._shift_gamma * self._a_unit
+        # b.q^(m)(0) of the multiplier's averaged startup term
+        self._bqm0 = bqm0 if mode == "prop1" else 0.0
         self._has_shift = bool(np.any(self._shift_amp))
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
@@ -256,17 +262,17 @@ class _LinearRHS(RHS):
             else:
                 d1d = (dq_now - hist.aux_view[-2]) / hist.h
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
-        d1d_rep = d1d
-        if self.mode == "prop1" and self._has_qm0:
+        # ndarray.dot skips the dispatch of np.dot and of the @ ufunc
+        num = float(self.a.dot(grad)) - float(self.b.dot(d1d))
+        lam = num
+        if self._bqm0:
             # report the step-effective multiplier: the singular startup term
             # is averaged over [t, t+h], matching the exact velocity increment
             p = self._shift_pow
             avg = ((t + hist.h) ** p - t**p) / (hist.h * self._shift_gamma)
-            d1d_rep = d1d + avg * self.qm0
-        self.last_multiplier = float(
-            (np.dot(self.a, grad) - np.dot(self.b, d1d_rep)) / self.a2
-        )
-        return self._neg_proj @ grad - self._a_unit * np.dot(self.b, d1d)
+            lam -= avg * self._bqm0
+        self.last_multiplier = lam / self.a2
+        return self._a_unit * num - grad
 
     def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
         if self.mode != "prop1" or not self._has_shift:
@@ -276,7 +282,7 @@ class _LinearRHS(RHS):
 
     def residual_last(self, hist) -> float:
         dq = hist.caputo_q(self.alpha)
-        return float(np.dot(self.a, hist.last_qdot) + np.dot(self.b, dq))
+        return float(self.a.dot(hist.last_qdot) + self.b.dot(dq))
 
 
 class _GeneralRHS(RHS):

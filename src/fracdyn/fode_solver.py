@@ -4,7 +4,8 @@ The right-hand sides built in ``constrained_dynamics`` need the Caputo
 derivative of the trajectory-so-far at every step; ``History`` keeps the
 accumulated samples and answers those queries with the L1 scheme (and the
 product-trapezoidal fractional integral).  It keeps q and qdot side by side
-and their differences incrementally, and builds each L1 weight table once
+(the steppers write each new state row there in place), extends their
+differences by one panel per step, and builds each L1 weight table once
 per run with the scheme's constant folded in, so one gemv answers the
 queries on both series at a count.  Its results are those of
 ``l1_caputo_last`` and ``fractional_integral_last`` on the same prefix
@@ -23,7 +24,9 @@ and the steppers add it to the velocity update directly.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +46,8 @@ __all__ = [
     "integrate_fractional_abm",
     "convergence_study",
 ]
+
+_log = logging.getLogger(__name__)
 
 _SCHEMES = ("semi-implicit-euler", "velocity-verlet")
 # a state entry past this magnitude ends a run with DivergenceError
@@ -85,7 +90,8 @@ class SimulationResult:
 class History:
     """All the memory of one run, with causal fractional queries on it.
 
-    The q and qdot samples sit side by side in one (nodes, 2n) state array;
+    The q and qdot samples sit side by side in one (nodes, 2n) state array,
+    which the steppers write in place (``append`` copies a state in);
     besides them the history holds one n-vector per node that the
     right-hand side supplies through ``store`` (a fractional integrand,
     say), and records whether any stored vector was nonzero.
@@ -131,9 +137,15 @@ class History:
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
         """Add the state at the next node; returns its (q, qdot) row."""
+        self._q[self.count] = q
+        self._qd[self.count] = qdot
+        return self.advance()
+
+    def advance(self) -> np.ndarray:
+        """Count the state row at the next node, written there in place
+        (the steppers write into ``_q`` and ``_qd``); returns that row.
+        A counted row must not change again."""
         row = self._state[self.count]
-        row[: self.n] = q
-        row[self.n :] = qdot
         self.count += 1
         return row
 
@@ -262,8 +274,10 @@ class History:
         ``ahead``).
 
         Second differences are divided by h^2 and panel 0 repeats panel 1,
-        as in ``frac_ops``.  Entries that touch only nodes before the newest
-        are final and kept; the rest are recomputed."""
+        as in ``frac_ops``.  Entries that touch only counted rows are final
+        and kept, except that ``store`` may still rewrite the newest aux
+        row; the rest (and an ``ahead`` entry) are recomputed.  So a state
+        query a count after the last one computes the newest panel alone."""
         entry = self._diffs.get((name, order))
         if entry is None:
             entry = self._diffs[(name, order)] = [np.zeros((arr.shape[1], self._size)), 0]
@@ -284,7 +298,7 @@ class History:
                 buf[:, 0] = buf[:, 1]
         else:
             buf[:, 0] = 0.0
-        entry[1] = max(self.count - 2, 0)
+        entry[1] = max(self.count - 1 - (arr is not self._state), 0)
         return buf[:, :panels]
 
 
@@ -297,7 +311,8 @@ class RHS:
     each step it adds ``singular_velocity_increment(t0, t1)`` to the
     velocity.  That is None at every step or at none: the stepper asks once,
     over the first step, and skips the call for the run when it is None.
-    Whatever a run must remember goes into ``hist``.
+    Whatever a run must remember goes into ``hist``.  The q and qdot
+    passed in may be rows of the history itself, and must not be changed.
     """
 
     last_multiplier: float = float("nan")
@@ -321,8 +336,10 @@ def _diverged(row: np.ndarray, partial: SimulationResult) -> DivergenceError:
 
 
 def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
+    # copies, as in a full result: the result owns contiguous arrays
     return SimulationResult(
-        grid, q[:upto], qd[:upto], lam[:upto], res[:upto], {"truncated_at": upto}
+        grid, q[:upto].copy(), qd[:upto].copy(), lam[:upto], res[:upto],
+        {"truncated_at": upto},
     )
 
 
@@ -346,18 +363,21 @@ def integrate_hamilton(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResul
 def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResult:
     """The stepper loop shared by all explicit schemes; ``qd`` holds p for
     the Hamilton form."""
+    start = time.perf_counter()
     grid = cfg.grid()
     h = grid.h
     nn = grid.n_nodes
-    n = len(np.asarray(init[0], dtype=float))
-    q = np.zeros((nn, n))
-    qd = np.zeros((nn, n))
+    q0 = np.asarray(init[0], dtype=float)
+    n = len(q0)
+    hist = History(grid, n)
+    # the run's state is the history's: a step writes row i + 1 in place,
+    # then counts it
+    q, qd = hist._q, hist._qd
+    q[0] = q0
+    qd[0] = np.asarray(init[1], dtype=float)
+    hist.advance()
     lam = np.full(nn, np.nan)
     res = np.full(nn, np.nan)
-    q[0] = np.asarray(init[0], dtype=float)
-    qd[0] = np.asarray(init[1], dtype=float)
-    hist = History(grid, n)
-    hist.append(q[0], qd[0])
     t = grid.nodes().tolist()  # Python floats: cheaper in scalar arithmetic
     thr = _DIVERGENCE_THRESHOLD
     singular = (
@@ -370,43 +390,49 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
         lam[i] = rhs.last_multiplier
         res[i] = rhs.residual_last(hist)
 
-    def add_singular_increment(i: int) -> None:
+    def add_singular_increment(i: int, qd_next: np.ndarray) -> None:
         if singular:
             inc = incs[i] = rhs.singular_velocity_increment(t[i], t[i + 1])
-            qd[i + 1] += inc
+            qd_next += inc
 
     def accept(i: int) -> None:
-        row = hist.append(q[i + 1], qd[i + 1])
+        row = hist.advance()
         # one reduction over q and qdot; NaN fails it.  The ufunc's own
         # reduce skips the Python wrapper of ndarray.max
         if not np.maximum.reduce(np.abs(row)) <= thr:
             raise _diverged(row, _partial(grid, q, qd, lam, res, i + 1))
 
+    # the rows of nodes i and i + 1, carried from step to step
+    q_i, qd_i = q[0], qd[0]
     if scheme == "velocity-verlet":
-        acc = rhs(t[0], q[0], qd[0], hist)
+        half_h, half_h2 = 0.5 * h, 0.5 * h * h
+        acc = rhs(t[0], q_i, qd_i, hist)
         record(0)
         for i in range(nn - 1):
-            q[i + 1] = q[i] + h * qd[i] + 0.5 * h * h * acc
+            q_n, qd_n = q[i + 1], qd[i + 1]
+            np.add(q_i + h * qd_i, half_h2 * acc, out=q_n)
             # history still ends at node i: one-step-lagged fractional terms
-            acc_new = rhs(t[i + 1], q[i + 1], qd[i] + h * acc, hist)
-            qd[i + 1] = qd[i] + 0.5 * h * (acc + acc_new)
-            add_singular_increment(i)
+            acc_new = rhs(t[i + 1], q_n, qd_i + h * acc, hist)
+            np.add(qd_i, half_h * (acc + acc_new), out=qd_n)
+            add_singular_increment(i, qd_n)
             accept(i)
             record(i + 1)
-            acc = acc_new
+            acc, q_i, qd_i = acc_new, q_n, qd_n
     else:
         for i in range(nn - 1):
-            out = rhs(t[i], q[i], qd[i], hist)
+            q_n, qd_n = q[i + 1], qd[i + 1]
+            out = rhs(t[i], q_i, qd_i, hist)
             record(i)
             if scheme == "hamilton-euler":
-                q[i + 1] = q[i] + h * out[0]
-                qd[i + 1] = qd[i] + h * out[1]
+                np.add(q_i, h * out[0], out=q_n)
+                np.add(qd_i, h * out[1], out=qd_n)
             else:
-                qd[i + 1] = qd[i] + h * out
-                add_singular_increment(i)
-                q[i + 1] = q[i] + h * qd[i + 1]
+                np.add(qd_i, h * out, out=qd_n)
+                add_singular_increment(i, qd_n)
+                np.add(q_i, h * qd_n, out=q_n)
             accept(i)
-        rhs(t[-1], q[-1], qd[-1], hist)
+            q_i, qd_i = q_n, qd_n
+        rhs(t[-1], q_i, qd_i, hist)
         record(nn - 1)
 
     diags = {"scheme": scheme, "h": h}
@@ -414,7 +440,12 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
     if scheme != "hamilton-euler":
         diags["max_singular_increment"] = float(np.abs(incs).max())
     residual = None if np.all(np.isnan(res)) else res
-    return SimulationResult(grid, q, qd, lam, residual, diags)
+    _log.debug(
+        "%s: %d steps, %d history terms, %.3f s",
+        scheme, nn - 1, hist.terms, time.perf_counter() - start,
+    )
+    # copies, so that the result does not keep the history's buffers alive
+    return SimulationResult(grid, q.copy(), qd.copy(), lam, residual, diags)
 
 
 def integrate_fractional_abm(

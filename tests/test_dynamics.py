@@ -110,6 +110,38 @@ class TestProjector:
         assert np.max(np.abs(rr.proj - rr.proj.T)) < 1e-12
 
 
+class TestLinearRHS:
+    @pytest.mark.parametrize("mode", ["prop1", "direct"])
+    @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
+    def test_gradient_once_per_call(self, mode, scheme, monkeypatch):
+        """The potential gradient is taken once per right-hand-side call and
+        never by the residual."""
+        events = []
+        sys = SystemSpec(
+            grad_potential=lambda q: events.append("grad") or q,
+            constraint=ConstraintSpec.linear([1.0, 2.0], [0.5, -0.3], FracOrder(0.5)),
+            q_init=[1.0, 0.5],
+            qdot_init=[2.0, -1.0],
+        )
+        rr = rhs_linear(sys, mode=mode)
+        cls = type(rr)
+
+        def logged(name):
+            fn = getattr(cls, name)
+
+            def wrapped(self, *args):
+                events.append(name)
+                return fn(self, *args)
+            return wrapped
+
+        monkeypatch.setattr(cls, "__call__", logged("__call__"))
+        monkeypatch.setattr(cls, "residual_last", logged("residual_last"))
+        cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+        res = integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
+        assert res.grid.n_nodes == 201
+        assert events == ["__call__", "grad", "residual_last"] * 201
+
+
 class TestLambda:
     def test_hand_evaluation_velocity_constraint(self):
         # f = qdot_1, u = q_1: lambda = 1 and the reaction cancels the force

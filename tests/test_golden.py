@@ -11,6 +11,7 @@ that numpy ships (the same bytes with one or two BLAS threads), the
 oracle's convolution from ``numpy.fft``, and no other library enters the
 runs.  Another stack may round differently, and then the values must be
 recorded again on that stack from a commit whose output is trusted.
+``golden_delta.py`` measures how far each case moved from that commit.
 """
 
 import hashlib
@@ -107,19 +108,19 @@ SCENARIOS = {
 
 GOLDEN = {
     "oscillator-1d": "252a060b9dd01d786193b0eb9fe09200bac4d269b87b4a76103306fd2258252d",
-    "linear-nd": "cbd7cee750836bfb0c8cfb01524f97f296baa003b070e6662360bfefca30ca1e",
-    "linear-nd-verlet": "eb798b6c40e1df41e39a9b5368e24b45b0bcde00a3ec203b8d7e651b259e237c",
+    "linear-nd": "156899d7a59409a97ba7918971e33f46ebf4ca126df7147b8eeb7f68076a1273",
+    "linear-nd-verlet": "aaedb3a9e10ca023c51780c1909d3a7a5ad54b08d8c69ee3d5b27d0bacbb9928",
     "case1-2d": "69fedabb7567efbe33ab276d1279dc2208930e473e68e506de38280f5c0e3836",
     "case1-2d-b2zero": "7d586e2c52c2806d61755b272544fec1503dbf8fe4d7a1d1844b8553f6ff06d9",
     "case2-2d": "c64452ce7499be44ae88d788be611e243bd83206c35ca37de022cf716fc5463c",
     "nonlinear-fracosc": "babfff5ecec65054f96ba1085d68e299f9490d9e50dabfa2dec845bbfa4eeed1",
     "nonlinear-fracosc-pre": "702d4ebb228ab6d31495b0e3a30bda24e68cff75ce0c5d8ca7bac263897075f0",
     "hamilton-linear": "6e6b2d9e7f72b5d1b7f36a9a6d79916fb21cd347043ec7949f96d8270e381d0a",
-    "direct-semi-implicit-euler": "06b77527038a7eea0f9593606dbc1ea4477b6a6618579e370274f5472cf0ab49",
+    "direct-semi-implicit-euler": "8d871629f55cbdbd6bbe9f0aa2b6566661d30f7c37a5e8ef833b7037938fc9ca",
     "direct-velocity-verlet": "56d38c7b1d0d4d6b19f6e5bed7dc21fcfbbb290d8376984bf96de5d1780c8afa",
     "hamilton-dA_dD": "2dc8e593cd018d42c5af0e21a82c901acd0eb8c9529282580c298e8539dc0c82",
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
-    "linear-nd-a15-verlet": "a77d299c68fac956cdb5c4c5b39f8436a870a105319f5cd9e32bb0eebeab6258",
+    "linear-nd-a15-verlet": "ebd4b5ccaa1aa4df4dd882118013bb471be1065c8ff76263e76e3ce95992d38d",
     "general": "fa2c24cb4abc50d60937b37c89ce0c017f97463b557e76db15e31d31ce1f0691",
 }
 

@@ -1,5 +1,6 @@
 """Integrator properties: causality, exactness, divergence handling, ladders."""
 
+import logging
 import math
 from collections import Counter
 
@@ -16,6 +17,7 @@ from fracdyn.fode_solver import (
     IntegratorConfig,
     convergence_study,
     integrate_fractional_abm,
+    integrate_hamilton,
     integrate_second_order,
 )
 from fracdyn.frac_ops import (
@@ -221,8 +223,11 @@ class TestSecondOrder:
 
         with pytest.raises(DivergenceError) as exc:
             integrate_second_order(Bad(), ([0.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0))
-        assert exc.value.partial is not None
-        assert exc.value.partial.q.shape[0] >= 1
+        # qdot_1 = 1e14 breaks the bound, so only node 0 is kept
+        partial = exc.value.partial
+        assert partial.diagnostics == {"truncated_at": 1}
+        assert partial.q.tolist() == [[0.0]] and partial.qdot.tolist() == [[0.0]]
+        assert "exceeded" in str(exc.value)
 
     def test_nan_detected(self):
         class NaN(RHS):
@@ -280,6 +285,95 @@ class TestSecondOrder:
                 IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme),
             )
             assert res.diagnostics["history_terms"] == sum(tally.values()) > 0
+
+
+class Coast(RHS):
+    """A constant acceleration ``force`` (0: motion at constant velocity)."""
+
+    def __init__(self, force=0.0):
+        self.force = force
+
+    def __call__(self, t, q, qd, hist):
+        return np.full(len(q), self.force)
+
+
+class HamiltonCoast(Coast):
+    """qdot = p and pdot = ``force``: explicit Euler in the Hamilton form
+    moves as semi-implicit Euler does at zero force."""
+
+    def __call__(self, t, q, p, hist):
+        return p, np.full(len(q), self.force)
+
+
+DIVERGENCE_SCHEMES = ["semi-implicit-euler", "velocity-verlet", "hamilton"]
+
+
+def coast(scheme, q0, v0, t_end, force=0.0):
+    """A run at h = 1/2 from (q0, v0).  At zero force every scheme gives
+    q_k = q0 + k v0 / 2 and qdot_k = v0, exactly for the values below."""
+    if scheme == "hamilton":
+        cfg = IntegratorConfig(h=0.5, t_end=t_end)
+        return integrate_hamilton(HamiltonCoast(force), (q0, v0), cfg)
+    cfg = IntegratorConfig(h=0.5, t_end=t_end, scheme=scheme)
+    return integrate_second_order(Coast(force), (q0, v0), cfg)
+
+
+class TestDivergence:
+    """A run stops at the first node with a state entry past 1e12 in
+    magnitude, or non-finite, and carries the nodes before it.  The bound
+    is on each entry: all of them at 0.9e12 is within it."""
+
+    @pytest.mark.parametrize("scheme", DIVERGENCE_SCHEMES)
+    def test_all_entries_at_0_9e12_pass(self, scheme):
+        res = coast(scheme, [4.5e11, 4.5e11], [9e11, 9e11], t_end=0.5)
+        assert res.q[-1].tolist() == [9e11, 9e11]
+        assert res.qdot[-1].tolist() == [9e11, 9e11]
+
+    @pytest.mark.parametrize("scheme", DIVERGENCE_SCHEMES)
+    def test_partial_ends_at_first_node_past_bound(self, scheme):
+        # node 1 has all four entries at 0.9e12, node 2 has q = 1.35e12
+        with pytest.raises(DivergenceError, match="exceeded") as exc:
+            coast(scheme, [4.5e11, 4.5e11], [9e11, 9e11], t_end=2.0)
+        partial = exc.value.partial
+        assert partial.diagnostics["truncated_at"] == 2
+        prefix = coast(scheme, [4.5e11, 4.5e11], [9e11, 9e11], t_end=0.5)
+        assert np.array_equal(partial.q, prefix.q)
+        assert np.array_equal(partial.qdot, prefix.qdot)
+        assert np.array_equal(partial.multiplier, prefix.multiplier, equal_nan=True)
+
+    @pytest.mark.parametrize("scheme", DIVERGENCE_SCHEMES)
+    def test_one_entry_past_bound_raises(self, scheme):
+        # q_1 goes 0.999999e12, 1e12 (on the bound: kept), 1.000001e12
+        with pytest.raises(DivergenceError, match="exceeded") as exc:
+            coast(scheme, [0.999999e12, 1.0], [2e6, 0.0], t_end=2.0)
+        partial = exc.value.partial
+        assert partial.diagnostics["truncated_at"] == 2
+        assert partial.q[:, 0].tolist() == [0.999999e12, 1e12]
+
+    @pytest.mark.parametrize("scheme", DIVERGENCE_SCHEMES)
+    @pytest.mark.parametrize("force", [np.nan, np.inf])
+    def test_non_finite_state(self, scheme, force):
+        with pytest.raises(DivergenceError, match="non-finite") as exc:
+            coast(scheme, [1.0, 2.0], [0.0, 0.0], t_end=2.0, force=force)
+        partial = exc.value.partial
+        assert partial.diagnostics["truncated_at"] == 1
+        assert partial.q.tolist() == [[1.0, 2.0]]
+
+
+class TestLogging:
+    def test_one_debug_record_per_run(self, caplog):
+        assert any(
+            isinstance(hd, logging.NullHandler) for hd in logging.getLogger("fracdyn").handlers
+        )
+        with caplog.at_level(logging.DEBUG, logger="fracdyn"):
+            res = integrate_second_order(
+                OscRHS(), ([1.0], [0.0]), IntegratorConfig(h=0.01, t_end=1.0)
+            )
+        (rec,) = caplog.records
+        assert rec.name.startswith("fracdyn") and rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        assert msg.startswith("semi-implicit-euler: 100 steps, ")
+        assert f"{res.diagnostics['history_terms']} history terms" in msg
 
 
 class TestFractionalABM:
