@@ -4,7 +4,6 @@ import logging
 
 from .constrained_dynamics import (
     ConstraintSpec,
-    HamiltonSpec,
     SystemSpec,
     hamilton_rhs,
     lambda_general,
@@ -62,7 +61,6 @@ __all__ = [
     "decomposed_solution",
     "ConstraintSpec",
     "SystemSpec",
-    "HamiltonSpec",
     "lambda_general",
     "rhs_linear",
     "rhs_general",

@@ -32,7 +32,6 @@ import numpy as np
 
 from .constrained_dynamics import (
     ConstraintSpec,
-    HamiltonSpec,
     SystemSpec,
     hamilton_rhs,
     rhs_linear,
@@ -43,6 +42,7 @@ from .errors import (
     ConfigError,
     ConstraintViolationError,
     DivergenceError,
+    SingularConstraintError,
 )
 from .fode_solver import (
     _SCHEMES,
@@ -64,6 +64,9 @@ SCENARIOS = (
     "nonlinear-fracosc",
     "hamilton-linear",
 )
+
+# most steps a grid may have: a run allocates its state rows up front
+_MAX_STEPS = 2**31
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -133,6 +136,8 @@ class ScenarioConfig:
             raise ConfigError("grid.t_end", "must be positive")
         if h > t_end:
             raise ConfigError("grid.h", "must not exceed grid.t_end")
+        if not t_end / h <= _MAX_STEPS:
+            raise ConfigError("grid.h", f"gives more than {_MAX_STEPS} steps")
         scheme = raw.get("scheme", "semi-implicit-euler")
         if scheme not in _SCHEMES:
             raise ConfigError("scheme", f"unknown scheme {scheme!r}")
@@ -232,23 +237,29 @@ class RunPlan:
 
 def _frac_order(cfg: ScenarioConfig, key: str = "alpha", lo=0.0, hi=2.0) -> FracOrder:
     alpha = _param(cfg, key)
-    if not lo < alpha < hi or alpha == int(alpha):
+    if not lo < alpha < hi or FracOrder(alpha).is_integer:
         raise ConfigError(
             f"parameters.{key}", f"must be non-integer in ({lo}, {hi}), got {alpha}"
         )
     return FracOrder(alpha)
 
 
-def _linear_plan(cfg: ScenarioConfig, a, b, order: FracOrder) -> RunPlan:
-    n = len(a)
+def _constraint(a, b, order: FracOrder, key: str) -> ConstraintSpec:
+    """The linear constraint a.qdot + b.D^alpha q; ``key`` names a."""
+    try:
+        return ConstraintSpec.linear(a, b, order)
+    except SingularConstraintError as exc:
+        raise ConfigError(key, "must be a nonzero vector whose |a|^2 does not underflow") from exc
+
+
+def _system(cfg: ScenarioConfig, constraint: ConstraintSpec) -> SystemSpec:
+    n = len(constraint.a)
     grad = _grad_potential(cfg, n)
-    q0, qd0 = _init_vectors(cfg, n)
-    sys = SystemSpec(
-        grad_potential=grad,
-        constraint=ConstraintSpec.linear(a, b, order),
-        q_init=q0,
-        qdot_init=qd0,
-    )
+    return SystemSpec(grad, constraint, *_init_vectors(cfg, n))
+
+
+def _linear_plan(cfg: ScenarioConfig, constraint: ConstraintSpec) -> RunPlan:
+    sys = _system(cfg, constraint)
     try:
         rr = rhs_linear(sys)
     except ConstraintViolationError as exc:
@@ -257,7 +268,17 @@ def _linear_plan(cfg: ScenarioConfig, a, b, order: FracOrder) -> RunPlan:
     def execute(icfg: IntegratorConfig) -> SimulationResult:
         return integrate_second_order(rr, (sys.q_init, sys.qdot_init), icfg)
 
-    return RunPlan(n=n, execute=execute)
+    return RunPlan(n=sys.n, execute=execute)
+
+
+def _oscillator(q0: float, v0: float, k: float, t: np.ndarray) -> np.ndarray:
+    """q(t) of q'' = -k q from (q0, v0), for every sign of k."""
+    w = math.sqrt(abs(k))
+    if k > 0.0:
+        return q0 * np.cos(w * t) + v0 / w * np.sin(w * t)
+    if k < 0.0:
+        return q0 * np.cosh(w * t) + v0 / w * np.sinh(w * t)
+    return q0 + v0 * t
 
 
 def build_plan(cfg: ScenarioConfig) -> RunPlan:
@@ -270,12 +291,13 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
         raise ConfigError("scheme", f"{what} accepts only 'semi-implicit-euler'")
     if sc == "oscillator-1d":
         alpha = _param(cfg, "alpha")
-        if not 2.0 < alpha < 3.0:
-            raise ConfigError("parameters.alpha", "oscillator-1d needs 2 < alpha < 3")
+        # the constraint's order is alpha - 1
+        if not 2.0 < alpha < 3.0 or FracOrder(alpha - 1.0).is_integer:
+            raise ConfigError("parameters.alpha", "oscillator-1d needs non-integer 2 < alpha < 3")
         omega2 = _param(cfg, "omega2", default=1.0)
         if omega2 <= 0.0:
             raise ConfigError("parameters.omega2", "must be positive")
-        plan = _linear_plan(cfg, [1.0], [omega2], FracOrder(alpha - 1.0))
+        plan = _linear_plan(cfg, ConstraintSpec.linear([1.0], [omega2], FracOrder(alpha - 1.0)))
         q0, qd0 = _init_vectors(cfg, 1)
         spec = OscillatorSpec.from_initial_data(
             alpha=alpha, omega2=omega2, q0=q0[0], qp0=qd0[0]
@@ -291,35 +313,24 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
         b = _param(cfg, "b", list)
         if len(a) != len(b) or not a:
             raise ConfigError("parameters.b", "a and b need equal nonzero length")
-        if not any(a):
-            raise ConfigError("parameters.a", "must be a nonzero vector")
-        return _linear_plan(cfg, a, b, _frac_order(cfg))
+        return _linear_plan(cfg, _constraint(a, b, _frac_order(cfg), "parameters.a"))
     if sc in ("case1-2d", "case1-2d-b2zero"):
         a2 = _param(cfg, "a2", default=1.0)
-        if a2 == 0.0:
-            raise ConfigError("parameters.a2", "must be nonzero")
         b1 = _param(cfg, "b1", default=1.0)
         b2 = 0.0 if sc == "case1-2d-b2zero" else _param(cfg, "b2", default=0.0)
-        plan = _linear_plan(cfg, [0.0, a2], [b1, b2], _frac_order(cfg))
+        order = _frac_order(cfg)
+        plan = _linear_plan(cfg, _constraint([0.0, a2], [b1, b2], order, "parameters.a2"))
         sel = cfg.parameters.get("potential", {})
         if sc == "case1-2d-b2zero" and sel.get("kind") == "quadratic-q1":
             # the q1 motion decouples and is classical
             k = _require(sel, "k", float, "parameters.potential", 1.0)
-            w = math.sqrt(k)
             q0, qd0 = _init_vectors(cfg, 2)
-
-            def oracle(grid):
-                t = grid.nodes()
-                return q0[0] * np.cos(w * t) + qd0[0] / w * np.sin(w * t)
-
-            plan.oracle = oracle
+            plan.oracle = lambda grid: _oscillator(q0[0], qd0[0], k, grid.nodes())
         return plan
     if sc == "case2-2d":
         c = _param(cfg, "c", default=1.0)
-        if c == 0.0:
-            raise ConfigError("parameters.c", "must be nonzero")
         b2 = _param(cfg, "b2", default=1.0)
-        return _linear_plan(cfg, [c, c], [0.0, b2], _frac_order(cfg))
+        return _linear_plan(cfg, _constraint([c, c], [0.0, b2], _frac_order(cfg), "parameters.c"))
     if sc == "nonlinear-fracosc":
         g = _param(cfg, "g")
         if g == 0.0:
@@ -337,31 +348,16 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
 
         return RunPlan(n=1, execute=execute)
     if sc == "hamilton-linear":
-        avec = np.array(_param(cfg, "A", list))
-        n = len(avec)
-        if n == 0 or not np.any(avec):
-            raise ConfigError("parameters.A", "must be a nonzero vector")
+        avec = _param(cfg, "A", list)
         order = _frac_order(cfg)
-        q0, p0 = _init_vectors(cfg, n)
-        # A is constant, so both of its derivatives are this one matrix
-        zeros = np.zeros((n, n))
-        zeros.flags.writeable = False
-        spec = HamiltonSpec(
-            grad_potential=_grad_potential(cfg, n),
-            A=lambda q, d: avec,
-            dA_dq=lambda q, d: zeros,
-            dA_dD=lambda q, d: zeros,
-            order=order,
-            q_init=q0,
-            p_init=p0,
-        )
-
-        rr = hamilton_rhs(spec)
+        # f = A.qdot: A is constant, and the system's qdot_init is p(0)
+        sys = _system(cfg, _constraint(avec, np.zeros(len(avec)), order, "parameters.A"))
+        rr = hamilton_rhs(sys)
 
         def execute(icfg):
-            return integrate_hamilton(rr, (q0, p0), icfg)
+            return integrate_hamilton(rr, (sys.q_init, sys.qdot_init), icfg)
 
-        return RunPlan(n=n, execute=execute)
+        return RunPlan(n=sys.n, execute=execute)
     raise ConfigError("scenario", f"unknown id {sc!r}")
 
 
@@ -508,8 +504,9 @@ def _parse_ladder(text: str, t_end: float, nest: bool):
             h = float(num) / float(den or 1)
         except (ValueError, ZeroDivisionError):
             h = math.nan
-        if not 0.0 < h <= t_end:
-            raise ConfigError("ladder", f"rung {part!r} is not a step in (0, grid.t_end]")
+        if not (0.0 < h <= t_end and t_end / h <= _MAX_STEPS):
+            msg = f"is not a step in (0, grid.t_end] of at most {_MAX_STEPS} steps"
+            raise ConfigError("ladder", f"rung {part!r} {msg}")
         out.append(h)
     if len(out) < 3:
         raise ConfigError("ladder", "ladder must have at least 3 rungs")

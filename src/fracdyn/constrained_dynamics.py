@@ -41,7 +41,6 @@ from .series import FracOrder, SampleSeries
 __all__ = [
     "ConstraintSpec",
     "SystemSpec",
-    "HamiltonSpec",
     "lambda_general",
     "rhs_general",
     "rhs_linear",
@@ -101,20 +100,10 @@ class ConstraintSpec:
         return float(self.f(q, qdot, dq))
 
 
-def _set_initial_pair(spec, second: str) -> None:
-    """Store ``q_init`` and the initial vector named ``second`` as floats;
-    both must be 1-d and of one length."""
-    q = np.asarray(spec.q_init, dtype=float)
-    v = np.asarray(getattr(spec, second), dtype=float)
-    if q.ndim != 1 or v.shape != q.shape:
-        raise FracDomainError(f"q_init and {second} must be 1-d vectors of equal length")
-    object.__setattr__(spec, "q_init", q)
-    object.__setattr__(spec, second, v)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
-    """Potential gradient, constraint and initial state."""
+    """Potential gradient, constraint and initial state.  In the Hamilton
+    form ``qdot_init`` holds the initial momentum p(0)."""
 
     grad_potential: Callable[[np.ndarray], np.ndarray]
     constraint: Optional[ConstraintSpec]
@@ -122,34 +111,12 @@ class SystemSpec:
     qdot_init: np.ndarray
 
     def __post_init__(self) -> None:
-        _set_initial_pair(self, "qdot_init")
-
-    @property
-    def n(self) -> int:
-        return len(self.q_init)
-
-
-@dataclass(frozen=True)
-class HamiltonSpec:
-    """Hamilton-form data: constraint written as f = sum_k A_k(q, D^a q) qdot_k.
-
-    ``dA_dq`` and ``dA_dD`` return matrices with [l, k] = dA_l/dq_k and
-    dA_l/d(D^alpha q_k).
-    """
-
-    grad_potential: Callable[[np.ndarray], np.ndarray]
-    A: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dA_dq: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dA_dD: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    order: FracOrder
-    q_init: np.ndarray
-    p_init: np.ndarray
-
-    def __post_init__(self) -> None:
-        _set_initial_pair(self, "p_init")
-        a0 = np.asarray(self.A(self.q_init, np.zeros(self.n)), dtype=float)
-        if not np.dot(a0, a0) > 0.0:
-            raise SingularConstraintError("A vanishes at the initial state")
+        q = np.asarray(self.q_init, dtype=float)
+        v = np.asarray(self.qdot_init, dtype=float)
+        if q.ndim != 1 or v.shape != q.shape:
+            raise FracDomainError("q_init and qdot_init must be 1-d vectors of equal length")
+        object.__setattr__(self, "q_init", q)
+        object.__setattr__(self, "qdot_init", v)
 
     @property
     def n(self) -> int:
@@ -231,6 +198,7 @@ class _LinearRHS(RHS):
         c = sys.constraint
         if c is None or c.a is None:
             raise FracDomainError("rhs_linear needs a linear constraint")
+        c.order.require_fractional()
         self.sys = sys
         self.mode = mode
         self.a = c.a
@@ -238,7 +206,6 @@ class _LinearRHS(RHS):
         self.alpha = c.order.alpha
         self.a2 = float(np.dot(self.a, self.a))
         self._a_unit = self.a / self.a2  # a/|a|^2
-        self.proj = np.eye(sys.n) - np.outer(self.a, self.a) / self.a2
         _check_initial_residual(sys)
         self.qm0 = _derive_qm0(sys)
         # exponent of the shift power t^(m-alpha-1)
@@ -290,12 +257,14 @@ class _GeneralRHS(RHS):
         c = sys.constraint
         if c is None:
             raise FracDomainError("rhs_general needs a constraint")
+        c.order.require_fractional()
         self.sys = sys
         self.alpha = c.order.alpha
         _check_initial_residual(sys)
         # q^(m)(0) of the startup term; for m = 2 it is taken as zero
         self.qm0 = sys.qdot_init.copy() if c.order.m == 1 else np.zeros(sys.n)
-        self._shift_pow = c.order.m - self.alpha - 1.0
+        self._avg_pow = c.order.m - self.alpha
+        self._avg_gamma = math.gamma(self._avg_pow + 1.0)
         self._has_qm0 = bool(np.any(self.qm0))
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
@@ -304,8 +273,8 @@ class _GeneralRHS(RHS):
         if self._has_qm0:
             # the startup power t^(m-alpha-1) is not summable pointwise near
             # t = 0; use its exact average over the step [t, t+h] instead
-            p = self._shift_pow + 1.0
-            avg = ((t + hist.h) ** p - t**p) / (hist.h * math.gamma(p + 1.0))
+            p = self._avg_pow
+            avg = ((t + hist.h) ** p - t**p) / (hist.h * self._avg_gamma)
             d1d = d1d + avg * self.qm0
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
         lam, g = _multiplier(self.sys.constraint, q, qdot, dq, d1d, grad)
@@ -441,17 +410,34 @@ def rhs_nonlinear_frac_oscillator(
 # Hamilton form
 
 class _HamiltonRHS(RHS):
-    """Callable (t, q, p, history) -> (qdot, pdot).  The fractional
-    integrand mu * sum_l dA_l/d(D^a q_k) qdot_l is kept in the history."""
+    """Callable (t, q, p, history) -> (qdot, pdot).  df_dqdot = A does not
+    depend on qdot, so it is called with p; the fractional integrand
+    mu * df_ddq is kept in the history."""
 
-    def __init__(self, spec: HamiltonSpec) -> None:
-        self.spec = spec
+    def __init__(self, sys: SystemSpec) -> None:
+        c = sys.constraint
+        if c is None:
+            raise FracDomainError("hamilton_rhs needs a constraint")
+        c.order.require_fractional()
+        self.sys = sys
+        self.alpha = c.order.alpha
         self.last_residual = float("nan")
+        q0, p0 = sys.q_init, sys.qdot_init
+        zeros = np.zeros(sys.n)
+        a0 = np.asarray(c.df_dqdot(q0, p0, zeros), dtype=float)
+        if not np.dot(a0, a0) > 0.0:
+            raise SingularConstraintError("A vanishes at the initial state")
+        # spot checks of the form at q0: no term free of qdot, and f = A.p
+        # (equal values pass also when A.p overflows)
+        free = max(abs(c.value(q0, zeros, e)) for e in np.eye(sys.n))
+        f0, ap0 = c.value(q0, p0, zeros), float(np.dot(a0, p0))
+        if not free <= _INIT_TOL or not (f0 == ap0 or abs(f0 - ap0) <= _INIT_TOL):
+            raise FracDomainError("hamilton_rhs needs a constraint f = A(q, D^alpha q).qdot")
 
     def __call__(self, t, q, p, hist):
-        spec = self.spec
-        dq = hist.caputo_q(spec.order.alpha)
-        a = np.asarray(spec.A(q, dq), dtype=float)
+        c = self.sys.constraint
+        dq = hist.caputo_q(self.alpha)
+        a = np.asarray(c.df_dqdot(q, p, dq), dtype=float)
         a2 = float(np.dot(a, a))
         if a2 <= _CHETAEV_TOL:
             raise SingularConstraintError("A^2 vanished along the trajectory")
@@ -460,22 +446,27 @@ class _HamiltonRHS(RHS):
         self.last_multiplier = mu
         self.last_residual = float(np.dot(a, qdot))
 
-        daq = np.asarray(spec.dA_dq(q, dq), dtype=float)
-        dad = np.asarray(spec.dA_dD(q, dq), dtype=float)
-        pdot = -np.asarray(spec.grad_potential(q), dtype=float) + mu * (daq.T @ qdot)
+        fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
+        pdot = -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
 
-        hist.store(mu * (dad.T @ qdot))
+        hist.store(mu * np.asarray(c.df_ddq(q, qdot, dq), dtype=float))
         if hist.count >= 2 and hist.aux_nonzero:
-            pdot += hist.caputo_aux(spec.order.alpha)
+            pdot += hist.caputo_aux(self.alpha)
         return qdot, pdot
 
     def residual_last(self, hist) -> float:
         return self.last_residual
 
 
-def hamilton_rhs(spec: HamiltonSpec):
-    """Hamilton-form equations with multiplier mu = A.p / A^2."""
-    return _HamiltonRHS(spec)
+def hamilton_rhs(sys: SystemSpec):
+    """Hamilton-form equations with multiplier mu = A.p / A^2.
+
+    The constraint must be f = A(q, D^alpha q).qdot: its ``df_dqdot`` is A,
+    and ``df_dq`` and ``df_ddq`` are (dA/dq)^T qdot and (dA/dD^alpha q)^T
+    qdot.  ``sys.qdot_init`` holds p(0).  Raises ``FracDomainError`` for a
+    constraint not of that form and ``SingularConstraintError`` when A
+    vanishes at the initial state."""
+    return _HamiltonRHS(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FracDomainError
+from .errors import AccuracyLossError, FracDomainError
 from .mittag_leffler import ml_decomp_f, ml_decomp_g, ml_grid
 from .series import Grid, SampleSeries
 
@@ -154,7 +154,8 @@ def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     """Solution trajectory on the grid, by Mittag-Leffler evaluation plus
     product-integration of the forcing convolution.  One ``ml_grid`` call
     gives the three kernels E_{b,1}, E_{b,2} and E_{b,b} at every node,
-    on contours shared by each band of nodes."""
+    on contours shared by each band of nodes.  A value that overflows, as
+    for a very large omega2, raises ``AccuracyLossError``."""
     _check_exact_domain(spec, grid)
     beta = spec.alpha - 1.0
     t = grid.nodes()
@@ -165,6 +166,8 @@ def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     if np.any(q_grid != 0.0):
         m0, m1 = _power_moments(t, beta, grid.h)
         q = q + _convolve_kernel(ebb, q_grid, m0, m1)
+    if not np.isfinite(q).all():
+        raise AccuracyLossError("the closed-form solution overflowed", achieved=math.inf)
     return SampleSeries(grid, q)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .constrained_dynamics import (
     ConstraintSpec,
     SystemSpec,
-    HamiltonSpec,
     hamilton_rhs,
     rhs_linear,
     rhs_nonlinear_frac_oscillator,
@@ -254,27 +253,18 @@ def suite_constraints() -> Iterator[CheckRow]:
         _row("unconstrained energy drift, T=10, h=1e-3", float(np.max(np.abs(energy - energy[0]))), 1e-6)
     )
 
-    # Hamilton form vs Lagrange form with constant A
-    A = np.array([1.0, 2.0])
-    hspec = HamiltonSpec(
-        grad_potential=lambda q: q,
-        A=lambda q, d: A,
-        dA_dq=lambda q, d: np.zeros((2, 2)),
-        dA_dD=lambda q, d: np.zeros((2, 2)),
-        order=FracOrder(0.5),
-        q_init=[1.0, 0.5],
-        p_init=[2.0, -1.0],
-    )
-    sysL = _quad_sys(A, [0.0, 0.0], [1.0, 0.5], [2.0, -1.0])
+    # Hamilton form vs Lagrange form with constant A, from one system: its
+    # qdot_init is p(0) in the Hamilton form
+    sysA = _quad_sys([1.0, 2.0], [0.0, 0.0], [1.0, 0.5], [2.0, -1.0])
 
     def run_h(h):
         return integrate_hamilton(
-            hamilton_rhs(hspec), (hspec.q_init, hspec.p_init), IntegratorConfig(h=h, t_end=5.0)
+            hamilton_rhs(sysA), (sysA.q_init, sysA.qdot_init), IntegratorConfig(h=h, t_end=5.0)
         )
 
     def run_l(h):
         return integrate_second_order(
-            rhs_linear(sysL), (sysL.q_init, sysL.qdot_init), IntegratorConfig(h=h, t_end=5.0)
+            rhs_linear(sysA), (sysA.q_init, sysA.qdot_init), IntegratorConfig(h=h, t_end=5.0)
         )
 
     h1, h2 = run_h(1e-3), run_h(5e-4)

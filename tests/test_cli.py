@@ -1,12 +1,14 @@
 """CLI contract: exit codes, artifact schema, determinism, config round-trip."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracdyn
@@ -254,6 +256,31 @@ class TestInputFaults:
     def test_step_longer_than_horizon(self, tmp_path, capsys, data, extra):
         self.rejected(tmp_path, capsys, data, "grid.h", *extra)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"h": 0.02, "t_end": 1e308},  # the step count overflows
+            {"h": 1e-13, "t_end": 1.0},  # too large to allocate
+            {"h": 1e-300, "t_end": 1.0},  # beyond numpy's largest dimension
+        ],
+    )
+    def test_too_many_steps(self, tmp_path, capsys, grid):
+        self.rejected(tmp_path, capsys, dict(OSC, grid=grid), "grid.h")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            with_param(LINEAR, "alpha", 1.0000000000001),
+            with_param(LINEAR, "alpha", 1e-300),
+            with_param(CASE1, "alpha", 1.0000000000001),
+            with_param(CASE2, "alpha", 1.0000000000001),
+            # the constraint of oscillator-1d has order alpha - 1
+            with_param(OSC, "alpha", 2.0000000000001),
+        ],
+    )
+    def test_near_integer_order(self, tmp_path, capsys, data):
+        self.rejected(tmp_path, capsys, data, "parameters.alpha")
+
     @pytest.mark.parametrize("prefix", ["../x", "sub/x", "absolute", "a\0b", ""])
     def test_prefix_not_one_component(self, tmp_path, capsys, prefix):
         work = tmp_path / "work"
@@ -295,6 +322,12 @@ class TestInputFaults:
         [
             (with_param(LINEAR, "a", [0.0, 0.0]), "parameters.a"),
             (with_param(CASE1, "a2", 0.0), "parameters.a2"),
+            (with_param(HAMILTON, "A", [0.0, 0.0]), "parameters.A"),
+            # nonzero, but |a|^2 underflows
+            (with_param(LINEAR, "a", [1e-300, 0.0]), "parameters.a"),
+            (with_param(CASE1, "a2", 1e-300), "parameters.a2"),
+            (with_param(CASE2, "c", 1e-300), "parameters.c"),
+            (with_param(HAMILTON, "A", [1e-300, 0.0]), "parameters.A"),
         ],
     )
     def test_vanishing_constraint_vector(self, tmp_path, capsys, data, key):
@@ -312,6 +345,8 @@ class TestInputFaults:
             "2,1,0.5",  # every rung exceeds t_end
             "0.1,0.1,0.05",  # a repeated rung: log(h_prev/h) = 0
             "0.1,0.1000001,0.05",  # two rungs on one 5-step grid
+            # a rung that nests, with more steps than a run can allocate
+            "0.125,0.0625," + repr(2.0**-990),
         ],
     )
     def test_bad_ladder(self, tmp_path, capsys, ladder):
@@ -377,3 +412,29 @@ class TestSummaryScheme:
         assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         summary = json.loads((tmp_path / "s_summary.json").read_text())
         assert summary["scheme"] == summary["diagnostics"]["scheme"] == ran
+
+
+class TestOracles:
+    @pytest.mark.parametrize("k", [1.0, 0.0, -1.0])
+    def test_b2zero_oracle_for_every_sign_of_k(self, tmp_path, k):
+        """q1 decouples as q1'' = -k q1 from q1(0) = 1, q1'(0) = 1."""
+        data = {
+            "scenario": "case1-2d-b2zero",
+            "grid": {"h": 0.05, "t_end": 1.0},
+            "parameters": {"alpha": 0.5, "potential": {"kind": "quadratic-q1", "k": k}},
+            "initial": {"q": [1.0, 0.0], "qdot": [1.0, 0.0]},
+            "output": {"prefix": "z"},
+        }
+        cfg = write_cfg(tmp_path, data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        comp = np.loadtxt(tmp_path / "z_comparison.csv", delimiter=",", skiprows=1)
+        t, exact = comp[:, 0], comp[:, 2]
+        closed = {1.0: np.cos(t) + np.sin(t), 0.0: 1.0 + t, -1.0: np.cosh(t) + np.sinh(t)}[k]
+        assert np.max(np.abs(exact - closed)) < 1e-14
+        summary = json.loads((tmp_path / "z_summary.json").read_text())
+        assert math.isfinite(summary["max_abs_error_vs_exact"])
+
+    def test_oscillator_oracle_overflow_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, with_param(OSC, "omega2", 1e308))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+        assert "overflowed" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 from fracdyn.constrained_dynamics import (
     ConstraintSpec,
-    HamiltonSpec,
     SystemSpec,
     chetaev_projected,
     hamilton_rhs,
@@ -20,6 +19,7 @@ from fracdyn.constrained_dynamics import (
 from fracdyn.errors import (
     ConstraintViolationError,
     FracDomainError,
+    IntegerOrderError,
     SingularConstraintError,
 )
 from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_second_order
@@ -70,19 +70,6 @@ class TestSpecs:
                 qdot_init=qd0,
             )
 
-    def test_hamilton_lengths_checked(self):
-        # a one-entry p_init would otherwise broadcast over both coordinates
-        with pytest.raises(FracDomainError):
-            HamiltonSpec(
-                grad_potential=lambda q: np.zeros(2),
-                A=lambda q, d: np.array([1.0, 2.0]),
-                dA_dq=lambda q, d: np.zeros((2, 2)),
-                dA_dD=lambda q, d: np.zeros((2, 2)),
-                order=FracOrder(0.5),
-                q_init=[1, 0],
-                p_init=[1.0],
-            )
-
     def test_rhs_linear_needs_constant_vectors(self):
         c = ConstraintSpec(
             FracOrder(0.5),
@@ -100,14 +87,14 @@ class TestSpecs:
         assert rhs_general(sys).qm0[1] == 1.0
 
 
-class TestProjector:
-    def test_annihilates_gradient_and_is_idempotent(self):
-        sys = quad_sys([1.0, 2.0, -1.0], [0.0, 0.1, 0.2], [0, 0, 0], [2, 0, 2])
-        rr = rhs_linear(sys)
-        a = sys.constraint.a
-        assert np.max(np.abs(rr.proj @ a)) < 1e-12
-        assert np.max(np.abs(rr.proj @ rr.proj - rr.proj)) < 1e-12
-        assert np.max(np.abs(rr.proj - rr.proj.T)) < 1e-12
+@pytest.mark.parametrize("alpha", [1.0, 1.0 + 1e-13, 1e-300])
+@pytest.mark.parametrize("build", [rhs_linear, rhs_general, hamilton_rhs])
+def test_integer_order_rejected_when_built(build, alpha):
+    """An order within 1e-12 of an integer has m - alpha <= 0, which the
+    startup power t^(m-alpha) cannot take: refuse it before any step."""
+    sys = quad_sys([1.0, 2.0], [0.0, 0.0], [1.0, 0.5], [2.0, -1.0], alpha=alpha)
+    with pytest.raises(IntegerOrderError):
+        build(sys)
 
 
 class TestLinearRHS:
@@ -304,20 +291,34 @@ class TestNonlinearOscillator:
         assert np.max(np.abs(res.q[:, 0] - ref.y[0])) < 0.02
 
 
+def hamilton_sys(A, q0, p0, df_ddq=None):
+    """A system whose constraint is f = A(q, D^alpha q).qdot; ``df_ddq``
+    defaults to zero and p0 is the initial momentum."""
+    n = len(q0)
+    return SystemSpec(
+        grad_potential=lambda q: q,
+        constraint=ConstraintSpec(
+            FracOrder(0.5),
+            f=lambda q, qd, dl: float(np.dot(A(q, dl), qd)),
+            df_dq=lambda q, qd, dl: np.zeros(n),
+            df_dqdot=lambda q, qd, dl: A(q, dl),
+            df_ddq=df_ddq or (lambda q, qd, dl: np.zeros(n)),
+        ),
+        q_init=q0,
+        qdot_init=p0,
+    )
+
+
 class TestHamilton:
     def test_multiplier_and_velocity(self):
-        A = np.array([1.0, 2.0])
-        spec = HamiltonSpec(
+        sys = SystemSpec(
             grad_potential=lambda q: np.zeros(2),
-            A=lambda q, d: A,
-            dA_dq=lambda q, d: np.zeros((2, 2)),
-            dA_dD=lambda q, d: np.zeros((2, 2)),
-            order=FracOrder(0.5),
+            constraint=ConstraintSpec.linear([1.0, 2.0], [0.0, 0.0], FracOrder(0.5)),
             q_init=[0.0, 0.0],
-            p_init=[1.0, 1.0],
+            qdot_init=[1.0, 1.0],
         )
         res = integrate_hamilton(
-            hamilton_rhs(spec), (spec.q_init, spec.p_init), IntegratorConfig(h=0.01, t_end=0.5)
+            hamilton_rhs(sys), (sys.q_init, sys.qdot_init), IntegratorConfig(h=0.01, t_end=0.5)
         )
         # mu = A.p/A^2 = 3/5; A.qdot = 0 along the whole run
         assert res.multiplier[0] == pytest.approx(0.6)
@@ -325,15 +326,28 @@ class TestHamilton:
 
     def test_vanishing_A_rejected(self):
         with pytest.raises(SingularConstraintError):
-            HamiltonSpec(
-                grad_potential=lambda q: np.zeros(1),
-                A=lambda q, d: np.zeros(1),
-                dA_dq=lambda q, d: np.zeros((1, 1)),
-                dA_dD=lambda q, d: np.zeros((1, 1)),
-                order=FracOrder(0.5),
-                q_init=[0.0],
-                p_init=[1.0],
-            )
+            hamilton_rhs(hamilton_sys(lambda q, d: np.zeros(1), [0.0], [1.0]))
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            # a D^alpha q term free of qdot
+            ConstraintSpec.linear([1.0, 2.0], [0.5, 0.0], FracOrder(0.5)),
+            # f = A.qdot + 1: df_dqdot is A, but f(q0, p0, 0) is not A.p0
+            ConstraintSpec(
+                FracOrder(0.5),
+                f=lambda q, qd, dl: float(qd[0] + 2.0 * qd[1] + 1.0),
+                df_dq=lambda q, qd, dl: np.zeros(2),
+                df_dqdot=lambda q, qd, dl: np.array([1.0, 2.0]),
+                df_ddq=lambda q, qd, dl: np.zeros(2),
+            ),
+        ],
+        ids=["b-nonzero", "offset"],
+    )
+    def test_constraint_not_A_qdot_rejected(self, constraint):
+        sys = SystemSpec(lambda q: q, constraint, q_init=[1.0, 0.0], qdot_init=[0.0, 1.0])
+        with pytest.raises(FracDomainError):
+            hamilton_rhs(sys)
 
 
 class TestVariationalResidual:
@@ -381,17 +395,15 @@ class TestReuse:
     object run twice gives the same arrays both times."""
 
     def _hamilton(self):
-        spec = HamiltonSpec(
-            grad_potential=lambda q: q,
-            A=lambda q, d: np.array([1.0 + 0.3 * d[0], 0.5 - 0.2 * d[1]]),
-            dA_dq=lambda q, d: np.zeros((2, 2)),
-            dA_dD=lambda q, d: np.array([[0.3, 0.0], [0.0, -0.2]]),
-            order=FracOrder(0.5),
-            q_init=[1.0, 0.0],
-            p_init=[0.0, 1.0],
+        dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
+        sys = hamilton_sys(
+            lambda q, d: np.array([1.0 + 0.3 * d[0], 0.5 - 0.2 * d[1]]),
+            [1.0, 0.0],
+            [0.0, 1.0],
+            df_ddq=lambda q, qd, d: dA_dD.T @ qd,
         )
-        rr = hamilton_rhs(spec)
-        return lambda cfg: integrate_hamilton(rr, (spec.q_init, spec.p_init), cfg)
+        rr = hamilton_rhs(sys)
+        return lambda cfg: integrate_hamilton(rr, (sys.q_init, sys.qdot_init), cfg)
 
     def _direct(self):
         sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])

@@ -23,7 +23,6 @@ import pytest
 from fracdyn.cli import main
 from fracdyn.constrained_dynamics import (
     ConstraintSpec,
-    HamiltonSpec,
     SystemSpec,
     hamilton_rhs,
     rhs_general,
@@ -154,16 +153,26 @@ def direct_system() -> SystemSpec:
     )
 
 
-def hamilton_spec() -> HamiltonSpec:
-    """A depends on q and on D^alpha q, so the fractional integrand is live."""
-    return HamiltonSpec(
+def hamilton_system() -> SystemSpec:
+    """A constraint f = A(q, D^alpha q).qdot whose A depends on q and on
+    D^alpha q, so the fractional integrand is live; qdot_init is p(0)."""
+    dA_dq = np.array([[0.0, 0.1], [0.0, 0.0]])
+    dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
+
+    def A(q, dl):
+        return np.array([1.0 + 0.3 * dl[0] + 0.1 * q[1], 0.5 - 0.2 * dl[1]])
+
+    return SystemSpec(
         grad_potential=lambda q: q,
-        A=lambda q, d: np.array([1.0 + 0.3 * d[0] + 0.1 * q[1], 0.5 - 0.2 * d[1]]),
-        dA_dq=lambda q, d: np.array([[0.0, 0.1], [0.0, 0.0]]),
-        dA_dD=lambda q, d: np.array([[0.3, 0.0], [0.0, -0.2]]),
-        order=FracOrder(0.5),
+        constraint=ConstraintSpec(
+            FracOrder(0.5),
+            f=lambda q, qd, dl: float(A(q, dl) @ qd),
+            df_dq=lambda q, qd, dl: dA_dq.T @ qd,
+            df_dqdot=lambda q, qd, dl: A(q, dl),
+            df_ddq=lambda q, qd, dl: dA_dD.T @ qd,
+        ),
         q_init=[1.0, 0.0],
-        p_init=[0.0, 1.0],
+        qdot_init=[0.0, 1.0],
     )
 
 
@@ -204,9 +213,9 @@ def _direct_result(scheme):
 
 
 def _run_hamilton(_tmp) -> bytes:
-    spec = hamilton_spec()
+    sys = hamilton_system()
     cfg = IntegratorConfig(h=0.005, t_end=1.0)
-    return _arrays(integrate_hamilton(hamilton_rhs(spec), (spec.q_init, spec.p_init), cfg))
+    return _arrays(integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg))
 
 
 CASES = {
