@@ -24,9 +24,7 @@ from .fode_solver import (
 )
 from .frac_ops import (
     caputo_left,
-    caputo_left_history,
     caputo_right,
-    commutation_defect,
     fractional_integral,
     l1_caputo_series,
     prop1_shift,
@@ -44,11 +42,9 @@ __all__ = [
     "fractional_integral",
     "caputo_left",
     "caputo_right",
-    "caputo_left_history",
     "l1_caputo_series",
     "riemann_liouville_left",
     "riemann_liouville_right",
-    "commutation_defect",
     "prop1_shift",
     "MLParams",
     "ml",

@@ -20,6 +20,7 @@ can be hashed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -175,9 +176,6 @@ class ScenarioConfig:
             "output": {"prefix": self.prefix},
         }
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScenarioConfig) and self.to_dict() == other.to_dict()
-
 
 def _param(cfg: ScenarioConfig, key: str, kind=float, default=None):
     return _require(cfg.parameters, key, kind, "parameters", default)
@@ -211,7 +209,16 @@ def _kfun(cfg: ScenarioConfig):
     if sel["kind"] == "linear":
         return lambda x: k * x
     if sel["kind"] == "cubic":
-        return lambda x: k * x**3
+
+        def cubic(x):
+            x = float(x)  # a Python float raises on overflow, numpy's warns
+            try:
+                return k * x**3
+            except OverflowError:
+                # past the float range: inf, which the stepper reports
+                return k * math.copysign(math.inf, x)
+
+        return cubic
     raise ConfigError("parameters.K.kind", f"unknown kind {sel['kind']!r}")
 
 
@@ -249,7 +256,7 @@ def _constraint(a, b, order: FracOrder, key: str) -> ConstraintSpec:
     try:
         return ConstraintSpec.linear(a, b, order)
     except SingularConstraintError as exc:
-        raise ConfigError(key, "must be a nonzero vector whose |a|^2 does not underflow") from exc
+        raise ConfigError(key, "must give a |a|^2 that neither underflows nor overflows") from exc
 
 
 def _system(cfg: ScenarioConfig, constraint: ConstraintSpec) -> SystemSpec:
@@ -548,7 +555,10 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``main`` may run many times in one
+    process, and building it costs more than rejecting a config."""
     parser = argparse.ArgumentParser(
         prog="fracdyn", description="fractional constrained-dynamics scenarios"
     )
@@ -577,8 +587,11 @@ def main(argv=None) -> int:
         default="1/256,1/512,1/1024",
         help="comma list of step sizes (fractions like 1/256 allowed)",
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.verb == "run":
             return cmd_run(args)

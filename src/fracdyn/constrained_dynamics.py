@@ -44,12 +44,9 @@ __all__ = [
     "lambda_general",
     "rhs_general",
     "rhs_linear",
-    "twodim_case2_transform",
-    "twodim_case2_inverse",
     "rhs_nonlinear_frac_oscillator",
     "hamilton_rhs",
     "variational_residual",
-    "chetaev_projected",
 ]
 
 _INIT_TOL = 1e-10
@@ -83,8 +80,12 @@ class ConstraintSpec:
         b = np.asarray(b, dtype=float)
         if a.shape != b.shape or a.ndim != 1:
             raise FracDomainError("a and b must be 1-d vectors of equal length")
-        if not np.dot(a, a) > 0.0:
-            raise SingularConstraintError("linear constraint needs a != 0")
+        # |a|^2 that underflows to 0 or overflows to inf leaves a/|a|^2 = 0,
+        # which would drop the constraint
+        with np.errstate(over="ignore"):
+            a2 = np.dot(a, a)
+        if not 0.0 < a2 < math.inf:
+            raise SingularConstraintError("linear constraint needs a finite nonzero |a|^2")
         zeros = np.zeros_like(a)
         return cls(
             order=order,
@@ -152,8 +153,8 @@ def _multiplier(c: ConstraintSpec, q, qdot, dq, d1d, grad):
     fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
     fd = np.asarray(c.df_ddq(q, qdot, dq), dtype=float)
     g2 = float(np.dot(g, g))
-    if g2 <= _CHETAEV_TOL:
-        raise SingularConstraintError("Chetaev gradient vanished")
+    if not _CHETAEV_TOL < g2 < math.inf:
+        raise SingularConstraintError("Chetaev gradient vanished or is not finite")
     num = np.dot(g, grad) - np.dot(fd, d1d) - np.dot(fq, qdot)
     return float(num / g2), g
 
@@ -303,26 +304,6 @@ def rhs_general(sys: SystemSpec):
 
 
 # ---------------------------------------------------------------------------
-# 2D case-2 coordinate transform
-
-def twodim_case2_transform(q1, q2, u: Callable):
-    """Rotated coordinates x = (q1+q2)/2, y = (q1-q2)/2 and the transformed
-    potential U(x, y) = u(x+y, x-y)."""
-    x = 0.5 * (np.asarray(q1, dtype=float) + np.asarray(q2, dtype=float))
-    y = 0.5 * (np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float))
-
-    def transformed(xv, yv):
-        return u(xv + yv, xv - yv)
-
-    return x, y, transformed
-
-
-def twodim_case2_inverse(x, y):
-    """Inverse of the case-2 transform."""
-    return x + y, x - y
-
-
-# ---------------------------------------------------------------------------
 # nonlinear fractional oscillator (case-2 reduction)
 
 class _NonlinearPreRHS(RHS):
@@ -439,8 +420,8 @@ class _HamiltonRHS(RHS):
         dq = hist.caputo_q(self.alpha)
         a = np.asarray(c.df_dqdot(q, p, dq), dtype=float)
         a2 = float(np.dot(a, a))
-        if a2 <= _CHETAEV_TOL:
-            raise SingularConstraintError("A^2 vanished along the trajectory")
+        if not _CHETAEV_TOL < a2 < math.inf:
+            raise SingularConstraintError("A^2 vanished or is not finite along the trajectory")
         mu = float(np.dot(a, p) / a2)
         qdot = p - mu * a
         self.last_multiplier = mu
@@ -519,15 +500,3 @@ def variational_residual(traj, mu: SampleSeries, sys: SystemSpec):
             res[:, k] += l1_caputo_series(arg, h, alpha)
     return [SampleSeries(grid, res[:, k]) for k in range(n)]
 
-
-def chetaev_projected(residuals, sys: SystemSpec) -> SampleSeries:
-    """Magnitude of the residual restricted to Chetaev-admissible directions
-    (components orthogonal to df/dqdot); constant-gradient constraints only
-    need the linear coefficients."""
-    grid = residuals[0].grid
-    r = np.column_stack([s.values for s in residuals])
-    c = sys.constraint
-    if c is not None and c.a is not None:
-        g = c.a / np.linalg.norm(c.a)
-        r = r - np.outer(r @ g, g)
-    return SampleSeries(grid, np.linalg.norm(r, axis=1))

@@ -22,23 +22,20 @@ import math
 import numpy as np
 
 from .errors import (
-    AccuracyLossError,
     FracDomainError,
     SingularPointError,
     UnsupportedOrderError,
 )
-from .series import FracOrder, Grid, SampleSeries
+from .series import FracOrder, SampleSeries
 
 __all__ = [
     "fractional_integral",
     "fractional_integral_values",
     "fractional_integral_last",
     "caputo_left",
-    "caputo_left_history",
     "caputo_right",
     "riemann_liouville_left",
     "riemann_liouville_right",
-    "commutation_defect",
     "prop1_shift",
     "l1_caputo_last",
     "l1_caputo_series",
@@ -181,14 +178,6 @@ def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return out
 
 
-def caputo_left_history(q_history: SampleSeries, order: FracOrder) -> float:
-    """Causal left Caputo derivative at the last node of a history prefix."""
-    order.require_fractional()
-    if len(q_history) < 2:
-        raise FracDomainError("history needs at least 2 samples")
-    return l1_caputo_last(q_history.values, q_history.grid.h, order.alpha)
-
-
 # ---------------------------------------------------------------------------
 # Riemann-Liouville derivatives
 
@@ -216,39 +205,7 @@ def riemann_liouville_right(f: SampleSeries, order: FracOrder) -> SampleSeries:
 
 
 # ---------------------------------------------------------------------------
-# commutation defect and the derivative-shift identity
-
-def commutation_defect(
-    f: SampleSeries, eps: float, f_at_a: float, verify: bool = True
-) -> SampleSeries:
-    """Defect D^1 J^eps f - J^eps D^1 f = f(a) t^(eps-1) / Gamma(eps).
-
-    Returns the analytic defect on the grid (NaN at the singular left end).
-    With ``verify`` the finite-difference realization of the left-hand side
-    is checked against it on interior nodes away from the singularity.
-    """
-    if not 0.0 < eps < 1.0:
-        raise FracDomainError(f"eps must be in (0, 1), got {eps}")
-    t = f.grid.nodes() - f.grid.t_start
-    defect = np.empty_like(t)
-    defect[0] = np.nan
-    defect[1:] = f_at_a * t[1:] ** (eps - 1.0) / math.gamma(eps)
-    if verify:
-        h = f.grid.h
-        lhs = np.gradient(fractional_integral_values(f.values, eps, h), h)
-        rhs = fractional_integral_values(np.gradient(f.values, h), eps, h)
-        numeric = lhs - rhs
-        mask = t >= max(10.0 * h, 0.02 * (f.grid.t_end - f.grid.t_start))
-        mask[0] = mask[-1] = False
-        err = np.max(np.abs(numeric[mask] - defect[mask])) if mask.any() else 0.0
-        tol = 0.05 * max(1.0, np.max(np.abs(defect[mask])) if mask.any() else 1.0)
-        tol += 50.0 * h
-        if err > tol:
-            raise AccuracyLossError(
-                f"commutation defect mismatch {err:.3e} > {tol:.3e}", achieved=err
-            )
-    return SampleSeries(f.grid, defect)
-
+# the derivative-shift identity
 
 def prop1_shift(order: FracOrder, f_m_at_a: float, t: float) -> float:
     """Correction term t^(m-alpha-1)/Gamma(m-alpha) * f^(m)(a).

@@ -165,7 +165,9 @@ def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     q_grid = np.asarray(forcing(spec, t), dtype=float)
     if np.any(q_grid != 0.0):
         m0, m1 = _power_moments(t, beta, grid.h)
-        q = q + _convolve_kernel(ebb, q_grid, m0, m1)
+        # an overflow shows as a non-finite q, which is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = q + _convolve_kernel(ebb, q_grid, m0, m1)
     if not np.isfinite(q).all():
         raise AccuracyLossError("the closed-form solution overflowed", achieved=math.inf)
     return SampleSeries(grid, q)

@@ -30,7 +30,13 @@ from .fode_solver import (
     integrate_hamilton,
     integrate_second_order,
 )
-from .frac_ops import caputo_left, l1_caputo_series
+from .frac_ops import (
+    caputo_left,
+    caputo_right,
+    l1_caputo_series,
+    prop1_shift,
+    riemann_liouville_right,
+)
 from .mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g
 from .oscillator_exact import OscillatorSpec, exact_solution
 from .series import FracOrder, Grid, SampleSeries
@@ -155,23 +161,55 @@ def suite_operators() -> Iterator[CheckRow]:
         )
         )
 
-    # derivative-shift identity for t^3 at both orders: d/dt D^a f vs D^(a+1) f
-    for alpha in (0.5, 1.5):
+    # right-sided operators on (1 - t)^p, the power rule mirrored:
+    # D_right^alpha (1 - t)^p = Gamma(p+1)/Gamma(p+1-alpha) (1 - t)^(p-alpha)
+    for name, alpha, p in (("Caputo", 0.5, 3.0), ("Riemann-Liouville", 0.5, 2.0),
+                           ("Riemann-Liouville", 1.5, 3.0)):
+        order = FracOrder(alpha)
+        errs = []
+        for h in hs:
+            g = Grid.from_step(0.0, 1.0, h)
+            s = 1.0 - g.nodes()
+            if name == "Caputo":
+                # samples of f^(m), m = 1
+                num = caputo_right(SampleSeries(g, -p * s ** (p - 1.0)), order).values
+            else:
+                num = riemann_liouville_right(SampleSeries(g, s**p), order).values
+            ref = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha) * s ** (p - alpha)
+            # the outer differences of Riemann-Liouville are one-sided at the ends
+            inner = (s > 0.05) & (s < 0.95)
+            errs.append(float(np.max(np.abs(num[inner] - ref[inner]))))
+        yield _row(
+            f"power rule order, right {name} alpha={alpha}", _ladder_order(errs), 1.8, larger_ok=True
+        )
+
+    # derivative-shift identity d/dt D^a f = D^(a+1) f + prop1_shift at both
+    # orders; t^3 has f^(m)(0) = 0, the other two carry the startup term
+    for label, alpha, f, fm0 in (
+        ("t^3", 0.5, lambda t: t**3, 0.0),
+        ("t^3", 1.5, lambda t: t**3, 0.0),
+        ("t+t^3", 0.5, lambda t: t + t**3, 1.0),
+        ("t^2+t^3", 1.5, lambda t: t**2 + t**3, 2.0),
+    ):
         resids = []
         for h in (1 / 512, 1 / 1024, 1 / 2048, 1 / 4096):
             g = Grid.from_step(0.0, 1.5, h)
             t = g.nodes()
-            da = l1_caputo_series(t**3, h, alpha)
+            da = l1_caputo_series(f(t), h, alpha)
             lhs = np.gradient(da, h)
-            rhs_v = l1_caputo_series(t**3, h, alpha + 1.0) if alpha < 1.0 else None
+            rhs_v = l1_caputo_series(f(t), h, alpha + 1.0) if alpha < 1.0 else None
             if rhs_v is None:
                 # alpha + 1 >= 2: use the exact power rule for the comparison
+                # (D^(alpha+1) of t and t^2 is zero)
                 rhs_v = math.gamma(4.0) / math.gamma(3.0 - alpha) * t ** (2.0 - alpha)
             k = round(1.0 / h)
-            resids.append(abs(float(lhs[k] - rhs_v[k])))
+            shift = prop1_shift(FracOrder(alpha), fm0, t[k])
+            resids.append(abs(float(lhs[k] - (rhs_v[k] + shift))))
         mono = all(resids[i + 1] < resids[i] for i in range(len(resids) - 1))
-        yield _row(f"shift identity t^3 alpha={alpha}, residual at t=1", resids[-1], 1e-2)
-        yield _row(f"shift identity alpha={alpha} refinement monotone", 0.0 if mono else 1.0, 0.5)
+        yield _row(f"shift identity {label} alpha={alpha}, residual at t=1", resids[-1], 1e-2)
+        # the t^3 rows keep their established names
+        tag = "" if label == "t^3" else f"{label} "
+        yield _row(f"shift identity {tag}alpha={alpha} refinement monotone", 0.0 if mono else 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,12 @@ def test_criterion_03_tail_split(suites):
 
 
 def test_criterion_04_operator_power_rule(suites):
-    _report(4, "discrete power-rule convergence orders",
+    _report(4, "discrete power-rule convergence orders, left and right-sided",
             _pick(suites["operators"], "power rule order"))
 
 
 def test_criterion_05_derivative_shift_identity(suites):
-    _report(5, "two-sided shift identity for t^3 at alpha 0.5 and 1.5",
+    _report(5, "shift identity with Proposition 1's startup term at alpha 0.5 and 1.5",
             _pick(suites["operators"], "shift identity"))
 
 

@@ -328,6 +328,11 @@ class TestInputFaults:
             (with_param(CASE1, "a2", 1e-300), "parameters.a2"),
             (with_param(CASE2, "c", 1e-300), "parameters.c"),
             (with_param(HAMILTON, "A", [1e-300, 0.0]), "parameters.A"),
+            # |a|^2 overflows, and a/|a|^2 vanishes
+            (with_param(LINEAR, "a", [1e308, 2.0]), "parameters.a"),
+            (with_param(CASE1, "a2", 1e160), "parameters.a2"),
+            (with_param(CASE2, "c", 1e160), "parameters.c"),
+            (with_param(HAMILTON, "A", [1e160, 0.5]), "parameters.A"),
         ],
     )
     def test_vanishing_constraint_vector(self, tmp_path, capsys, data, key):
@@ -434,7 +439,21 @@ class TestOracles:
         summary = json.loads((tmp_path / "z_summary.json").read_text())
         assert math.isfinite(summary["max_abs_error_vs_exact"])
 
+    # a numpy warning is an error here, so none may come before the error line
+    @pytest.mark.filterwarnings("error")
     def test_oscillator_oracle_overflow_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, with_param(OSC, "omega2", 1e308))
         assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
-        assert "overflowed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: the closed-form solution overflowed\n"
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", ["reduced", "pre"])
+    @pytest.mark.parametrize("q0", [1e308, -1e308])
+    def test_cubic_K_overflow_exits_2(self, tmp_path, capsys, form, q0):
+        # K(q0) = q0^3 is past the float range
+        data = dict(with_param(NONLINEAR, "form", form), initial={"q": [q0], "qdot": [0.0]})
+        cfg = write_cfg(tmp_path, data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: state became non-finite\n"

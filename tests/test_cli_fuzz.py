@@ -1,14 +1,11 @@
-"""One-key mutations of the README configs: every run ends in a known exit
-code, a rejected config leaves no file, and a finished run writes a summary
-that is strict JSON."""
+"""Every one-key mutation of the README configs: each run ends in a known
+exit code, a rejected config leaves no file, and a finished run writes a
+summary that is strict JSON."""
 
 import copy
 import json
 import tempfile
 from pathlib import Path
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracdyn.cli import main
 from test_golden import SCENARIOS
@@ -47,38 +44,50 @@ def _values(key, old):
     return out
 
 
-@st.composite
-def mutated(draw):
-    name = draw(st.sampled_from(sorted(CONFIGS)))
-    cfg = copy.deepcopy(CONFIGS[name])
-    path = draw(st.sampled_from(list(_paths(cfg))))
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    value = draw(st.sampled_from(_values(path[-1], parent[path[-1]])))
-    if value is MISSING:
-        parent.pop(path[-1])
-    else:
-        parent[path[-1]] = value
-    return cfg
+def _at(node, keys):
+    for key in keys:
+        node = node[key]
+    return node
+
+
+def _mutations():
+    """(label, config) for every value of every key of every config."""
+    for name in sorted(CONFIGS):
+        for *head, key in _paths(CONFIGS[name]):
+            for value in _values(key, _at(CONFIGS[name], head)[key]):
+                cfg = copy.deepcopy(CONFIGS[name])
+                parent = _at(cfg, head)
+                if value is MISSING:
+                    parent.pop(key)
+                else:
+                    parent[key] = value
+                shown = "missing" if value is MISSING else repr(value)
+                yield f"{name} {'/'.join(map(str, head + [key]))} = {shown}", cfg
 
 
 def _strict(const):
     raise ValueError(f"summary holds {const}, which is not JSON")
 
 
-@settings(max_examples=500, derandomize=True, deadline=None, database=None)
-@given(cfg=mutated())
-def test_one_key_mutation(cfg):
+def _check(cfg, cfg_path: Path, out: Path):
+    """Run ``cfg`` from ``cfg_path`` into ``out``, which does not exist."""
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert rc in (0, 1, 2, 3), f"exit {rc}"
+    if rc == 1:
+        assert not out.exists() or not any(out.iterdir()), "files on exit 1"
+    if rc == 0:
+        # the prefix may be the mutated key, and then it is "run"
+        (summary,) = out.glob("*_summary.json")
+        json.loads(summary.read_text(), parse_constant=_strict)
+
+
+def test_one_key_mutation():
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        out = Path(tmp) / "out"
-        rc = main(["run", "--config", str(path), "--out", str(out), "--quiet"])
-        assert rc in (0, 1, 2, 3)
-        if rc == 1:
-            assert not out.exists() or not any(out.iterdir())
-        if rc == 0:
-            # the prefix may be the mutated key, and then it is "run"
-            (summary,) = out.glob("*_summary.json")
-            json.loads(summary.read_text(), parse_constant=_strict)
+        for i, (label, cfg) in enumerate(_mutations()):
+            try:
+                _check(cfg, Path(tmp) / "cfg.json", Path(tmp) / f"out{i}")
+            except Exception as exc:  # a traceback from main is a failure too
+                failures.append(f"{label}: {exc!r}")
+    assert not failures, "\n".join(failures)

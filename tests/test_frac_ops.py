@@ -1,9 +1,12 @@
-"""Operator-level checks: quadrature power rules, reflection, shift identity."""
+"""Operator-level checks: quadrature power rules, reflection, shift identity,
+and exactness on polynomials over random grids."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma
 
@@ -13,11 +16,10 @@ from fracdyn.errors import (
     SingularPointError,
     UnsupportedOrderError,
 )
+from fracdyn.fode_solver import History
 from fracdyn.frac_ops import (
     caputo_left,
-    caputo_left_history,
     caputo_right,
-    commutation_defect,
     fractional_integral,
     fractional_integral_last,
     fractional_integral_values,
@@ -117,17 +119,10 @@ class TestL1Scheme:
                 series[-1], rel=1e-12
             )
 
-    def test_history_wrapper(self):
-        g = Grid(0.0, 1.0, 50)
-        s = SampleSeries(g, g.nodes() ** 2)
-        v = caputo_left_history(s, FracOrder(0.5))
-        assert v == pytest.approx(l1_caputo_series(s.values, g.h, 0.5)[-1])
-
     def test_order_two_and_above_rejected(self):
         g = Grid(0.0, 1.0, 50)
-        s = SampleSeries(g, g.nodes() ** 2)
         with pytest.raises(UnsupportedOrderError):
-            caputo_left_history(s, FracOrder(2.5))
+            l1_caputo_last(g.nodes() ** 2, g.h, 2.5)
 
 
 class TestRiemannLiouville:
@@ -161,22 +156,6 @@ class TestRiemannLiouville:
         assert min(orders) > 1.9
 
 
-class TestCommutationDefect:
-    def test_analytic_value_and_numerical_verify(self):
-        g = Grid(0.0, 2.0, 1024)
-        t = g.nodes()
-        f = SampleSeries(g, 1.0 + t**2)
-        out = commutation_defect(f, 0.5, f_at_a=1.0, verify=True)
-        ref = t[1:] ** (-0.5) / gamma(0.5)
-        assert np.allclose(out.values[1:], ref)
-
-    def test_zero_at_zero_initial_value(self):
-        g = Grid(0.0, 1.0, 256)
-        f = SampleSeries(g, g.nodes() ** 2)
-        out = commutation_defect(f, 0.3, f_at_a=0.0, verify=True)
-        assert np.all(out.values[1:] == 0.0)
-
-
 class TestProp1Shift:
     def test_value(self):
         # order 0.5, m = 1: shift = f'(0) t^(-0.5)/Gamma(0.5)
@@ -201,3 +180,89 @@ class TestProp1Shift:
         )
         k = round(1.0 / g.h)
         assert abs(lhs[k] - rhs[k]) < 1e-2
+
+
+EPS = np.finfo(float).eps
+
+
+def rounding_bound(c, p, panels, size, data):
+    """|c| sum_k (k+1)^p (4 (panels + 4) eps size + data), c being the
+    scheme's constant.  The L1 and trapezoid weights are differences of
+    powers up to (k+1)^p, so their rounding scales with those powers rather
+    than with the weights; ``size`` bounds the differences (or samples) the
+    weights multiply, and ``data`` how far rounding of the samples moves
+    each of them."""
+    pows = np.arange(1.0, panels + 2.0) ** p
+    return abs(c) * np.sum(pows) * (4.0 * (panels + 4) * EPS * size + data)
+
+
+def random_case(nodes, seed):
+    """A uniform grid on [0, T] with random T, three random coefficients,
+    and the bound sum_j |c_j| T^j on each term's magnitude."""
+    rng = np.random.default_rng(seed)
+    g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
+    c = rng.uniform(-10.0, 10.0, size=3)
+    return g, g.nodes(), c, float(np.sum(np.abs(c) * g.t_end ** np.arange(3)))
+
+
+def l1_exact_case(alpha, t, c, s):
+    """Samples L1 reproduces at ``alpha`` (affine q below order 1, quadratic
+    above), the exact D^alpha at every node, and the L1 constant, weight
+    power, difference size and sample rounding of ``rounding_bound``."""
+    h = t[1] - t[0]
+    if alpha < 1.0:
+        q = c[0] + c[1] * t
+        exact = c[1] * t ** (1.0 - alpha) / math.gamma(2.0 - alpha)
+        k = h ** (-alpha) / math.gamma(2.0 - alpha)
+        return q, exact, (k, 1.0 - alpha, abs(c[1]) * h, 4.0 * EPS * s)
+    q = c[0] + c[1] * t + c[2] * t**2
+    exact = 2.0 * c[2] * t ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    k = h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    return q, exact, (k, 2.0 - alpha, 2.0 * abs(c[2]), 16.0 * EPS * s / h**2)
+
+
+ORDERS = st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestPolynomialExactness:
+    """The piecewise-linear interpolants of L1 and of the product trapezoid
+    reproduce these polynomials, so only rounding separates the schemes
+    from the closed forms."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(nodes=st.integers(3, 48), alpha=ORDERS, seed=SEEDS)
+    def test_l1_series(self, nodes, alpha, seed):
+        g, t, c, s = random_case(nodes, seed)
+        q, exact, (k, p, size, data) = l1_exact_case(alpha, t, c, s)
+        got = l1_caputo_series(q, g.h, alpha)
+        for i in range(1, nodes):
+            assert abs(got[i] - exact[i]) <= rounding_bound(k, p, i, size, data)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(nodes=st.integers(3, 48), alpha=ORDERS, seed=SEEDS)
+    def test_history_caputo_q(self, nodes, alpha, seed):
+        # from three nodes on: the first panel's second difference needs them
+        g, t, c, s = random_case(nodes, seed)
+        q, exact, (k, p, size, data) = l1_exact_case(alpha, t, c, s)
+        hist = History(g, 1)
+        for i in range(nodes):
+            hist.append(q[i : i + 1], np.zeros(1))
+            if i >= 2:
+                got = hist.caputo_q(alpha)[0]
+                assert abs(got - exact[i]) <= rounding_bound(k, p, i, size, data)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(nodes=st.integers(2, 48), eps=st.floats(0.01, 1.0), seed=SEEDS)
+    def test_fractional_integral_affine(self, nodes, eps, seed):
+        g, t, c, s = random_case(nodes, seed)
+        f = c[0] + c[1] * t
+        exact = (
+            c[0] * t**eps / math.gamma(eps + 1.0)
+            + c[1] * t ** (eps + 1.0) / math.gamma(eps + 2.0)
+        )
+        got = fractional_integral_values(f, eps, g.h)
+        k = g.h**eps / math.gamma(eps + 2.0)
+        for i in range(1, nodes):
+            bound = rounding_bound(k, eps + 1.0, i, s, 4.0 * EPS * s)
+            assert abs(got[i] - exact[i]) <= bound
