@@ -15,8 +15,8 @@ The D^1 D^alpha terms are taken, by default, through the derivative-shift
 identity: D^1 D^alpha q = D^(alpha+1) q + t^(m-alpha-1)/Gamma(m-alpha)
 q^(m)(0), with D^(alpha+1) q evaluated as the causal L1 derivative of the
 velocity history.  The power-law correction is singular at t = 0; its
-exact per-step integral is handed to the solver separately instead of
-being sampled.  A direct path (backward difference of the D^alpha q
+exact integral over each step is handed to the solver, once per run,
+instead of being sampled.  A direct path (backward difference of the D^alpha q
 history) is kept for cross-checks.
 """
 
@@ -34,7 +34,7 @@ from .errors import (
     GridMismatchError,
     SingularConstraintError,
 )
-from .fode_solver import RHS
+from .fode_solver import RHS, _quiet
 from .frac_ops import l1_caputo_series
 from .series import FracOrder, SampleSeries
 
@@ -242,15 +242,18 @@ class _LinearRHS(RHS):
         self.last_multiplier = lam / self.a2
         return self._a_unit * num - grad
 
-    def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
+    def singular_increments(self, t: np.ndarray) -> Optional[np.ndarray]:
         if self.mode != "prop1" or not self._has_shift:
             return None
         p = self._shift_pow
-        return self._shift_amp * (t1**p - t0**p)
+        # Python's scalar pow, node by node: numpy's vector pow may round
+        # differently
+        tp = np.array([x**p for x in t.tolist()])
+        return np.diff(tp)[:, None] * self._shift_amp
 
-    def residual_last(self, hist) -> float:
-        dq = hist.caputo_q(self.alpha)
-        return float(self.a.dot(hist.last_qdot) + self.b.dot(dq))
+    def residual(self, hist, multiplier) -> np.ndarray:
+        dq = hist.caputo_q_series(self.alpha)
+        return hist.qdot_view @ self.a + dq @ self.b
 
 
 class _GeneralRHS(RHS):
@@ -282,9 +285,10 @@ class _GeneralRHS(RHS):
         self.last_multiplier = lam
         return -grad + g * lam
 
-    def residual_last(self, hist) -> float:
-        dq = hist.caputo_q(self.alpha)
-        return self.sys.constraint.value(hist.last_q, hist.last_qdot, dq)
+    def residual(self, hist, multiplier) -> np.ndarray:
+        dq = hist.caputo_q_series(self.alpha)
+        value = self.sys.constraint.value
+        return np.array([value(*row) for row in zip(hist.q_view, hist.qdot_view, dq)])
 
 
 def rhs_linear(sys: SystemSpec, mode: str = "prop1"):
@@ -295,12 +299,14 @@ def rhs_linear(sys: SystemSpec, mode: str = "prop1"):
     for cross-validation.  Initial data off the constraint raise
     ``ConstraintViolationError``.
     """
-    return _LinearRHS(sys, mode)
+    with _quiet():
+        return _LinearRHS(sys, mode)
 
 
 def rhs_general(sys: SystemSpec):
     """Multiplier-eliminated right-hand side for a general constraint."""
-    return _GeneralRHS(sys)
+    with _quiet():
+        return _GeneralRHS(sys)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,9 @@ def rhs_nonlinear_frac_oscillator(
 class _HamiltonRHS(RHS):
     """Callable (t, q, p, history) -> (qdot, pdot).  df_dqdot = A does not
     depend on qdot, so it is called with p; the fractional integrand
-    mu * df_ddq is kept in the history."""
+    mu * df_ddq is kept in the history.  A linear constraint has the
+    constant A = a and, with b = 0, no integrand, so its steps ask the
+    history nothing."""
 
     def __init__(self, sys: SystemSpec) -> None:
         c = sys.constraint
@@ -402,9 +410,12 @@ class _HamiltonRHS(RHS):
         c.order.require_fractional()
         self.sys = sys
         self.alpha = c.order.alpha
-        self.last_residual = float("nan")
         q0, p0 = sys.q_init, sys.qdot_init
         zeros = np.zeros(sys.n)
+        # a linear constraint's A is the constant a, which reads no D^alpha
+        # q, and its integrand mu * b is zero when b is
+        self._dq0 = None if c.a is None else zeros
+        self._integrand = c.a is None or bool(np.any(c.b))
         a0 = np.asarray(c.df_dqdot(q0, p0, zeros), dtype=float)
         if not np.dot(a0, a0) > 0.0:
             raise SingularConstraintError("A vanishes at the initial state")
@@ -417,7 +428,7 @@ class _HamiltonRHS(RHS):
 
     def __call__(self, t, q, p, hist):
         c = self.sys.constraint
-        dq = hist.caputo_q(self.alpha)
+        dq = self._dq0 if self._dq0 is not None else hist.caputo_q(self.alpha)
         a = np.asarray(c.df_dqdot(q, p, dq), dtype=float)
         a2 = float(np.dot(a, a))
         if not _CHETAEV_TOL < a2 < math.inf:
@@ -425,18 +436,27 @@ class _HamiltonRHS(RHS):
         mu = float(np.dot(a, p) / a2)
         qdot = p - mu * a
         self.last_multiplier = mu
-        self.last_residual = float(np.dot(a, qdot))
 
         fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
         pdot = -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
 
-        hist.store(mu * np.asarray(c.df_ddq(q, qdot, dq), dtype=float))
-        if hist.count >= 2 and hist.aux_nonzero:
-            pdot += hist.caputo_aux(self.alpha)
+        if self._integrand:
+            hist.store(mu * np.asarray(c.df_ddq(q, qdot, dq), dtype=float))
+            if hist.count >= 2 and hist.aux_nonzero:
+                pdot += hist.caputo_aux(self.alpha)
         return qdot, pdot
 
-    def residual_last(self, hist) -> float:
-        return self.last_residual
+    def residual(self, hist, multiplier) -> np.ndarray:
+        """A.qdot with qdot = p - mu A at every node, A from the run's
+        (q, p, D^alpha q)."""
+        c = self.sys.constraint
+        q, p = hist.q_view, hist.qdot_view
+        if self._dq0 is None:
+            dq = hist.caputo_q_series(self.alpha)
+            A = [np.asarray(c.df_dqdot(*row), dtype=float) for row in zip(q, p, dq)]
+        else:
+            A = [c.a] * hist.count
+        return np.array([float(np.dot(a, pi - mu * a)) for a, pi, mu in zip(A, p, multiplier)])
 
 
 def hamilton_rhs(sys: SystemSpec):
@@ -447,7 +467,8 @@ def hamilton_rhs(sys: SystemSpec):
     qdot.  ``sys.qdot_init`` holds p(0).  Raises ``FracDomainError`` for a
     constraint not of that form and ``SingularConstraintError`` when A
     vanishes at the initial state."""
-    return _HamiltonRHS(sys)
+    with _quiet():
+        return _HamiltonRHS(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,25 @@ accumulated samples and answers those queries with the L1 scheme (and the
 product-trapezoidal fractional integral).  It keeps q and qdot side by side
 (the steppers write each new state row there in place), extends their
 differences by one panel per step, and builds each L1 weight table once
-per run with the scheme's constant folded in, so one gemv answers the
-queries on both series at a count.  Its results are those of
-``l1_caputo_last`` and ``fractional_integral_last`` on the same prefix
-within the stated rounding bound, (panels + 4) eps sum|c w_k d_k|.  All
-schemes are explicit with the history term lagged at most one step, so the
-per-step cost grows linearly with the step index (O(N^2) per run).
+per run with the scheme's constant folded in, so a query is one gemv.
+Its results are those of ``l1_caputo_last`` and
+``fractional_integral_last`` on the same prefix within the stated rounding
+bound, (panels + 4) eps sum|c w_k d_k|.  All schemes are explicit with the
+history term lagged at most one step, so the per-step cost grows linearly
+with the step index (O(N^2) per run).
 
-Every right-hand side meets the ``RHS`` protocol.  A run's memory lives
-only in the ``History`` the stepper creates for that run, so one RHS object
-can serve any number of runs.
+Every right-hand side meets the ``RHS`` protocol.  A step does only the
+work the next state depends on: one right-hand-side call.  What the run
+reports but never steps on is computed once per run: the singular
+velocity increments before the first step, and the constraint residual
+at every node after the last one (D^alpha q at every node from one
+blocked product).  A run's memory lives only in the ``History`` the
+stepper creates for that run, so one RHS object can serve any number of
+runs.
 
 Singular power-law correction terms (the derivative-shift startup term)
-are not sampled; right-hand sides hand over their exact per-step integral
-and the steppers add it to the velocity update directly.
+are not sampled; right-hand sides hand over their exact per-step integrals
+and the steppers add them to the velocity updates directly.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, FracDomainError
 from .frac_ops import _l1_scheme, _l1_weights, _trapezoid_start, _trapezoid_weights
@@ -52,8 +58,10 @@ _log = logging.getLogger(__name__)
 _SCHEMES = ("semi-implicit-euler", "velocity-verlet")
 # a state entry past this magnitude ends a run with DivergenceError
 _DIVERGENCE_THRESHOLD = 1e12
-# the two state series of a History, as bits of a mask
-_Q, _QDOT = 1, 2
+# tile size of the post-run L1 product.  Of 64, 128 and 256 on one BLAS
+# thread (x86-64), it is within 16% of the fastest from 1k to 64k panels
+# and n = 1 to 3: at most 2 ms up to 5k panels, 0.45 s at 64k
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -103,17 +111,17 @@ class History:
     state (both series at once) and of the stored vectors are kept and
     extended as the run grows.  ``store`` may overwrite the newest aux row,
     so the difference that touches the newest node is always recomputed.
+    ``caputo_q_series`` answers D^alpha q at every counted node at once,
+    from those differences and table in one blocked product.
 
-    The first ``caputo_q`` or ``caputo_qdot`` query at a count sums, in the
-    same gemv, every state series asked at that order at the previous
-    count; the other series is then answered from that sum, and so is a
-    repeated query at one count.  Aux queries are never reused, as ``store``
-    may change the newest row.  L1 results are those of ``l1_caputo_last``
-    on the same prefix within (panels + 4) eps sum|c w_k d_k|, since the
-    sums run in another order with the constant c folded into the weights;
-    ``integral_aux`` keeps the arithmetic of ``fractional_integral_last``.
-    ``terms`` counts the products of each query answered, once per
-    (series, order, count).
+    L1 results are those of ``l1_caputo_last`` on the same prefix within
+    (panels + 4) eps sum|c w_k d_k|, since the sums run in another order
+    with the constant c folded into the weights; ``integral_aux`` keeps
+    the arithmetic of ``fractional_integral_last``.  ``terms`` counts the
+    products of the state sums a run asks for once per (series, order,
+    count), however often one is computed: a query repeated at one count,
+    or a node of ``caputo_q_series`` that a query already summed, adds
+    nothing.  Each ``ahead`` and aux query counts its products.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
@@ -130,24 +138,22 @@ class History:
         self._weights: dict = {}
         # (array name, difference order) -> [(columns, nodes) buffer, entries final]
         self._diffs: dict = {}
-        # state columns of the series masks: q, qdot and both
-        self._cols = {_Q: slice(0, n), _QDOT: slice(n, 2 * n), _Q | _QDOT: slice(0, 2 * n)}
-        # alpha -> [count, {series: result}, mask of the series answered at that count]
-        self._sums: dict = {}
+        # the state columns of q and of qdot
+        self._q_cols, self._qd_cols = slice(0, n), slice(n, 2 * n)
+        # ("q" or "qdot", alpha) -> [last count summed, panels summed so far]
+        self._summed: dict = {}
 
-    def append(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        """Add the state at the next node; returns its (q, qdot) row."""
+    def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
+        """Add the state at the next node."""
         self._q[self.count] = q
         self._qd[self.count] = qdot
-        return self.advance()
+        self.advance()
 
-    def advance(self) -> np.ndarray:
+    def advance(self) -> None:
         """Count the state row at the next node, written there in place
-        (the steppers write into ``_q`` and ``_qd``); returns that row.
-        A counted row must not change again."""
-        row = self._state[self.count]
+        (the steppers write into ``_q`` and ``_qd``).  A counted row must
+        not change again."""
         self.count += 1
-        return row
 
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
@@ -177,21 +183,44 @@ class History:
     def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node; with ``ahead``, at
         one node past it on the prefix extended by the value ``ahead``."""
+        cols = self._q_cols
         if ahead is None:
-            return self._state_caputo(_Q, alpha)
+            self._tally("q", alpha)
+            return self._caputo("state", self._state, alpha, cols)
         # qdot's entries past the newest node are recomputed by the next
         # query, so its newest value may stand in for the missing one
         row = self._state[self.count - 1].copy()
         row[: self.n] = ahead
         self.terms += self.count * self.n
-        return self._caputo("state", self._state, alpha, self._cols[_Q], row)
+        return self._caputo("state", self._state, alpha, cols, row)
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        return self._state_caputo(_QDOT, alpha)
+        self._tally("qdot", alpha)
+        return self._caputo("state", self._state, alpha, self._qd_cols)
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
         self.terms += max(self.count - 1, 0) * self.n
         return self._caputo("aux", self._aux, alpha, slice(0, self.n))
+
+    def caputo_q_series(self, alpha: float) -> np.ndarray:
+        """(count, n) L1 Caputo derivatives of q at every counted node,
+        each the one ``caputo_q`` gives at that count (within the rounding
+        bound), from one blocked product over the kept differences."""
+        out = np.zeros((self.count, self.n))
+        panels = self.count - 1
+        if panels < 1:
+            return out
+        order, w = self._l1_table(alpha)
+        d = self._differences("state", self._state, order, panels, None)[: self.n]
+        out[1:] = _causal_products(w[::-1], d)
+        if order == 2:
+            # one panel has no second difference yet: the sum is zero there
+            out[1] = 0.0
+        total = panels * (panels + 1) // 2
+        done = self._summed.get(("q", alpha), (0, 0))
+        self.terms += (total - done[1]) * self.n
+        self._summed[("q", alpha)] = [self.count, total]
+        return out
 
     def integral_aux(self, eps: float, ahead) -> np.ndarray:
         """Product-trapezoidal J^eps of the stored vectors, extended by the
@@ -213,30 +242,17 @@ class History:
             self.terms += (m - 1) * self.n
         return self.h**eps / math.gamma(eps + 2.0) * total
 
-    def _state_caputo(self, series: int, alpha: float) -> np.ndarray:
-        """D^alpha of the ``series`` (``_Q`` or ``_QDOT``) at the newest node.
-
-        The result is read-only, since the next query may return it."""
-        memo = self._sums.get(alpha)
-        if memo is None or memo[0] != self.count:
-            # this series and those answered at the previous count, at once
-            want = series | (memo[2] if memo is not None else 0)
-            memo = self._sums[alpha] = [self.count, self._sum_state(alpha, want), 0]
-        elif series not in memo[1]:
-            memo[1].update(self._sum_state(alpha, series))
-        if not memo[2] & series:
-            memo[2] |= series
-            self.terms += max(self.count - 1, 0) * self.n
-        return memo[1][series]
-
-    def _sum_state(self, alpha: float, want: int) -> dict:
-        """{series: L1 sum at the newest node} for the series in the mask
-        ``want``, from one gemv."""
-        out = self._caputo("state", self._state, alpha, self._cols[want])
-        out.flags.writeable = False
-        if want == _Q | _QDOT:
-            return {_Q: out[: self.n], _QDOT: out[self.n :]}
-        return {want: out}
+    def _tally(self, series: str, alpha: float) -> None:
+        """Count the products of a state sum at this count, unless this
+        (series, order, count) was counted already."""
+        done = self._summed.get((series, alpha))
+        if done is None:
+            done = self._summed[(series, alpha)] = [0, 0]
+        if done[0] != self.count:
+            panels = max(self.count - 1, 0)
+            done[0] = self.count
+            done[1] += panels
+            self.terms += panels * self.n
 
     def _l1_table(self, alpha: float):
         """(difference order, weights) of the L1 scheme at ``alpha``.
@@ -302,17 +318,51 @@ class History:
         return buf[:, :panels]
 
 
+def _causal_products(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(panels, columns) causal sums e[m] = sum_(j <= m) w[m - j] d[:, j]
+    of the (columns, panels) array ``d``: a lower-triangular Toeplitz
+    product, taken in _TILE x _TILE tiles.  The tiles on one diagonal are
+    all the same matrix, so each diagonal is one matrix product over every
+    block of d it meets.  A sum in this order is within the same rounding
+    bound as the per-count gemv."""
+    n, panels = d.shape
+    b = _TILE
+    nb = -(-panels // b)
+    # blocks[J, c] is column c of d over panels J*b ... J*b + b - 1
+    padded = np.zeros((n, nb * b))
+    padded[:, :panels] = d
+    blocks = padded.reshape(n, nb, b).transpose(1, 0, 2).reshape(nb * n, b)
+    # the tile of diagonal k, transposed, is T[s, r] = w[k*b + r - s] (0 for
+    # a negative index): rows of the sliding windows of the padded weights
+    v = np.zeros(b - 1 + nb * b)
+    v[b - 1 : b - 1 + panels] = w[:panels]
+    windows = sliding_window_view(v, b)
+    out = np.empty((nb, n, b))
+    for k in range(nb):
+        tile = windows[k * b : k * b + b][::-1]
+        prod = (blocks[: (nb - k) * n] @ tile).reshape(nb - k, n, b)
+        if k:
+            out[k:] += prod
+        else:
+            out[:] = prod
+    return out.transpose(0, 2, 1).reshape(nb * b, n)[:panels]
+
+
 class RHS:
     """The protocol the steppers consume.
 
     ``rhs(t, q, qdot, hist)`` returns the acceleration at node t (the
-    Hamilton form returns the pair (qdot, pdot) instead).  After each call
-    the stepper reads ``last_multiplier`` and ``residual_last(hist)``; after
-    each step it adds ``singular_velocity_increment(t0, t1)`` to the
-    velocity.  That is None at every step or at none: the stepper asks once,
-    over the first step, and skips the call for the run when it is None.
-    Whatever a run must remember goes into ``hist``.  The q and qdot
-    passed in may be rows of the history itself, and must not be changed.
+    Hamilton form returns the pair (qdot, pdot) instead).  That call is all
+    a step asks of the right-hand side; after it the stepper reads
+    ``last_multiplier``.  The rest is asked once per run.  Before the first
+    step, ``singular_increments(t)`` gives, for the grid nodes t, the
+    (steps, n) increments the stepper adds to the velocity update of each
+    step, or None.  After the last step, or when the run diverges,
+    ``residual(hist, multiplier)`` gives the constraint residual at every
+    node the history counts, from the history and the multipliers recorded
+    there, or None.  Whatever a run must remember goes into ``hist``.  The
+    q and qdot passed in may be rows of the history itself, and must not
+    be changed.
     """
 
     last_multiplier: float = float("nan")
@@ -320,10 +370,10 @@ class RHS:
     def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray, hist: History):
         raise NotImplementedError
 
-    def residual_last(self, hist: History) -> float:
-        return float("nan")
+    def singular_increments(self, t: np.ndarray) -> Optional[np.ndarray]:
+        return None
 
-    def singular_velocity_increment(self, t0: float, t1: float) -> Optional[np.ndarray]:
+    def residual(self, hist: History, multiplier: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
@@ -338,8 +388,8 @@ def _diverged(row: np.ndarray, partial: SimulationResult) -> DivergenceError:
 def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
     # copies, as in a full result: the result owns contiguous arrays
     return SimulationResult(
-        grid, q[:upto].copy(), qd[:upto].copy(), lam[:upto], res[:upto],
-        {"truncated_at": upto},
+        grid, q[:upto].copy(), qd[:upto].copy(), lam[:upto],
+        None if res is None else res[:upto], {"truncated_at": upto},
     )
 
 
@@ -360,9 +410,21 @@ def integrate_hamilton(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResul
     return _integrate(rhs, init, cfg, "hamilton-euler")
 
 
+def _quiet():
+    """numpy's error state for a run and for building a right-hand side:
+    overflow and NaN there end the run at the divergence check or fail a
+    check of the right-hand side, so numpy does not warn of them."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResult:
     """The stepper loop shared by all explicit schemes; ``qd`` holds p for
     the Hamilton form."""
+    with _quiet():
+        return _steps(rhs, init, cfg, scheme)
+
+
+def _steps(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResult:
     start = time.perf_counter()
     grid = cfg.grid()
     h = grid.h
@@ -371,75 +433,66 @@ def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> Simulation
     n = len(q0)
     hist = History(grid, n)
     # the run's state is the history's: a step writes row i + 1 in place,
-    # then counts it
-    q, qd = hist._q, hist._qd
+    # checks it, then counts it
+    state, q, qd = hist._state, hist._q, hist._qd
     q[0] = q0
     qd[0] = np.asarray(init[1], dtype=float)
     hist.advance()
     lam = np.full(nn, np.nan)
-    res = np.full(nn, np.nan)
-    t = grid.nodes().tolist()  # Python floats: cheaper in scalar arithmetic
+    t = grid.nodes()
+    incs = None if scheme == "hamilton-euler" else rhs.singular_increments(t)
+    t = t.tolist()  # Python floats: cheaper in scalar arithmetic
     thr = _DIVERGENCE_THRESHOLD
-    singular = (
-        scheme != "hamilton-euler"
-        and rhs.singular_velocity_increment(t[0], t[1]) is not None
-    )
-    incs = np.zeros((nn - 1, n))  # the singular increments, for their max
-
-    def record(i: int) -> None:
-        lam[i] = rhs.last_multiplier
-        res[i] = rhs.residual_last(hist)
-
-    def add_singular_increment(i: int, qd_next: np.ndarray) -> None:
-        if singular:
-            inc = incs[i] = rhs.singular_velocity_increment(t[i], t[i + 1])
-            qd_next += inc
 
     def accept(i: int) -> None:
-        row = hist.advance()
+        row = state[i + 1]
         # one reduction over q and qdot; NaN fails it.  The ufunc's own
         # reduce skips the Python wrapper of ndarray.max
         if not np.maximum.reduce(np.abs(row)) <= thr:
+            res = rhs.residual(hist, lam[: i + 1])
             raise _diverged(row, _partial(grid, q, qd, lam, res, i + 1))
+        hist.advance()
 
     # the rows of nodes i and i + 1, carried from step to step
     q_i, qd_i = q[0], qd[0]
     if scheme == "velocity-verlet":
         half_h, half_h2 = 0.5 * h, 0.5 * h * h
         acc = rhs(t[0], q_i, qd_i, hist)
-        record(0)
+        lam[0] = rhs.last_multiplier
         for i in range(nn - 1):
             q_n, qd_n = q[i + 1], qd[i + 1]
             np.add(q_i + h * qd_i, half_h2 * acc, out=q_n)
             # history still ends at node i: one-step-lagged fractional terms
             acc_new = rhs(t[i + 1], q_n, qd_i + h * acc, hist)
+            lam[i + 1] = rhs.last_multiplier
             np.add(qd_i, half_h * (acc + acc_new), out=qd_n)
-            add_singular_increment(i, qd_n)
+            if incs is not None:
+                qd_n += incs[i]
             accept(i)
-            record(i + 1)
             acc, q_i, qd_i = acc_new, q_n, qd_n
     else:
         for i in range(nn - 1):
             q_n, qd_n = q[i + 1], qd[i + 1]
             out = rhs(t[i], q_i, qd_i, hist)
-            record(i)
+            lam[i] = rhs.last_multiplier
             if scheme == "hamilton-euler":
                 np.add(q_i, h * out[0], out=q_n)
                 np.add(qd_i, h * out[1], out=qd_n)
             else:
                 np.add(qd_i, h * out, out=qd_n)
-                add_singular_increment(i, qd_n)
+                if incs is not None:
+                    qd_n += incs[i]
                 np.add(q_i, h * qd_n, out=q_n)
             accept(i)
             q_i, qd_i = q_n, qd_n
         rhs(t[-1], q_i, qd_i, hist)
-        record(nn - 1)
+        lam[-1] = rhs.last_multiplier
 
+    residual = rhs.residual(hist, lam)
     diags = {"scheme": scheme, "h": h}
     diags["history_terms"] = hist.terms
     if scheme != "hamilton-euler":
-        diags["max_singular_increment"] = float(np.abs(incs).max())
-    residual = None if np.all(np.isnan(res)) else res
+        diags["max_singular_increment"] = 0.0 if incs is None else float(np.abs(incs).max())
     _log.debug(
         "%s: %d steps, %d history terms, %.3f s",
         scheme, nn - 1, hist.terms, time.perf_counter() - start,

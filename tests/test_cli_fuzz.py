@@ -1,10 +1,11 @@
 """Every one-key mutation of the README configs: each run ends in a known
-exit code, a rejected config leaves no file, and a finished run writes a
-summary that is strict JSON."""
+exit code without a numpy RuntimeWarning, a rejected config leaves no
+file, and a finished run writes a summary that is strict JSON."""
 
 import copy
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 from fracdyn.cli import main
@@ -86,8 +87,13 @@ def test_one_key_mutation():
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, cfg) in enumerate(_mutations()):
-            try:
-                _check(cfg, Path(tmp) / "cfg.json", Path(tmp) / f"out{i}")
-            except Exception as exc:  # a traceback from main is a failure too
-                failures.append(f"{label}: {exc!r}")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    _check(cfg, Path(tmp) / "cfg.json", Path(tmp) / f"out{i}")
+                except Exception as exc:  # a traceback from main is a failure too
+                    failures.append(f"{label}: {exc!r}")
+            for w in caught:
+                if issubclass(w.category, RuntimeWarning):
+                    failures.append(f"{label}: {w.filename}:{w.lineno}: {w.message}")
     assert not failures, "\n".join(failures)

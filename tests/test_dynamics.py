@@ -15,11 +15,13 @@ from fracdyn.constrained_dynamics import (
 )
 from fracdyn.errors import (
     ConstraintViolationError,
+    DivergenceError,
     FracDomainError,
     IntegerOrderError,
     SingularConstraintError,
 )
 from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_second_order
+from fracdyn.frac_ops import _l1_scheme, _l1_weights, _second_differences, l1_caputo_series
 from fracdyn.series import FracOrder, Grid, SampleSeries
 
 
@@ -105,7 +107,7 @@ class TestLinearRHS:
     @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
     def test_gradient_once_per_call(self, mode, scheme, monkeypatch):
         """The potential gradient is taken once per right-hand-side call and
-        never by the residual."""
+        never by the per-run methods."""
         events = []
         sys = SystemSpec(
             grad_potential=lambda q: events.append("grad") or q,
@@ -124,12 +126,93 @@ class TestLinearRHS:
                 return fn(self, *args)
             return wrapped
 
-        monkeypatch.setattr(cls, "__call__", logged("__call__"))
-        monkeypatch.setattr(cls, "residual_last", logged("residual_last"))
+        for name in ("__call__", "singular_increments", "residual"):
+            monkeypatch.setattr(cls, name, logged(name))
         cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
         res = integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
         assert res.grid.n_nodes == 201
-        assert events == ["__call__", "grad", "residual_last"] * 201
+        assert events == ["singular_increments"] + ["__call__", "grad"] * 201 + ["residual"]
+
+
+EPS = np.finfo(float).eps
+
+
+def l1_reference(q, h, alpha):
+    """D^alpha q by ``l1_caputo_series`` at every node, one column per
+    coordinate, and the sums of the magnitudes of its terms."""
+    order, p, hp, g = _l1_scheme(alpha, h)
+    dq, mag = np.zeros_like(q), np.zeros_like(q)
+    w = np.abs(_l1_weights(len(q) - 1, p) * hp / g)
+    for k in range(q.shape[1]):
+        dq[:, k] = l1_caputo_series(q[:, k], h, alpha)
+        d = np.diff(q[:, k]) if order == 1 else _second_differences(q[:, k], h)
+        mag[1:, k] = np.convolve(np.abs(d), w)[: len(q) - 1]
+    return dq, mag
+
+
+def assert_linear_residual(res, a, b, alpha):
+    """The residual column against a.qdot + b.D^alpha q recomputed by
+    ``l1_caputo_series``, within the worst-case rounding bound of a sum of
+    i + n terms in any order, (i + 2n + 8) eps times the sum of the
+    terms' magnitudes."""
+    a, b = np.asarray(a), np.asarray(b)
+    h, n = res.grid.h, len(a)
+    dq, mag = l1_reference(res.q, h, alpha)
+    if alpha > 1.0:
+        # one panel has no second difference: the causal sum is zero there,
+        # while the series takes that panel from node 2
+        dq[1] = 0.0
+    want = res.qdot @ a + dq @ b
+    size = np.abs(res.qdot) @ np.abs(a) + mag @ np.abs(b)
+    tol = (np.arange(len(want)) + 2 * n + 8) * EPS * size
+    assert res.residual.shape == want.shape
+    assert np.all(np.abs(res.residual - want) <= tol)
+
+
+class TestResidualColumn:
+    """The residual each run reports after its last step, against an
+    independent recomputation from the trajectory."""
+
+    A, B = [1.0, 2.0], [0.5, -0.3]
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
+    @pytest.mark.parametrize("mode", ["prop1", "direct"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_linear(self, scheme, mode, alpha):
+        sys = quad_sys(self.A, self.B, [1.0, 0.5], [2.0, -1.0], alpha=alpha)
+        cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+        res = integrate_second_order(rhs_linear(sys, mode=mode), (sys.q_init, sys.qdot_init), cfg)
+        assert_linear_residual(res, self.A, self.B, alpha)
+
+    def test_general(self):
+        a, b = np.array(self.A), np.array(self.B)
+        c = ConstraintSpec(
+            FracOrder(0.5),
+            f=lambda q, qd, dl: float(np.dot(a, qd) + np.dot(b, dl)),
+            df_dq=lambda q, qd, dl: np.zeros(2),
+            df_dqdot=lambda q, qd, dl: a,
+            df_ddq=lambda q, qd, dl: b,
+        )
+        sys = SystemSpec(lambda q: q, c, q_init=[1.0, 0.5], qdot_init=[2.0, -1.0])
+        cfg = IntegratorConfig(h=0.005, t_end=1.0)
+        res = integrate_second_order(rhs_general(sys), (sys.q_init, sys.qdot_init), cfg)
+        assert_linear_residual(res, a, b, 0.5)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
+    def test_partial_result_of_a_diverging_run(self, scheme):
+        # a repulsive potential: |q| grows like exp(100 t) and passes 1e12
+        sys = SystemSpec(
+            grad_potential=lambda q: -1e4 * q,
+            constraint=ConstraintSpec.linear(self.A, self.B, FracOrder(0.5)),
+            q_init=[1.0, 0.5],
+            qdot_init=[2.0, -1.0],
+        )
+        cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+        with pytest.raises(DivergenceError) as exc:
+            integrate_second_order(rhs_linear(sys), (sys.q_init, sys.qdot_init), cfg)
+        partial = exc.value.partial
+        assert partial.diagnostics["truncated_at"] == len(partial.residual) > 2
+        assert_linear_residual(partial, self.A, self.B, 0.5)
 
 
 class TestLambda:
@@ -325,6 +408,40 @@ class TestHamilton:
         # mu = A.p/A^2 = 3/5; A.qdot = 0 along the whole run
         assert res.multiplier[0] == pytest.approx(0.6)
         assert np.max(np.abs(res.residual)) < 1e-12
+
+    def test_constant_A_reads_no_history(self):
+        """With a linear constraint A is the constant a and b = 0, so no
+        step asks the history anything and the order changes nothing."""
+        runs = []
+        for alpha in (0.3, 0.7):
+            sys = quad_sys([1.0, 0.5], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], alpha=alpha)
+            cfg = IntegratorConfig(h=0.001, t_end=2.0)
+            res = integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg)
+            assert res.diagnostics["history_terms"] == 0
+            runs.append([res.q, res.qdot, res.multiplier, res.residual])
+        for x, y in zip(*runs):
+            assert x.tobytes() == y.tobytes()
+
+    def test_residual_from_p_and_mu(self):
+        """The residual column is A.(p - mu A) with A from the run's q and
+        its D^alpha q, recomputed here by ``l1_caputo_series``.  Both are
+        rounding noise of size eps |A| (|p| + |mu| |A|), and a change of A
+        by a few ulps moves them by that much."""
+        dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
+
+        def A(q, d):
+            return np.array([1.0 + 0.3 * d[0] + 0.1 * q[1], 0.5 - 0.2 * d[1]])
+
+        sys = hamilton_sys(A, [1.0, 0.0], [0.0, 1.0], df_ddq=lambda q, qd, d: dA_dD.T @ qd)
+        cfg = IntegratorConfig(h=0.005, t_end=1.0)
+        res = integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg)
+        dq, _ = l1_reference(res.q, cfg.h, 0.5)
+        for i in range(len(dq)):
+            a = A(res.q[i], dq[i])
+            mu = res.multiplier[i]
+            want = a @ (res.qdot[i] - mu * a)
+            size = np.linalg.norm(a) * (np.linalg.norm(res.qdot[i]) + abs(mu) * np.linalg.norm(a))
+            assert abs(res.residual[i] - want) <= 16 * EPS * size
 
     def test_vanishing_A_rejected(self):
         with pytest.raises(SingularConstraintError):

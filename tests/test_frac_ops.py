@@ -251,6 +251,10 @@ class TestPolynomialExactness:
             if i >= 2:
                 got = hist.caputo_q(alpha)[0]
                 assert abs(got - exact[i]) <= rounding_bound(k, p, i, size, data)
+        # and at every node at once, after the last
+        series = hist.caputo_q_series(alpha)[:, 0]
+        for i in range(2, nodes):
+            assert abs(series[i] - exact[i]) <= rounding_bound(k, p, i, size, data)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(nodes=st.integers(2, 48), eps=st.floats(0.01, 1.0), seed=SEEDS)

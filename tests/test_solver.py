@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn.constrained_dynamics import ConstraintSpec, SystemSpec, rhs_linear
+from fracdyn.constrained_dynamics import ConstraintSpec, SystemSpec, hamilton_rhs, rhs_linear
 from fracdyn.errors import DivergenceError, FracDomainError
 from fracdyn.fode_solver import (
     RHS,
@@ -103,7 +103,9 @@ class TestHistory:
         at two orders, with queries skipped at some counts, repeated at
         others, and the newest stored row overwritten between queries (as
         velocity Verlet and direct mode do).  The trapezoid integral keeps
-        the arithmetic of ``fractional_integral_last`` and equals it."""
+        the arithmetic of ``fractional_integral_last`` and equals it.  After
+        the last node, ``caputo_q_series`` meets the same bound at every
+        node."""
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
         hist = History(g, n)
@@ -143,34 +145,127 @@ class TestHistory:
                 if rng.random() < 0.5:
                     check()
         check()
+        for a in (alpha, 2.0 - alpha):
+            series = hist.caputo_q_series(a)
+            assert series.shape == (nodes, n)
+            for i in range(nodes):
+                for k in range(n):
+                    close(series[i, k], hist.q_view[: i + 1, k], a)
+
+
+def linear_system():
+    """The README linear-nd system at alpha = 0.5."""
+    return SystemSpec(
+        grad_potential=lambda q: q,
+        constraint=ConstraintSpec.linear([1.0, 2.0], [0.5, -0.3], FracOrder(0.5)),
+        q_init=[1.0, 0.5],
+        qdot_init=[2.0, -1.0],
+    )
 
 
 class TestStateSums:
     @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
     def test_linear_step_sums_state_once(self, scheme, monkeypatch):
-        """A prop1 linear-nd step asks for D^alpha qdot (the right-hand side)
-        and D^alpha q (the residual) at each count, in opposite orders under
-        the two schemes; one history sum per count answers both."""
+        """A prop1 linear-nd step asks for D^alpha qdot alone: one n-row
+        history sum per count.  The residual's D^alpha q at every node is
+        one blocked product after the last step."""
         sums = Counter()
-        caputo = History._caputo
+        series = []
+        caputo, caputo_series = History._caputo, History.caputo_q_series
 
-        def counted(hist, *args, **kwargs):
+        def counted(hist, name, arr, alpha, cols, ahead=None):
             if hist.count >= 2:  # count 1 has no panel to sum
+                assert cols == slice(2, 4) and ahead is None
                 sums[hist.count] += 1
-            return caputo(hist, *args, **kwargs)
+            return caputo(hist, name, arr, alpha, cols, ahead)
+
+        def counted_series(hist, alpha):
+            series.append(hist.count)
+            return caputo_series(hist, alpha)
 
         monkeypatch.setattr(History, "_caputo", counted)
-        sys = SystemSpec(
-            grad_potential=lambda q: q,
-            constraint=ConstraintSpec.linear([1.0, 2.0], [0.5, -0.3], FracOrder(0.5)),
-            q_init=[1.0, 0.5],
-            qdot_init=[2.0, -1.0],
-        )
+        monkeypatch.setattr(History, "caputo_q_series", counted_series)
+        sys = linear_system()
         rr = rhs_linear(sys)
         cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
         res = integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
         assert res.grid.n_nodes == 201
-        assert sums == {c: 1 for c in range(2, 202)}
+        # velocity Verlet's last call sees the history before node 200
+        last = 201 if scheme == "semi-implicit-euler" else 200
+        assert sums == {c: 1 for c in range(2, last + 1)}
+        assert series == [201]
+
+
+class Logged:
+    """Forwards every attribute of a right-hand side by name, as the
+    benchmark's tracing proxy does, and logs the name of each method the
+    stepper calls."""
+
+    def __init__(self, target, log):
+        self._target = target
+        self._log = log
+
+    def __call__(self, *args):
+        self._log.append("__call__")
+        return self._target(*args)
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if not callable(attr):
+            return attr
+
+        def logged(*args):
+            self._log.append(name)
+            return attr(*args)
+
+        return logged
+
+
+class TestProtocolCalls:
+    """A step calls the right-hand side and nothing else on it; the
+    singular increments and the residual are asked once per run."""
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
+    @pytest.mark.parametrize("mode", ["prop1", "direct"])
+    def test_second_order(self, scheme, mode):
+        log = []
+        sys = linear_system()
+        rr = Logged(rhs_linear(sys, mode=mode), log)
+        cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+        res = integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
+        assert res.grid.n_nodes == 201 and res.residual.shape == (201,)
+        assert log == ["singular_increments"] + ["__call__"] * 201 + ["residual"]
+
+    def test_hamilton(self):
+        log = []
+        sys = SystemSpec(
+            grad_potential=lambda q: q,
+            constraint=ConstraintSpec.linear([1.0, 0.5], [0.0, 0.0], FracOrder(0.5)),
+            q_init=[1.0, 0.0],
+            qdot_init=[0.0, 1.0],
+        )
+        cfg = IntegratorConfig(h=0.005, t_end=1.0)
+        integrate_hamilton(Logged(hamilton_rhs(sys), log), (sys.q_init, sys.qdot_init), cfg)
+        assert log == ["__call__"] * 201 + ["residual"]
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
+    def test_divergence_asks_the_residual_once(self, scheme):
+        # a repulsive potential: |q| grows like exp(100 t) and passes 1e12
+        log = []
+        sys = SystemSpec(
+            grad_potential=lambda q: -1e4 * q,
+            constraint=ConstraintSpec.linear([1.0, 2.0], [0.5, -0.3], FracOrder(0.5)),
+            q_init=[1.0, 0.5],
+            qdot_init=[2.0, -1.0],
+        )
+        cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+        with pytest.raises(DivergenceError) as exc:
+            integrate_second_order(Logged(rhs_linear(sys), log), (sys.q_init, sys.qdot_init), cfg)
+        upto = exc.value.partial.diagnostics["truncated_at"]
+        assert 2 < upto < 201
+        assert exc.value.partial.residual.shape == (upto,)
+        steps = log.count("__call__")
+        assert log == ["singular_increments"] + ["__call__"] * steps + ["residual"]
 
 
 class TestSecondOrder:
@@ -240,43 +335,60 @@ class TestSecondOrder:
             integrate_second_order(NaN(), ([0.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0))
 
     def test_singular_hook_decided_once(self):
-        """A right-hand side whose increment is None over the first step is
-        not asked again in that run."""
+        """``singular_increments`` is asked once per run, with the grid
+        nodes.  None adds nothing; an array adds its row i to the velocity
+        update of step i."""
         calls = []
 
-        class NoShift(OscRHS):
-            def singular_velocity_increment(self, t0, t1):
-                calls.append(t0)
-                return None
+        class Shift(RHS):
+            def __init__(self, incs):
+                self.incs = incs
 
+            def __call__(self, t, q, qd, hist):
+                return np.zeros(1)
+
+            def singular_increments(self, t):
+                calls.append(t.tolist())
+                return self.incs
+
+        incs = np.array([[1.0], [-2.0], [0.5], [0.25]])
         for scheme in ("semi-implicit-euler", "velocity-verlet"):
+            cfg = IntegratorConfig(h=0.5, t_end=2.0, scheme=scheme)
             calls.clear()
-            res = integrate_second_order(
-                NoShift(), ([1.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme)
-            )
-            assert calls == [0.0]
+            res = integrate_second_order(Shift(None), ([1.0], [0.0]), cfg)
+            assert calls == [[0.0, 0.5, 1.0, 1.5, 2.0]]
+            assert np.all(res.qdot == 0.0)
             assert res.diagnostics["max_singular_increment"] == 0.0
+            res = integrate_second_order(Shift(incs), ([1.0], [0.0]), cfg)
+            assert res.qdot[:, 0].tolist() == [0.0, 1.0, -1.0, -0.5, -0.25]
+            assert res.diagnostics["max_singular_increment"] == 2.0
 
     def test_diagnostics_cost_model(self):
         """``history_terms`` counts the products the history sums, here
-        tallied by the right-hand side from the prefix lengths it sees.  A
-        query repeated at one count is answered from memory, so each
-        (series, order, count) is tallied once."""
+        tallied by the right-hand side from the prefix lengths it sees.
+        Each (series, order, count) is tallied once: a query repeated at one
+        count adds nothing, and neither does a node of the post-run
+        ``caputo_q_series`` that a step already summed."""
         tally = {}
 
         class Memory(RHS):
             n = 2
 
             def __call__(self, t, q, qd, hist):
-                tally[("q", 0.5, hist.count)] = self.n * (hist.count - 1)
-                hist.caputo_q(0.5)
+                for _ in range(2):
+                    tally[("q", 0.5, hist.count)] = self.n * (hist.count - 1)
+                    hist.caputo_q(0.5)
                 tally[("qdot", 1.5, hist.count)] = self.n * (hist.count - 1)
                 hist.caputo_qdot(1.5)
                 return -q
 
-            def residual_last(self, hist):
-                tally[("q", 0.5, hist.count)] = self.n * (hist.count - 1)
-                return float(hist.caputo_q(0.5)[0])
+            def residual(self, hist, multiplier):
+                # 0.5 was summed at every count a step saw, 0.3 at none
+                for alpha in (0.5, 0.3):
+                    for c in range(1, hist.count + 1):
+                        tally[("q", alpha, c)] = self.n * (c - 1)
+                    hist.caputo_q_series(alpha)
+                return None
 
         for scheme in ("semi-implicit-euler", "velocity-verlet"):
             tally.clear()
