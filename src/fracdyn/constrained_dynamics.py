@@ -252,7 +252,13 @@ class _LinearRHS(RHS):
         return np.diff(tp)[:, None] * self._shift_amp
 
     def residual(self, hist, multiplier) -> np.ndarray:
-        dq = hist.caputo_q_series(self.alpha)
+        if self.mode == "direct":
+            # the steps stored D^alpha q at every node but, under velocity
+            # Verlet, the last
+            hist.store(hist.caputo_q(self.alpha))
+            dq = hist.aux_view
+        else:
+            dq = hist.caputo_q_series(self.alpha)
         return hist.qdot_view @ self.a + dq @ self.b
 
 
@@ -416,6 +422,13 @@ class _HamiltonRHS(RHS):
         # q, and its integrand mu * b is zero when b is
         self._dq0 = None if c.a is None else zeros
         self._integrand = c.a is None or bool(np.any(c.b))
+        # with no integrand either, a step needs only A and |A|^2, bound
+        # here (an |A|^2 the step's check rejects takes the general path)
+        self._a = self._a2 = None
+        if not self._integrand:
+            a2 = float(np.dot(c.a, c.a))
+            if _CHETAEV_TOL < a2 < math.inf:
+                self._a, self._a2 = c.a, a2
         a0 = np.asarray(c.df_dqdot(q0, p0, zeros), dtype=float)
         if not np.dot(a0, a0) > 0.0:
             raise SingularConstraintError("A vanishes at the initial state")
@@ -427,6 +440,14 @@ class _HamiltonRHS(RHS):
             raise FracDomainError("hamilton_rhs needs a constraint f = A(q, D^alpha q).qdot")
 
     def __call__(self, t, q, p, hist):
+        if self._a is not None:
+            a = self._a
+            mu = float(np.dot(a, p) / self._a2)
+            self.last_multiplier = mu
+            grad = np.asarray(self.sys.grad_potential(q), dtype=float)
+            # the general path's -grad + mu * df_dq with df_dq = 0: mu * 0.0
+            # - grad has the same signed zeros
+            return p - mu * a, mu * 0.0 - grad
         c = self.sys.constraint
         dq = self._dq0 if self._dq0 is not None else hist.caputo_q(self.alpha)
         a = np.asarray(c.df_dqdot(q, p, dq), dtype=float)

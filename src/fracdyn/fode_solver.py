@@ -6,7 +6,10 @@ accumulated samples and answers those queries with the L1 scheme (and the
 product-trapezoidal fractional integral).  It keeps q and qdot side by side
 (the steppers write each new state row there in place), extends their
 differences by one panel per step, and builds each L1 weight table once
-per run with the scheme's constant folded in, so a query is one gemv.
+per run with the scheme's constant folded in.  The common query, one
+count after the last one, writes its new difference row and takes one dot
+with the table's tail; other schedules take a generic catch-up with the
+same arithmetic, so the answers agree bit for bit.
 Its results are those of ``l1_caputo_last`` and
 ``fractional_integral_last`` on the same prefix within the stated rounding
 bound, (panels + 4) eps sum|c w_k d_k|.  All schemes are explicit with the
@@ -18,9 +21,9 @@ work the next state depends on: one right-hand-side call.  What the run
 reports but never steps on is computed once per run: the singular
 velocity increments before the first step, and the constraint residual
 at every node after the last one (D^alpha q at every node from one
-blocked product).  A run's memory lives only in the ``History`` the
-stepper creates for that run, so one RHS object can serve any number of
-runs.
+blocked product, or from the rows the steps stored).  A run's memory
+lives only in the ``History`` the stepper creates for that run, so one
+RHS object can serve any number of runs.
 
 Singular power-law correction terms (the derivative-shift startup term)
 are not sampled; right-hand sides hand over their exact per-step integrals
@@ -95,6 +98,28 @@ class SimulationResult:
         return SampleSeries(self.grid, self.q[:, k])
 
 
+class _Lane:
+    """One series of a ``History`` (the columns ``cols`` of its state or aux
+    array) at one order alpha, bound once for the per-step query: the L1
+    scheme's difference order, the array's difference record of that
+    order ([buffer, entries final]) and its transpose, the buffer rows of
+    the series, the pre-scaled weight table, the dot to take, and the last
+    count summed with the panels summed so far."""
+
+    __slots__ = ("order", "rec", "T", "rows", "w", "dot", "count", "summed")
+
+    def __init__(self, cols: slice, order: int, rec: list, w: np.ndarray) -> None:
+        self.order = order
+        self.rec = rec
+        self.T = rec[0].T
+        self.rows = rec[0][cols]
+        self.w = w
+        # on a single row the dot product is cheaper than a gemv
+        self.dot = np.dot if cols.stop - cols.start == 1 else np.matmul
+        self.count = 0
+        self.summed = 0
+
+
 class History:
     """All the memory of one run, with causal fractional queries on it.
 
@@ -102,17 +127,22 @@ class History:
     which the steppers write in place (``append`` copies a state in);
     besides them the history holds one n-vector per node that the
     right-hand side supplies through ``store`` (a fractional integrand,
-    say), and records whether any stored vector was nonzero.
+    say).
 
     An L1 query is one gemv of the differences with a weight table.  The
     tables are built on the first query of each order, sized to the grid
     and multiplied once by the scheme's constant, h^(-alpha)/Gamma(2-alpha)
     or h^(2-alpha)/Gamma(3-alpha).  The first or second differences of the
     state (both series at once) and of the stored vectors are kept and
-    extended as the run grows.  ``store`` may overwrite the newest aux row,
-    so the difference that touches the newest node is always recomputed.
-    ``caputo_q_series`` answers D^alpha q at every counted node at once,
-    from those differences and table in one blocked product.
+    extended as the run grows.  A state query one count after the last
+    one, or an ``ahead`` query one count after that, writes its new
+    difference row(s) alone and takes one dot with the table's tail; any
+    other query (a skipped count, an order's first counts) goes through
+    the generic catch-up, with the same arithmetic.  ``store`` may
+    overwrite the newest aux row, so the difference that touches the
+    newest aux node is always recomputed.  ``caputo_q_series`` answers
+    D^alpha q at every counted node at once, from those differences and
+    table in one blocked product.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
     (panels + 4) eps sum|c w_k d_k|, since the sums run in another order
@@ -127,21 +157,26 @@ class History:
     def __init__(self, grid: Grid, n: int) -> None:
         self.h = grid.h
         self.n = n
+        self._h2 = grid.h**2
         self._size = grid.n_nodes
         self._state = np.empty((grid.n_nodes, 2 * n))
         self._q = self._state[:, :n]
         self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
-        self.aux_nonzero = False
+        # aux rows before this one are zero; a nonzero row was seen
+        self._aux_zero = 0
+        self._aux_seen = False
         self.count = 0
         self.terms = 0
         self._weights: dict = {}
         # (array name, difference order) -> [(columns, nodes) buffer, entries final]
         self._diffs: dict = {}
-        # the state columns of q and of qdot
+        # the state columns of q and of qdot; the lanes of q, qdot and the
+        # stored vectors by alpha
         self._q_cols, self._qd_cols = slice(0, n), slice(n, 2 * n)
-        # ("q" or "qdot", alpha) -> [last count summed, panels summed so far]
-        self._summed: dict = {}
+        self._q_lanes: dict = {}
+        self._qd_lanes: dict = {}
+        self._aux_lanes: dict = {}
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         """Add the state at the next node."""
@@ -158,7 +193,16 @@ class History:
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
         self._aux[self.count - 1] = v
-        self.aux_nonzero = self.aux_nonzero or bool(np.any(v))
+
+    @property
+    def aux_nonzero(self) -> bool:
+        """Whether a stored vector was seen nonzero.  Rows found zero are
+        not scanned again, except the newest, which ``store`` may rewrite."""
+        if not self._aux_seen:
+            k = self._aux_zero
+            self._aux_seen = bool(self._aux[k : self.count].any())
+            self._aux_zero = max(self.count - 1, k)
+        return self._aux_seen
 
     @property
     def q_view(self) -> np.ndarray:
@@ -183,24 +227,27 @@ class History:
     def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node; with ``ahead``, at
         one node past it on the prefix extended by the value ``ahead``."""
-        cols = self._q_cols
+        lanes = self._q_lanes
+        lane = lanes.get(alpha) or self._lane(alpha, "state", self._q_cols, lanes)
         if ahead is None:
-            self._tally("q", alpha)
-            return self._caputo("state", self._state, alpha, cols)
-        # qdot's entries past the newest node are recomputed by the next
-        # query, so its newest value may stand in for the missing one
-        row = self._state[self.count - 1].copy()
-        row[: self.n] = ahead
+            return self._state_sum(lane)
         self.terms += self.count * self.n
-        return self._caputo("state", self._state, alpha, cols, row)
+        return self._ahead_sum(lane, ahead)
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        self._tally("qdot", alpha)
-        return self._caputo("state", self._state, alpha, self._qd_cols)
+        lanes = self._qd_lanes
+        lane = lanes.get(alpha) or self._lane(alpha, "state", self._qd_cols, lanes)
+        return self._state_sum(lane)
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
-        self.terms += max(self.count - 1, 0) * self.n
-        return self._caputo("aux", self._aux, alpha, slice(0, self.n))
+        panels = self.count - 1
+        if panels < 1:
+            return np.zeros(self.n)
+        self.terms += panels * self.n
+        lanes = self._aux_lanes
+        lane = lanes.get(alpha) or self._lane(alpha, "aux", slice(0, self.n), lanes)
+        self._differences("aux", self._aux, lane.order, panels, None)
+        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
 
     def caputo_q_series(self, alpha: float) -> np.ndarray:
         """(count, n) L1 Caputo derivatives of q at every counted node,
@@ -210,93 +257,144 @@ class History:
         panels = self.count - 1
         if panels < 1:
             return out
-        order, w = self._l1_table(alpha)
-        d = self._differences("state", self._state, order, panels, None)[: self.n]
-        out[1:] = _causal_products(w[::-1], d)
-        if order == 2:
+        lanes = self._q_lanes
+        lane = lanes.get(alpha) or self._lane(alpha, "state", self._q_cols, lanes)
+        d = self._differences("state", self._state, lane.order, panels, None)[: self.n]
+        out[1:] = _causal_products(lane.w[::-1], d)
+        if lane.order == 2:
             # one panel has no second difference yet: the sum is zero there
             out[1] = 0.0
         total = panels * (panels + 1) // 2
-        done = self._summed.get(("q", alpha), (0, 0))
-        self.terms += (total - done[1]) * self.n
-        self._summed[("q", alpha)] = [self.count, total]
+        self.terms += (total - lane.summed) * self.n
+        lane.count, lane.summed = self.count, total
         return out
 
     def integral_aux(self, eps: float, ahead) -> np.ndarray:
         """Product-trapezoidal J^eps of the stored vectors, extended by the
         value ``ahead``, at the node past the newest."""
-        if not 0.0 < eps <= 1.0:
-            raise FracDomainError(f"eps must be in (0, 1], got {eps}")
+        entry = self._weights.get(("trapezoid", eps))
+        if entry is None:
+            if not 0.0 < eps <= 1.0:
+                raise FracDomainError(f"eps must be in (0, 1], got {eps}")
+            entry = self._weights[("trapezoid", eps)] = (
+                _trapezoid_weights(self._size, eps),
+                self.h**eps / math.gamma(eps + 2.0),
+            )
         f = self._aux
         m = self.count
         if m == 0:
             return np.zeros(self.n)
+        c, scale = entry
         total = _trapezoid_start(m, eps) * f[0] + ahead
         if m >= 2:
-            c = self._weights.get(("trapezoid", eps))
-            if c is None:
-                c = self._weights[("trapezoid", eps)] = _trapezoid_weights(self._size, eps)
             c = c[: m - 1]
             for k in range(self.n):
                 total[k] += np.dot(c, f[m - 1 : 0 : -1, k])
             self.terms += (m - 1) * self.n
-        return self.h**eps / math.gamma(eps + 2.0) * total
+        return scale * total
 
-    def _tally(self, series: str, alpha: float) -> None:
-        """Count the products of a state sum at this count, unless this
-        (series, order, count) was counted already."""
-        done = self._summed.get((series, alpha))
-        if done is None:
-            done = self._summed[(series, alpha)] = [0, 0]
-        if done[0] != self.count:
-            panels = max(self.count - 1, 0)
-            done[0] = self.count
-            done[1] += panels
-            self.terms += panels * self.n
+    def _lane(self, alpha: float, name: str, cols: slice, lanes: dict) -> _Lane:
+        """The lane of the columns ``cols`` of the array ``name`` at alpha.
 
-    def _l1_table(self, alpha: float):
-        """(difference order, weights) of the L1 scheme at ``alpha``.
+        The L1 panel weights are stored reversed, so the last n are those
+        of n panels in the order the differences are summed, and multiplied
+        by the scheme's constant."""
+        order, p, hp, g = _l1_scheme(alpha, self.h)
+        w = self._weights.get(("l1", alpha))
+        if w is None:
+            w = self._weights[("l1", alpha)] = _l1_weights(self._size, p)[::-1] * (hp / g)
+        lane = lanes[alpha] = _Lane(cols, order, self._record(name, order), w)
+        return lane
 
-        The panel weights are stored reversed, so the last n are those of n
-        panels in the order the differences are summed, and multiplied by
-        the scheme's constant."""
-        entry = self._weights.get(("l1", alpha))
-        if entry is None:
-            order, p, hp, g = _l1_scheme(alpha, self.h)
-            w = _l1_weights(self._size, p)[::-1] * (hp / g)
-            entry = self._weights[("l1", alpha)] = (order, w)
-        return entry
-
-    def _caputo(
-        self, name: str, arr: np.ndarray, alpha: float, cols: slice, ahead=None
-    ) -> np.ndarray:
-        """The L1 sums of the columns ``cols`` of ``arr`` at the newest node
-        or, given the row ``ahead``, at the node past it."""
-        panels = self.count - (ahead is None)
+    def _state_sum(self, lane: _Lane) -> np.ndarray:
+        """The L1 sums of a lane's series at the newest node, its products
+        counted once per count."""
+        c = self.count
+        panels = c - 1
+        if lane.count != c:
+            lane.count = c
+            if panels > 0:
+                lane.summed += panels
+                self.terms += panels * self.n
         if panels < 1:
-            return np.zeros(cols.stop - cols.start)
-        order, w = self._l1_table(alpha)
-        d = self._differences(name, arr, order, panels, ahead)[cols]
-        w = w[self._size - panels :]
-        if d.shape[0] == 1:
-            # on a single row the dot product is cheaper than a gemv
-            return np.dot(d, w)
-        return d @ w
+            return np.zeros(self.n)
+        if not self._extend(lane, c):
+            self._differences("state", self._state, lane.order, panels, None)
+        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
+
+    def _ahead_sum(self, lane: _Lane, ahead) -> np.ndarray:
+        """The L1 sums of q at the node past the newest, whose value is
+        ``ahead``.  The entry of that last panel is written for the q
+        columns alone; it is not final, and the next query recomputes it."""
+        c = self.count
+        if c < 1:
+            return np.zeros(self.n)
+        s = self._state
+        n = self.n
+        if not self._extend(lane, c):
+            # qdot's entries past the newest node are recomputed by the next
+            # query, so its newest value may stand in for the missing one
+            row = s[c - 1].copy()
+            row[:n] = ahead
+            self._differences("state", s, lane.order, c, row)
+        elif lane.order == 1:
+            np.subtract(ahead, s[c - 1, :n], out=lane.T[c - 1, :n])
+        else:
+            if isinstance(ahead, float):
+                ahead = [ahead] * n
+            else:
+                ahead = np.broadcast_to(np.asarray(ahead, dtype=float), (n,)).tolist()
+            h2 = self._h2
+            r0, r1 = s[c - 2 : c].tolist()
+            lane.T[c - 1, :n] = [
+                (a - 2.0 * x1 + x0) / h2 for a, x1, x0 in zip(ahead, r1, r0)
+            ]
+        return lane.dot(lane.rows[:, :c], lane.w[self._size - c :])
+
+    def _extend(self, lane: _Lane, c: int) -> bool:
+        """Make the state's difference entries before panel c - 1 final when
+        at most the newest of them is missing, by writing that row as the
+        generic catch-up computes it; False when they cannot be (a skipped
+        count, or second differences before panel 0 is settled)."""
+        rec = lane.rec
+        lo = rec[1]
+        if lo < c - 2 or (lane.order == 2 and lo < 2):
+            return False
+        if lo == c - 2:
+            s = self._state
+            if lane.order == 1:
+                np.subtract(s[c - 1], s[c - 2], out=lane.T[c - 2])
+            else:
+                # Python floats: the same IEEE operations as the ufuncs,
+                # cheaper on a few columns
+                h2 = self._h2
+                r0, r1, r2 = s[c - 3 : c].tolist()
+                lane.T[c - 2] = [
+                    (x2 - 2.0 * x1 + x0) / h2 for x2, x1, x0 in zip(r2, r1, r0)
+                ]
+            rec[1] = c - 1
+        return True
+
+    def _record(self, name: str, order: int) -> list:
+        """[(columns, nodes) difference buffer, entries final] of the array
+        ``name`` ("state" or "aux") at the difference order ``order``."""
+        entry = self._diffs.get((name, order))
+        if entry is None:
+            cols = 2 * self.n if name == "state" else self.n
+            entry = self._diffs[(name, order)] = [np.zeros((cols, self._size)), 0]
+        return entry
 
     def _differences(
         self, name: str, arr: np.ndarray, order: int, panels: int, ahead
     ) -> np.ndarray:
         """(columns, panels) per-panel differences of the prefix (and
-        ``ahead``).
+        ``ahead``): the generic catch-up.
 
         Second differences are divided by h^2 and panel 0 repeats panel 1,
         as in ``frac_ops``.  Entries that touch only counted rows are final
         and kept, except that ``store`` may still rewrite the newest aux
-        row; the rest (and an ``ahead`` entry) are recomputed.  So a state
-        query a count after the last one computes the newest panel alone."""
-        entry = self._diffs.get((name, order))
-        if entry is None:
-            entry = self._diffs[(name, order)] = [np.zeros((arr.shape[1], self._size)), 0]
+        row; the rest (and an ``ahead`` entry) are recomputed."""
+        entry = self._record(name, order)
         buf, lo = entry
         if order == 2 and lo < 2:
             lo = 0

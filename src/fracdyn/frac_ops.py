@@ -165,7 +165,12 @@ def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
 
 
 def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """L1-scheme left Caputo derivative at every node of ``q`` at once."""
+    """L1-scheme left Caputo derivative at every node of ``q`` at once.
+
+    For 1 < alpha < 2 node 1 is one-sided and not causal: its panel 0
+    repeats the whole series' panel 1, which reads q[2], while
+    ``l1_caputo_last`` on the two-node prefix and ``History`` give 0 there.
+    """
     q = np.asarray(q, dtype=float)
     n = len(q) - 1
     out = np.zeros(n + 1)

@@ -1,5 +1,8 @@
 """Constraint mechanics: multiplier algebra, projector, Hamilton form."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -419,6 +422,37 @@ class TestHamilton:
             res = integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg)
             assert res.diagnostics["history_terms"] == 0
             runs.append([res.q, res.qdot, res.multiplier, res.residual])
+        for x, y in zip(*runs):
+            assert x.tobytes() == y.tobytes()
+
+    def test_constant_A_bound_at_build(self):
+        """A linear constraint's A and |A|^2 are bound when the right-hand
+        side is built, so its steps call none of the constraint's
+        callables; they give the bytes of the same constraint without
+        ``a`` and ``b``, which takes the general path.  With grad u = 0
+        and p = -0.0 in one entry at t = 0, the general path's
+        -grad + mu * 0 makes that momentum +0.0 at the next node."""
+        linear = ConstraintSpec.linear([1.0, 0.5], [0.0, 0.0], FracOrder(0.5))
+        calls = []
+
+        def counted(name):
+            fn = getattr(linear, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        names = ("f", "df_dq", "df_dqdot", "df_ddq")
+        runs = []
+        for c in (
+            dataclasses.replace(linear, **{k: counted(k) for k in names}),
+            dataclasses.replace(linear, a=None, b=None),
+        ):
+            sys = SystemSpec(lambda q: q, c, [0.0, 1.0], [-0.0, 1.0])
+            rr = hamilton_rhs(sys)
+            built = len(calls)
+            cfg = IntegratorConfig(h=0.01, t_end=1.0)
+            res = integrate_hamilton(rr, (sys.q_init, sys.qdot_init), cfg)
+            assert len(calls) == built
+            runs.append([res.q, res.qdot, res.multiplier, res.residual])
+        assert math.copysign(1.0, runs[0][1][1, 0]) == 1.0
         for x, y in zip(*runs):
             assert x.tobytes() == y.tobytes()
 

@@ -115,8 +115,8 @@ GOLDEN = {
     "nonlinear-fracosc": "babfff5ecec65054f96ba1085d68e299f9490d9e50dabfa2dec845bbfa4eeed1",
     "nonlinear-fracosc-pre": "702d4ebb228ab6d31495b0e3a30bda24e68cff75ce0c5d8ca7bac263897075f0",
     "hamilton-linear": "6e6b2d9e7f72b5d1b7f36a9a6d79916fb21cd347043ec7949f96d8270e381d0a",
-    "direct-semi-implicit-euler": "2a71d44564922a3928bd5a65d42ab63cc4711892aa9784c4e6dbc53f7f6d89cc",
-    "direct-velocity-verlet": "8b66f5590bdeb3c35ae4739d5ef6c631e72a1b1c299283f9ad35c016d436368b",
+    "direct-semi-implicit-euler": "b20f0999bd6186e7b65e762300f3d3716b64bf394cb96a704173fb87b4389ad1",
+    "direct-velocity-verlet": "9f9faf048fc9493f7d9d5a76c081c769cb06647a993f95871c51761681133eb6",
     "hamilton-dA_dD": "3f604a44a9b4197a5239193e9fc24b90a101886f7b71179702bab1ba120ddcc7",
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
     "linear-nd-a15-verlet": "513b37ff6dd358155de621f40fbb4d4f3b64df413945768b53523dc9e1db82b0",

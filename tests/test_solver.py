@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn.constrained_dynamics import ConstraintSpec, SystemSpec, hamilton_rhs, rhs_linear
+from fracdyn.constrained_dynamics import (
+    ConstraintSpec,
+    SystemSpec,
+    hamilton_rhs,
+    rhs_linear,
+    rhs_nonlinear_frac_oscillator,
+)
 from fracdyn.errors import DivergenceError, FracDomainError
 from fracdyn.fode_solver import (
     RHS,
@@ -152,6 +158,55 @@ class TestHistory:
                 for k in range(n):
                     close(series[i, k], hist.q_view[: i + 1, k], a)
 
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        nodes=st.integers(2, 40),
+        n=st.integers(1, 3),
+        alpha=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_count_equals_any_schedule(self, nodes, n, alpha, seed):
+        """Two histories get the same rows.  One answers every query at
+        every count, so from its fourth count on each query takes the
+        one-row path; the other answers a random schedule, with skipped
+        counts, repeats, ``ahead`` queries in either order, both
+        difference orders and a rewritten aux row, so it goes through the
+        generic catch-up as well.  Every answer they share is equal."""
+        rng = np.random.default_rng(seed)
+        g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
+        every, sched = History(g, n), History(g, n)
+        queries = [
+            (kind, a) for a in (alpha, 2.0 - alpha) for kind in ("q", "qdot", "ahead", "aux")
+        ]
+
+        def ask(hist, kind, a, ahead):
+            if kind == "q":
+                return hist.caputo_q(a)
+            if kind == "qdot":
+                return hist.caputo_qdot(a)
+            if kind == "ahead":
+                return hist.caputo_q(a, ahead=ahead)
+            return hist.caputo_aux(a)
+
+        for i in range(nodes):
+            q, qdot, v = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for _ in range(3))
+            # a Python float, as the pre form passes, or an n-vector
+            ahead = float(rng.normal()) if rng.random() < 0.5 else rng.normal(size=n)
+            every.append(q, qdot)
+            sched.append(q, qdot)
+            every.store(v)
+            if rng.random() < 0.3:
+                sched.store(rng.normal(size=n))
+                if rng.random() < 0.5:
+                    sched.caputo_aux(alpha)
+            sched.store(v)
+            want = {query: ask(every, *query, ahead) for query in queries}
+            if rng.random() < 0.5:
+                continue
+            for j in rng.choice(len(queries), size=int(rng.integers(1, 12))):
+                got = ask(sched, *queries[j], ahead)
+                assert np.array_equal(got, want[queries[j]])
+
 
 def linear_system():
     """The README linear-nd system at alpha = 0.5."""
@@ -167,23 +222,27 @@ class TestStateSums:
     @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
     def test_linear_step_sums_state_once(self, scheme, monkeypatch):
         """A prop1 linear-nd step asks for D^alpha qdot alone: one n-row
-        history sum per count.  The residual's D^alpha q at every node is
-        one blocked product after the last step."""
+        history sum per count, and no ``ahead`` or aux sum.  The residual's
+        D^alpha q at every node is one blocked product after the last
+        step."""
         sums = Counter()
+        other = []
         series = []
-        caputo, caputo_series = History._caputo, History.caputo_q_series
+        state_sum, caputo_series = History._state_sum, History.caputo_q_series
 
-        def counted(hist, name, arr, alpha, cols, ahead=None):
+        def counted(hist, lane):
             if hist.count >= 2:  # count 1 has no panel to sum
-                assert cols == slice(2, 4) and ahead is None
+                assert lane is hist._qd_lanes[0.5]
                 sums[hist.count] += 1
-            return caputo(hist, name, arr, alpha, cols, ahead)
+            return state_sum(hist, lane)
 
         def counted_series(hist, alpha):
             series.append(hist.count)
             return caputo_series(hist, alpha)
 
-        monkeypatch.setattr(History, "_caputo", counted)
+        monkeypatch.setattr(History, "_state_sum", counted)
+        monkeypatch.setattr(History, "_ahead_sum", lambda *a: other.append("ahead"))
+        monkeypatch.setattr(History, "caputo_aux", lambda *a: other.append("aux"))
         monkeypatch.setattr(History, "caputo_q_series", counted_series)
         sys = linear_system()
         rr = rhs_linear(sys)
@@ -193,7 +252,69 @@ class TestStateSums:
         # velocity Verlet's last call sees the history before node 200
         last = 201 if scheme == "semi-implicit-euler" else 200
         assert sums == {c: 1 for c in range(2, last + 1)}
-        assert series == [201]
+        assert other == [] and series == [201]
+
+
+def reduced_run(form):
+    """201 nodes of the nonlinear oscillator at alpha = 1.5: D^1.5 x at
+    every count (reduced), or the ``ahead`` query and J^0.5 K (pre)."""
+    rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x + x**3, FracOrder(1.5), form=form)
+    return integrate_second_order(rr, ([1.0], [0.0]), IntegratorConfig(h=0.005, t_end=1.0))
+
+
+def prop1_run(scheme):
+    sys = linear_system()
+    cfg = IntegratorConfig(h=0.005, t_end=1.0, scheme=scheme)
+    return integrate_second_order(rhs_linear(sys), (sys.q_init, sys.qdot_init), cfg)
+
+
+class TestLeanPath:
+    """The per-step state query writes its new difference row alone; the
+    generic catch-up serves an order's first counts, skipped counts and
+    ``caputo_q_series``."""
+
+    @pytest.mark.parametrize(
+        "run,rows",
+        [
+            # order 1: the one-row path from the first panel on
+            (lambda: prop1_run("semi-implicit-euler"), range(2, 202)),
+            (lambda: prop1_run("velocity-verlet"), range(2, 201)),
+            # order 2: panel 0 repeats panel 1, settled at count 3
+            (lambda: reduced_run("reduced"), range(4, 202)),
+            (lambda: reduced_run("pre"), range(4, 202)),
+        ],
+        ids=["prop1-semi-implicit-euler", "prop1-velocity-verlet", "reduced", "pre"],
+    )
+    def test_no_catch_up_after_the_third_count(self, run, rows, monkeypatch):
+        catch_up, new_rows, in_series = [], [], []
+        differences, extend = History._differences, History._extend
+        caputo_series = History.caputo_q_series
+
+        def counted(hist, name, *args):
+            if name == "state" and not in_series:
+                catch_up.append(hist.count)
+            return differences(hist, name, *args)
+
+        def counted_row(hist, lane, c):
+            before = lane.rec[1]
+            done = extend(hist, lane, c)
+            if done and lane.rec[1] != before:
+                new_rows.append(c)
+            return done
+
+        def series(hist, alpha):
+            in_series.append(True)
+            try:
+                return caputo_series(hist, alpha)
+            finally:
+                in_series.pop()
+
+        monkeypatch.setattr(History, "_differences", counted)
+        monkeypatch.setattr(History, "_extend", counted_row)
+        monkeypatch.setattr(History, "caputo_q_series", series)
+        assert run().grid.n_nodes == 201
+        assert all(c <= 3 for c in catch_up)
+        assert new_rows == list(rows)
 
 
 class Logged:
