@@ -279,6 +279,7 @@ class _GeneralRHS(RHS):
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         dq = hist.caputo_q(self.alpha)
+        hist.store(dq)
         d1d = hist.caputo_qdot(self.alpha)
         if self._has_qm0:
             # the startup power t^(m-alpha-1) is not summable pointwise near
@@ -292,7 +293,10 @@ class _GeneralRHS(RHS):
         return -grad + g * lam
 
     def residual(self, hist, multiplier) -> np.ndarray:
-        dq = hist.caputo_q_series(self.alpha)
+        # the steps stored D^alpha q at every node but, under velocity
+        # Verlet, the last
+        hist.store(hist.caputo_q(self.alpha))
+        dq = hist.aux_view
         value = self.sys.constraint.value
         return np.array([value(*row) for row in zip(hist.q_view, hist.qdot_view, dq)])
 

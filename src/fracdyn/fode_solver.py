@@ -4,12 +4,12 @@ The right-hand sides built in ``constrained_dynamics`` need the Caputo
 derivative of the trajectory-so-far at every step; ``History`` keeps the
 accumulated samples and answers those queries with the L1 scheme (and the
 product-trapezoidal fractional integral).  It keeps q and qdot side by side
-(the steppers write each new state row there in place), extends their
-differences by one panel per step, and builds each L1 weight table once
-per run with the scheme's constant folded in.  The common query, one
-count after the last one, writes its new difference row and takes one dot
-with the table's tail; other schedules take a generic catch-up with the
-same arithmetic, so the answers agree bit for bit.
+(the steppers write each new state row there in place), writes each
+difference entry once, when counting a row makes it final, and builds each
+L1 weight table once per run with the scheme's constant folded in.  A
+query reads the final differences (an ``ahead`` or aux query first writes
+the one entry past them) and takes one dot with the table's tail, so its
+answer does not depend on the schedule of queries before it.
 Its results are those of ``l1_caputo_last`` and
 ``fractional_integral_last`` on the same prefix within the stated rounding
 bound, (panels + 4) eps sum|c w_k d_k|.  All schemes are explicit with the
@@ -99,23 +99,21 @@ class SimulationResult:
 
 
 class _Lane:
-    """One series of a ``History`` (the columns ``cols`` of its state or aux
-    array) at one order alpha, bound once for the per-step query: the L1
-    scheme's difference order, the array's difference record of that
-    order ([buffer, entries final]) and its transpose, the buffer rows of
-    the series, the pre-scaled weight table, the dot to take, and the last
-    count summed with the panels summed so far."""
+    """One series of a ``History`` (some columns of its state or aux array)
+    at one order alpha, bound once for the per-step query: the L1 scheme's
+    difference order, the series' rows of that order's difference buffer
+    and their transpose, the pre-scaled weight table, the dot to take, and
+    the last count summed with the panels summed so far."""
 
-    __slots__ = ("order", "rec", "T", "rows", "w", "dot", "count", "summed")
+    __slots__ = ("order", "rows", "T", "w", "dot", "count", "summed")
 
-    def __init__(self, cols: slice, order: int, rec: list, w: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, order: int, w: np.ndarray) -> None:
         self.order = order
-        self.rec = rec
-        self.T = rec[0].T
-        self.rows = rec[0][cols]
+        self.rows = rows
+        self.T = rows.T
         self.w = w
         # on a single row the dot product is cheaper than a gemv
-        self.dot = np.dot if cols.stop - cols.start == 1 else np.matmul
+        self.dot = np.dot if len(rows) == 1 else np.matmul
         self.count = 0
         self.summed = 0
 
@@ -133,16 +131,17 @@ class History:
     tables are built on the first query of each order, sized to the grid
     and multiplied once by the scheme's constant, h^(-alpha)/Gamma(2-alpha)
     or h^(2-alpha)/Gamma(3-alpha).  The first or second differences of the
-    state (both series at once) and of the stored vectors are kept and
-    extended as the run grows.  A state query one count after the last
-    one, or an ``ahead`` query one count after that, writes its new
-    difference row(s) alone and takes one dot with the table's tail; any
-    other query (a skipped count, an order's first counts) goes through
-    the generic catch-up, with the same arithmetic.  ``store`` may
-    overwrite the newest aux row, so the difference that touches the
-    newest aux node is always recomputed.  ``caputo_q_series`` answers
-    D^alpha q at every counted node at once, from those differences and
-    table in one blocked product.
+    state (both series at once) and of the stored vectors are kept in one
+    buffer per array and order, made on the first query of that order with
+    the entries already final.  A difference entry is written once, when
+    its rows are final: ``advance`` writes the entry its new row completes,
+    panel count - 2 of the state and count - 3 of the stored vectors, since
+    ``store`` may still rewrite the newest one.  A state query then only
+    reads; an ``ahead`` query, or an aux query, first writes the one entry
+    past the final ones from its value or the newest stored row, and the
+    next ``advance`` writes it again.  ``caputo_q_series`` answers D^alpha q
+    at every counted node at once, from those differences and table in one
+    blocked product.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
     (panels + 4) eps sum|c w_k d_k|, since the sums run in another order
@@ -163,14 +162,17 @@ class History:
         self._q = self._state[:, :n]
         self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
+        # the value of an ``ahead`` query, kept so that a query allocates no row
+        self._ahead = np.empty(n)
         # aux rows before this one are zero; a nonzero row was seen
         self._aux_zero = 0
         self._aux_seen = False
         self.count = 0
         self.terms = 0
         self._weights: dict = {}
-        # (array name, difference order) -> [(columns, nodes) buffer, entries final]
-        self._diffs: dict = {}
+        # one (transposed buffer, array, difference order, lag) per
+        # difference buffer: ``advance`` writes its panel count - lag
+        self._buffers: list = []
         # the state columns of q and of qdot; the lanes of q, qdot and the
         # stored vectors by alpha
         self._q_cols, self._qd_cols = slice(0, n), slice(n, 2 * n)
@@ -186,9 +188,13 @@ class History:
 
     def advance(self) -> None:
         """Count the state row at the next node, written there in place
-        (the steppers write into ``_q`` and ``_qd``).  A counted row must
-        not change again."""
-        self.count += 1
+        (the steppers write into ``_q`` and ``_qd``), and write the
+        difference entries the count makes final.  A counted row must not
+        change again."""
+        c = self.count = self.count + 1
+        for T, x, order, lag in self._buffers:
+            if c - lag >= order - 1:
+                self._panel(T, order, c - lag, x)
 
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
@@ -216,19 +222,11 @@ class History:
     def aux_view(self) -> np.ndarray:
         return self._aux[: self.count]
 
-    @property
-    def last_q(self) -> np.ndarray:
-        return self._q[self.count - 1]
-
-    @property
-    def last_qdot(self) -> np.ndarray:
-        return self._qd[self.count - 1]
-
     def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node; with ``ahead``, at
         one node past it on the prefix extended by the value ``ahead``."""
         lanes = self._q_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, "state", self._q_cols, lanes)
+        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
         if ahead is None:
             return self._state_sum(lane)
         self.terms += self.count * self.n
@@ -236,7 +234,7 @@ class History:
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
         lanes = self._qd_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, "state", self._qd_cols, lanes)
+        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._qd_cols, lanes)
         return self._state_sum(lane)
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
@@ -245,9 +243,12 @@ class History:
             return np.zeros(self.n)
         self.terms += panels * self.n
         lanes = self._aux_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, "aux", slice(0, self.n), lanes)
-        self._differences("aux", self._aux, lane.order, panels, None)
-        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
+        lane = lanes.get(alpha) or self._lane(alpha, self._aux, slice(0, self.n), lanes)
+        # the entry of the newest row, which ``store`` may still rewrite:
+        # the next ``advance`` writes it again
+        if panels >= lane.order:
+            self._panel(lane.T, lane.order, panels - 1, self._aux)
+        return self._sum(lane, panels)
 
     def caputo_q_series(self, alpha: float) -> np.ndarray:
         """(count, n) L1 Caputo derivatives of q at every counted node,
@@ -258,9 +259,8 @@ class History:
         if panels < 1:
             return out
         lanes = self._q_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, "state", self._q_cols, lanes)
-        d = self._differences("state", self._state, lane.order, panels, None)[: self.n]
-        out[1:] = _causal_products(lane.w[::-1], d)
+        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
+        out[1:] = _causal_products(lane.w[::-1], lane.rows[:, :panels])
         if lane.order == 2:
             # one panel has no second difference yet: the sum is zero there
             out[1] = 0.0
@@ -293,8 +293,8 @@ class History:
             self.terms += (m - 1) * self.n
         return scale * total
 
-    def _lane(self, alpha: float, name: str, cols: slice, lanes: dict) -> _Lane:
-        """The lane of the columns ``cols`` of the array ``name`` at alpha.
+    def _lane(self, alpha: float, x: np.ndarray, cols: slice, lanes: dict) -> _Lane:
+        """The lane of the columns ``cols`` of the array ``x`` at alpha.
 
         The L1 panel weights are stored reversed, so the last n are those
         of n panels in the order the differences are summed, and multiplied
@@ -303,8 +303,50 @@ class History:
         w = self._weights.get(("l1", alpha))
         if w is None:
             w = self._weights[("l1", alpha)] = _l1_weights(self._size, p)[::-1] * (hp / g)
-        lane = lanes[alpha] = _Lane(cols, order, self._record(name, order), w)
+        lane = lanes[alpha] = _Lane(self._buffer(x, order)[cols], order, w)
         return lane
+
+    def _buffer(self, x: np.ndarray, order: int) -> np.ndarray:
+        """The (columns, nodes) differences of order ``order`` of the array
+        ``x`` (state or aux).  A new buffer gets every entry the counted
+        rows make final, as ``advance`` writes them."""
+        for T, y, o, _ in self._buffers:
+            if y is x and o == order:
+                return T.T
+        T = np.zeros((x.shape[1], self._size)).T
+        lag = 2 if x is self._state else 3
+        for k in range(order - 1, self.count - lag + 1):
+            self._panel(T, order, k, x)
+        self._buffers.append((T, x, order, lag))
+        return T.T
+
+    def _panel(self, T: np.ndarray, order: int, k: int, x: np.ndarray, nxt=None) -> None:
+        """Write panel k of the transposed difference buffer ``T`` of the
+        rows x (with the row ``nxt`` in place of x[k + 1] when given):
+        x[k+1] - x[k], or (x[k+1] - 2 x[k] + x[k-1]) / h^2 for k >= 1 with
+        panel 0 repeating panel 1 (and zero until there is one), as in
+        ``frac_ops``."""
+        if order == 1:
+            np.subtract(x[k + 1] if nxt is None else nxt, x[k], out=T[k])
+            return
+        # Python floats: the same IEEE operations as the ufuncs, cheaper on
+        # a few columns
+        if nxt is None:
+            r0, r1, r2 = x[k - 1 : k + 2].tolist()
+        else:
+            (r0, r1), r2 = x[k - 1 : k + 1].tolist(), nxt.tolist()
+        h2 = self._h2
+        T[k] = [(x2 - 2.0 * x1 + x0) / h2 for x2, x1, x0 in zip(r2, r1, r0)]
+        if k == 1:
+            T[0] = T[1]
+
+    def _sum(self, lane: _Lane, panels: int) -> np.ndarray:
+        """The L1 sums of a lane's series over its first ``panels`` panels;
+        zero with fewer panels than its difference order (one panel has no
+        second difference)."""
+        if panels < lane.order:
+            return np.zeros(self.n)
+        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
 
     def _state_sum(self, lane: _Lane) -> np.ndarray:
         """The L1 sums of a lane's series at the newest node, its products
@@ -316,104 +358,19 @@ class History:
             if panels > 0:
                 lane.summed += panels
                 self.terms += panels * self.n
-        if panels < 1:
-            return np.zeros(self.n)
-        if not self._extend(lane, c):
-            self._differences("state", self._state, lane.order, panels, None)
-        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
+        return self._sum(lane, panels)
 
     def _ahead_sum(self, lane: _Lane, ahead) -> np.ndarray:
         """The L1 sums of q at the node past the newest, whose value is
         ``ahead``.  The entry of that last panel is written for the q
-        columns alone; it is not final, and the next query recomputes it."""
+        columns alone; it is not final, and the next ``advance`` writes it
+        again."""
         c = self.count
-        if c < 1:
-            return np.zeros(self.n)
-        s = self._state
-        n = self.n
-        if not self._extend(lane, c):
-            # qdot's entries past the newest node are recomputed by the next
-            # query, so its newest value may stand in for the missing one
-            row = s[c - 1].copy()
-            row[:n] = ahead
-            self._differences("state", s, lane.order, c, row)
-        elif lane.order == 1:
-            np.subtract(ahead, s[c - 1, :n], out=lane.T[c - 1, :n])
-        else:
-            if isinstance(ahead, float):
-                ahead = [ahead] * n
-            else:
-                ahead = np.broadcast_to(np.asarray(ahead, dtype=float), (n,)).tolist()
-            h2 = self._h2
-            r0, r1 = s[c - 2 : c].tolist()
-            lane.T[c - 1, :n] = [
-                (a - 2.0 * x1 + x0) / h2 for a, x1, x0 in zip(ahead, r1, r0)
-            ]
-        return lane.dot(lane.rows[:, :c], lane.w[self._size - c :])
-
-    def _extend(self, lane: _Lane, c: int) -> bool:
-        """Make the state's difference entries before panel c - 1 final when
-        at most the newest of them is missing, by writing that row as the
-        generic catch-up computes it; False when they cannot be (a skipped
-        count, or second differences before panel 0 is settled)."""
-        rec = lane.rec
-        lo = rec[1]
-        if lo < c - 2 or (lane.order == 2 and lo < 2):
-            return False
-        if lo == c - 2:
-            s = self._state
-            if lane.order == 1:
-                np.subtract(s[c - 1], s[c - 2], out=lane.T[c - 2])
-            else:
-                # Python floats: the same IEEE operations as the ufuncs,
-                # cheaper on a few columns
-                h2 = self._h2
-                r0, r1, r2 = s[c - 3 : c].tolist()
-                lane.T[c - 2] = [
-                    (x2 - 2.0 * x1 + x0) / h2 for x2, x1, x0 in zip(r2, r1, r0)
-                ]
-            rec[1] = c - 1
-        return True
-
-    def _record(self, name: str, order: int) -> list:
-        """[(columns, nodes) difference buffer, entries final] of the array
-        ``name`` ("state" or "aux") at the difference order ``order``."""
-        entry = self._diffs.get((name, order))
-        if entry is None:
-            cols = 2 * self.n if name == "state" else self.n
-            entry = self._diffs[(name, order)] = [np.zeros((cols, self._size)), 0]
-        return entry
-
-    def _differences(
-        self, name: str, arr: np.ndarray, order: int, panels: int, ahead
-    ) -> np.ndarray:
-        """(columns, panels) per-panel differences of the prefix (and
-        ``ahead``): the generic catch-up.
-
-        Second differences are divided by h^2 and panel 0 repeats panel 1,
-        as in ``frac_ops``.  Entries that touch only counted rows are final
-        and kept, except that ``store`` may still rewrite the newest aux
-        row; the rest (and an ``ahead`` entry) are recomputed."""
-        entry = self._record(name, order)
-        buf, lo = entry
-        if order == 2 and lo < 2:
-            lo = 0
-        start = max(lo - order + 1, 0)
-        seg = arr[start : self.count]
-        if ahead is not None:
-            seg = np.vstack((seg, ahead))
-        if order == 1:
-            np.subtract(seg[1:], seg[:-1], out=buf[:, lo:panels].T)
-        elif panels >= 2:
-            first = max(lo, 1)
-            d2 = seg[2:] - 2.0 * seg[1:-1] + seg[:-2]
-            np.divide(d2, self.h**2, out=buf[:, first:panels].T)
-            if lo == 0:
-                buf[:, 0] = buf[:, 1]
-        else:
-            buf[:, 0] = 0.0
-        entry[1] = max(self.count - 1 - (arr is not self._state), 0)
-        return buf[:, :panels]
+        if c >= lane.order:
+            row = self._ahead
+            row[:] = ahead
+            self._panel(lane.T, lane.order, c - 1, self._q, row)
+        return self._sum(lane, c)
 
 
 def _causal_products(w: np.ndarray, d: np.ndarray) -> np.ndarray:

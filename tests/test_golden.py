@@ -120,7 +120,7 @@ GOLDEN = {
     "hamilton-dA_dD": "3f604a44a9b4197a5239193e9fc24b90a101886f7b71179702bab1ba120ddcc7",
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
     "linear-nd-a15-verlet": "513b37ff6dd358155de621f40fbb4d4f3b64df413945768b53523dc9e1db82b0",
-    "general": "02f896d76d695f6a102107f4c1f3fede21e9f0e2e20263b5263b79af7923f5e7",
+    "general": "7e9302649aec377a99c979942ac33517d721ac05274171a23cb6e6c1e05ab00a",
 }
 
 

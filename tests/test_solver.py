@@ -77,7 +77,7 @@ class TestHistory:
         for i in range(6):
             hist.append(np.array([t[i] ** 2, 0.0]), np.array([2 * t[i], 0.0]))
         assert hist.q_view.shape == (6, 2)
-        assert hist.last_q[0] == pytest.approx(t[5] ** 2)
+        assert hist.q_view[-1, 0] == pytest.approx(t[5] ** 2)
         ref = l1_caputo_last(t[:6] ** 2, g.h, 0.5)
         assert hist.caputo_q(0.5)[0] == pytest.approx(ref)
         assert hist.caputo_q(0.5)[1] == 0.0
@@ -166,15 +166,16 @@ class TestHistory:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_every_count_equals_any_schedule(self, nodes, n, alpha, seed):
-        """Two histories get the same rows.  One answers every query at
-        every count, so from its fourth count on each query takes the
-        one-row path; the other answers a random schedule, with skipped
-        counts, repeats, ``ahead`` queries in either order, both
-        difference orders and a rewritten aux row, so it goes through the
-        generic catch-up as well.  Every answer they share is equal."""
+        """Three histories get the same rows.  One answers every query at
+        every count; one answers a random schedule, with skipped counts,
+        repeats, ``ahead`` queries in either order, both difference orders
+        and a rewritten aux row; one is first asked after its last row, so
+        that each of its difference buffers is written by the backfill.
+        Every answer they share is equal, ``caputo_q_series`` at both
+        orders too."""
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
-        every, sched = History(g, n), History(g, n)
+        every, sched, late = History(g, n), History(g, n), History(g, n)
         queries = [
             (kind, a) for a in (alpha, 2.0 - alpha) for kind in ("q", "qdot", "ahead", "aux")
         ]
@@ -194,7 +195,9 @@ class TestHistory:
             ahead = float(rng.normal()) if rng.random() < 0.5 else rng.normal(size=n)
             every.append(q, qdot)
             sched.append(q, qdot)
+            late.append(q, qdot)
             every.store(v)
+            late.store(v)
             if rng.random() < 0.3:
                 sched.store(rng.normal(size=n))
                 if rng.random() < 0.5:
@@ -206,6 +209,12 @@ class TestHistory:
             for j in rng.choice(len(queries), size=int(rng.integers(1, 12))):
                 got = ask(sched, *queries[j], ahead)
                 assert np.array_equal(got, want[queries[j]])
+        for query in queries:
+            assert np.array_equal(ask(late, *query, ahead), want[query])
+        for a in (alpha, 2.0 - alpha):
+            series = every.caputo_q_series(a)
+            assert np.array_equal(sched.caputo_q_series(a), series)
+            assert np.array_equal(late.caputo_q_series(a), series)
 
 
 def linear_system():
@@ -268,53 +277,73 @@ def prop1_run(scheme):
     return integrate_second_order(rhs_linear(sys), (sys.q_init, sys.qdot_init), cfg)
 
 
-class TestLeanPath:
-    """The per-step state query writes its new difference row alone; the
-    generic catch-up serves an order's first counts, skipped counts and
-    ``caputo_q_series``."""
+class TestDifferenceWrites:
+    """A difference entry is written once, when its rows are final: each
+    state entry in panel order, by the backfill when the first query of
+    its order makes the buffer and by ``advance`` from then on.  No query
+    writes any other state entry but the ``ahead`` one, past the final
+    ones, which the next ``advance`` writes again."""
 
     @pytest.mark.parametrize(
-        "run,rows",
+        "run,first,backfilled",
         [
-            # order 1: the one-row path from the first panel on
-            (lambda: prop1_run("semi-implicit-euler"), range(2, 202)),
-            (lambda: prop1_run("velocity-verlet"), range(2, 201)),
-            # order 2: panel 0 repeats panel 1, settled at count 3
-            (lambda: reduced_run("reduced"), range(4, 202)),
-            (lambda: reduced_run("pre"), range(4, 202)),
+            # order 1: from the first panel on, the buffer made at count 1
+            (lambda: prop1_run("semi-implicit-euler"), 0, 0),
+            (lambda: prop1_run("velocity-verlet"), 0, 0),
+            # order 2: panel 0 repeats panel 1, written with it
+            (lambda: reduced_run("reduced"), 1, 0),
+            # the first ``ahead`` query comes at count 3
+            (lambda: reduced_run("pre"), 1, 1),
         ],
         ids=["prop1-semi-implicit-euler", "prop1-velocity-verlet", "reduced", "pre"],
     )
-    def test_no_catch_up_after_the_third_count(self, run, rows, monkeypatch):
-        catch_up, new_rows, in_series = [], [], []
-        differences, extend = History._differences, History._extend
-        caputo_series = History.caputo_q_series
+    def test_state_entries_written_once_in_panel_order(
+        self, run, first, backfilled, monkeypatch
+    ):
+        writes, callers, hists = [], [], set()
+        panel = History._panel
 
-        def counted(hist, name, *args):
-            if name == "state" and not in_series:
-                catch_up.append(hist.count)
-            return differences(hist, name, *args)
+        def logged_panel(hist, T, order, k, x, nxt=None):
+            hists.add(hist)
+            if x is hist._state or x is hist._q:
+                writes.append((callers[-1] if callers else "other", k, hist.count))
+            return panel(hist, T, order, k, x, nxt)
 
-        def counted_row(hist, lane, c):
-            before = lane.rec[1]
-            done = extend(hist, lane, c)
-            if done and lane.rec[1] != before:
-                new_rows.append(c)
-            return done
+        def within(name, method):
+            def wrapped(hist, *args):
+                callers.append(name)
+                try:
+                    return method(hist, *args)
+                finally:
+                    callers.pop()
 
-        def series(hist, alpha):
-            in_series.append(True)
-            try:
-                return caputo_series(hist, alpha)
-            finally:
-                in_series.pop()
+            return wrapped
 
-        monkeypatch.setattr(History, "_differences", counted)
-        monkeypatch.setattr(History, "_extend", counted_row)
-        monkeypatch.setattr(History, "caputo_q_series", series)
+        monkeypatch.setattr(History, "_panel", logged_panel)
+        for name, method in [
+            ("advance", "advance"), ("backfill", "_buffer"), ("ahead", "_ahead_sum")
+        ]:
+            monkeypatch.setattr(History, method, within(name, getattr(History, method)))
         assert run().grid.n_nodes == 201
-        assert all(c <= 3 for c in catch_up)
-        assert new_rows == list(rows)
+        final = [(who, k, c) for who, k, c in writes if who != "ahead"]
+        assert [k for _, k, _ in final] == list(range(first, 200))
+        assert [who for who, _, _ in final] == ["backfill"] * backfilled + ["advance"] * (
+            200 - first - backfilled
+        )
+        # once its last row is counted: by advance at that count, by the
+        # backfill at that count or later
+        assert all(c == k + 2 if who == "advance" else c >= k + 2 for who, k, c in final)
+        assert all(k == c - 1 for who, k, c in writes if who == "ahead")
+        # the final entries are the frac_ops differences of the whole run
+        (hist,) = hists
+        state = hist._state
+        for T, x, order, _ in hist._buffers:
+            if x is state:
+                if order == 1:
+                    want = np.diff(state, axis=0)
+                else:
+                    want = np.array([_second_differences(col, hist.h) for col in state.T]).T
+                assert np.array_equal(T[:200], want)
 
 
 class Logged:
