@@ -190,7 +190,8 @@ def _grad_potential(cfg: ScenarioConfig, n: int):
         return lambda q: np.zeros(n)
     k = _require(sel, "k", float, "parameters.potential", 1.0)
     if kind == "quadratic":
-        return lambda q: k * np.asarray(q)
+        kv = np.full(n, k)  # a vector: numpy then converts no Python float per call
+        return lambda q: kv * np.asarray(q)
     if kind == "quadratic-q1":
         def grad(q):
             g = np.zeros(n)

@@ -191,7 +191,10 @@ class _LinearRHS(RHS):
     """The projector form from two scalars, ag = a.grad u and
     bd = b.D^1 D^alpha q: qddot = (a/a^2)(ag - bd) - grad u and
     lambda = (ag - bd - avg b.q^(m)(0))/a^2, avg being the startup power's
-    average over the step in prop1 mode (zero in direct mode)."""
+    average over the step in prop1 mode (zero in direct mode).  In prop1
+    mode bd is b.D^alpha qdot, which the history sums from one projected
+    series, b times the velocity differences, not n columns; direct mode
+    and the residual keep the n columns of D^alpha q."""
 
     def __init__(self, sys: SystemSpec, mode: str) -> None:
         if mode not in ("prop1", "direct"):
@@ -205,6 +208,8 @@ class _LinearRHS(RHS):
         self.a = c.a
         self.b = c.b
         self.alpha = c.order.alpha
+        # b as a tuple of floats, which keys the history's lane of b . qdot
+        self._b = tuple(self.b.tolist())
         self.a2 = float(np.dot(self.a, self.a))
         self._a_unit = self.a / self.a2  # a/|a|^2
         _check_initial_residual(sys)
@@ -220,7 +225,9 @@ class _LinearRHS(RHS):
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         if self.mode == "prop1":
-            d1d = hist.caputo_qdot(self.alpha)
+            # b . D^alpha qdot, the one scalar of the memory that reaches
+            # the dynamics, from one projected series
+            bd = hist.caputo_qdot_along(self.alpha, self._b)
         else:
             # backward difference against D^alpha q stored at the node before
             dq_now = hist.caputo_q(self.alpha)
@@ -229,9 +236,10 @@ class _LinearRHS(RHS):
                 d1d = np.zeros_like(dq_now)
             else:
                 d1d = (dq_now - hist.aux_view[-2]) / hist.h
+            bd = float(self.b.dot(d1d))
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
         # ndarray.dot skips the dispatch of np.dot and of the @ ufunc
-        num = float(self.a.dot(grad)) - float(self.b.dot(d1d))
+        num = float(self.a.dot(grad)) - bd
         lam = num
         if self._bqm0:
             # report the step-effective multiplier: the singular startup term
@@ -340,6 +348,9 @@ class _NonlinearPreRHS(RHS):
         self.g = g
         self.K = K
         self.alpha = alpha
+        # (h, h^(-alpha)/Gamma(3 - alpha)) for the last step size seen: one
+        # object serves runs at any h, so the pair is replaced, never reset
+        self._coef = (None, 0.0)
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         h = hist.h
@@ -351,7 +362,10 @@ class _NonlinearPreRHS(RHS):
         v0 = hist.qdot_view[0, 0]
         # F at the next node with x_{i+1} split out (taken as 0 in the L1
         # sum); K is lagged one sample
-        coef = h ** (-self.alpha) / math.gamma(3.0 - self.alpha)
+        hc = self._coef
+        if hc[0] != h:
+            hc = self._coef = (h, h ** (-self.alpha) / math.gamma(3.0 - self.alpha))
+        coef = hc[1]
         f_known = (
             hist.caputo_q(self.alpha, ahead=0.0)[0]
             + hist.integral_aux(2.0 - self.alpha, ahead=hist.aux_view[-1])[0]

@@ -9,10 +9,15 @@ difference entry once, when counting a row makes it final, and builds each
 L1 weight table once per run with the scheme's constant folded in.  A
 query reads the final differences (an ``ahead`` or aux query first writes
 the one entry past them) and takes one dot with the table's tail, so its
-answer does not depend on the schedule of queries before it.
+answer does not depend on the schedule of queries before it.  Where only
+b . D^alpha qdot reaches the dynamics (the linear constraint's projector
+form), the history keeps the projected series b . (qdot differences) as
+one more difference buffer, and the query sums one series, not n.
 Its results are those of ``l1_caputo_last`` and
 ``fractional_integral_last`` on the same prefix within the stated rounding
-bound, (panels + 4) eps sum|c w_k d_k|.  All schemes are explicit with the
+bound, (panels + 4) eps sum|c w_k d_k|, and a projected one is within
+(panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums.  All
+schemes are explicit with the
 history term lagged at most one step, so the per-step cost grows linearly
 with the step index (O(N^2) per run).
 
@@ -99,21 +104,24 @@ class SimulationResult:
 
 
 class _Lane:
-    """One series of a ``History`` (some columns of its state or aux array)
-    at one order alpha, bound once for the per-step query: the L1 scheme's
-    difference order, the series' rows of that order's difference buffer
-    and their transpose, the pre-scaled weight table, the dot to take, and
-    the last count summed with the panels summed so far."""
+    """One series of a ``History`` (some columns of its state or aux array,
+    or one projected series) at one order alpha, bound once for the
+    per-step query: the L1 scheme's difference order, the series' rows of
+    that order's difference buffer (one 1-d row for a projected series) and
+    their transpose, the products per panel, the pre-scaled weight table,
+    the dot to take, and the last count summed with the panels summed so
+    far."""
 
-    __slots__ = ("order", "rows", "T", "w", "dot", "count", "summed")
+    __slots__ = ("order", "rows", "T", "width", "w", "dot", "count", "summed")
 
     def __init__(self, rows: np.ndarray, order: int, w: np.ndarray) -> None:
         self.order = order
         self.rows = rows
         self.T = rows.T
+        self.width = 1 if rows.ndim == 1 else len(rows)
         self.w = w
         # on a single row the dot product is cheaper than a gemv
-        self.dot = np.dot if len(rows) == 1 else np.matmul
+        self.dot = np.dot if self.width == 1 else np.matmul
         self.count = 0
         self.summed = 0
 
@@ -141,16 +149,22 @@ class History:
     past the final ones from its value or the newest stored row, and the
     next ``advance`` writes it again.  ``caputo_q_series`` answers D^alpha q
     at every counted node at once, from those differences and table in one
-    blocked product.
+    blocked product.  ``caputo_qdot_along`` answers b . D^alpha qdot from
+    one projected buffer per (alpha, b), whose entry k is b . (entry k of
+    the qdot differences): ``advance`` writes it right after that state
+    entry, a new one is backfilled with every final entry, and for second
+    differences panel 0 repeats panel 1.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
     (panels + 4) eps sum|c w_k d_k|, since the sums run in another order
-    with the constant c folded into the weights; ``integral_aux`` keeps
-    the arithmetic of ``fractional_integral_last``.  ``terms`` counts the
-    products of the state sums a run asks for once per (series, order,
-    count), however often one is computed: a query repeated at one count,
-    or a node of ``caputo_q_series`` that a query already summed, adds
-    nothing.  Each ``ahead`` and aux query counts its products.
+    with the constant c folded into the weights; a projected answer is
+    within (panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums.
+    ``integral_aux`` keeps the arithmetic of ``fractional_integral_last``.
+    ``terms`` counts the products of the state sums a run asks for once
+    per (series, order, count), however often one is computed: a query
+    repeated at one count, or a node of ``caputo_q_series`` that a query
+    already summed, adds nothing; a projected series counts one product
+    per panel.  Each ``ahead`` and aux query counts its products.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
@@ -173,12 +187,16 @@ class History:
         # one (transposed buffer, array, difference order, lag) per
         # difference buffer: ``advance`` writes its panel count - lag
         self._buffers: list = []
+        # one (buffer, qdot columns of the state's difference buffer, b,
+        # difference order) per projected series b . qdot
+        self._projections: list = []
         # the state columns of q and of qdot; the lanes of q, qdot and the
-        # stored vectors by alpha
+        # stored vectors by alpha, and of b . qdot by (alpha, b)
         self._q_cols, self._qd_cols = slice(0, n), slice(n, 2 * n)
         self._q_lanes: dict = {}
         self._qd_lanes: dict = {}
         self._aux_lanes: dict = {}
+        self._along_lanes: dict = {}
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         """Add the state at the next node."""
@@ -195,6 +213,10 @@ class History:
         for T, x, order, lag in self._buffers:
             if c - lag >= order - 1:
                 self._panel(T, order, c - lag, x)
+        # after the state entry each one reads
+        for p, D, b, order in self._projections:
+            if c - 2 >= order - 1:
+                self._project(p, D, b, order, c - 2)
 
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
@@ -236,6 +258,13 @@ class History:
         lanes = self._qd_lanes
         lane = lanes.get(alpha) or self._lane(alpha, self._state, self._qd_cols, lanes)
         return self._state_sum(lane)
+
+    def caputo_qdot_along(self, alpha: float, b: tuple) -> float:
+        """b . D^alpha qdot at the newest node, for a tuple b of n floats
+        (it keys the lane): one dot of the projected differences with the
+        weight table, in place of the n sums of ``caputo_qdot``."""
+        lane = self._along_lanes.get((alpha, b)) or self._along_lane(alpha, b)
+        return float(self._state_sum(lane))
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
         panels = self.count - 1
@@ -293,17 +322,39 @@ class History:
             self.terms += (m - 1) * self.n
         return scale * total
 
-    def _lane(self, alpha: float, x: np.ndarray, cols: slice, lanes: dict) -> _Lane:
-        """The lane of the columns ``cols`` of the array ``x`` at alpha.
+    def _table(self, alpha: float):
+        """The L1 scheme's difference order at alpha and its weight table.
 
-        The L1 panel weights are stored reversed, so the last n are those
-        of n panels in the order the differences are summed, and multiplied
-        by the scheme's constant."""
+        The panel weights are stored reversed, so the last n are those of n
+        panels in the order the differences are summed, and multiplied by
+        the scheme's constant."""
         order, p, hp, g = _l1_scheme(alpha, self.h)
         w = self._weights.get(("l1", alpha))
         if w is None:
             w = self._weights[("l1", alpha)] = _l1_weights(self._size, p)[::-1] * (hp / g)
+        return order, w
+
+    def _lane(self, alpha: float, x: np.ndarray, cols: slice, lanes: dict) -> _Lane:
+        """The lane of the columns ``cols`` of the array ``x`` at alpha."""
+        order, w = self._table(alpha)
         lane = lanes[alpha] = _Lane(self._buffer(x, order)[cols], order, w)
+        return lane
+
+    def _along_lane(self, alpha: float, b: tuple) -> _Lane:
+        """The lane of b . qdot at alpha.  Its buffer's entry k is b . D[k],
+        D[k] being the final entry k of the qdot columns of the state's
+        difference buffer; a new buffer gets every entry already final,
+        as ``advance`` writes them."""
+        v = np.array(b, dtype=float)
+        if v.shape != (self.n,):
+            raise FracDomainError(f"b must hold {self.n} values, got {len(v)}")
+        order, w = self._table(alpha)
+        D = self._buffer(self._state, order)[self._qd_cols].T
+        p = np.zeros(self._size)
+        for k in range(order - 1, self.count - 1):
+            self._project(p, D, v, order, k)
+        self._projections.append((p, D, v, order))
+        lane = self._along_lanes[(alpha, b)] = _Lane(p, order, w)
         return lane
 
     def _buffer(self, x: np.ndarray, order: int) -> np.ndarray:
@@ -340,6 +391,13 @@ class History:
         if k == 1:
             T[0] = T[1]
 
+    def _project(self, p: np.ndarray, D: np.ndarray, b: np.ndarray, order: int, k: int) -> None:
+        """Write entry k of the projected buffer ``p``: b . D[k], with panel
+        0 repeating panel 1 for second differences, as in ``_panel``."""
+        p[k] = b.dot(D[k])
+        if order == 2 and k == 1:
+            p[0] = p[1]
+
     def _sum(self, lane: _Lane, panels: int) -> np.ndarray:
         """The L1 sums of a lane's series over its first ``panels`` panels;
         zero with fewer panels than its difference order (one panel has no
@@ -348,17 +406,21 @@ class History:
             return np.zeros(self.n)
         return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
 
-    def _state_sum(self, lane: _Lane) -> np.ndarray:
-        """The L1 sums of a lane's series at the newest node, its products
-        counted once per count."""
+    def _state_sum(self, lane: _Lane):
+        """The L1 sums of a lane's series at the newest node (one float for
+        a projected series), its products counted once per count.  It
+        takes the dot itself, as ``_sum`` does for the other queries: one
+        call frame less per step."""
         c = self.count
         panels = c - 1
         if lane.count != c:
             lane.count = c
             if panels > 0:
                 lane.summed += panels
-                self.terms += panels * self.n
-        return self._sum(lane, panels)
+                self.terms += panels * lane.width
+        if panels < lane.order:
+            return 0.0 if lane.rows.ndim == 1 else np.zeros(self.n)
+        return lane.dot(lane.rows[..., :panels], lane.w[self._size - panels :])
 
     def _ahead_sum(self, lane: _Lane, ahead) -> np.ndarray:
         """The L1 sums of q at the node past the newest, whose value is
@@ -498,27 +560,34 @@ def _steps(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResu
     incs = None if scheme == "hamilton-euler" else rhs.singular_increments(t)
     t = t.tolist()  # Python floats: cheaper in scalar arithmetic
     thr = _DIVERGENCE_THRESHOLD
+    # a row whose squares sum to at most (thr/2)^2 has every entry within thr
+    screen = (0.5 * thr) ** 2
 
     def accept(i: int) -> None:
         row = state[i + 1]
-        # one reduction over q and qdot; NaN fails it.  The ufunc's own
-        # reduce skips the Python wrapper of ndarray.max
-        if not np.maximum.reduce(np.abs(row)) <= thr:
+        # one dot screens q and qdot.  NaN, inf, a square that overflows
+        # and entries in (thr/2, thr] fail it and take the exact test of
+        # each entry, one reduction that NaN fails too (the ufunc's own
+        # reduce skips the Python wrapper of ndarray.max)
+        if not row.dot(row) <= screen and not np.maximum.reduce(np.abs(row)) <= thr:
             res = rhs.residual(hist, lam[: i + 1])
             raise _diverged(row, _partial(grid, q, qd, lam, res, i + 1))
         hist.advance()
 
+    # the step products take a vector of h, which numpy multiplies without
+    # converting a Python float each time
+    hv = np.full(n, h)
     # the rows of nodes i and i + 1, carried from step to step
     q_i, qd_i = q[0], qd[0]
     if scheme == "velocity-verlet":
-        half_h, half_h2 = 0.5 * h, 0.5 * h * h
+        half_h, half_h2 = np.full(n, 0.5 * h), np.full(n, 0.5 * h * h)
         acc = rhs(t[0], q_i, qd_i, hist)
         lam[0] = rhs.last_multiplier
         for i in range(nn - 1):
             q_n, qd_n = q[i + 1], qd[i + 1]
-            np.add(q_i + h * qd_i, half_h2 * acc, out=q_n)
+            np.add(q_i + hv * qd_i, half_h2 * acc, out=q_n)
             # history still ends at node i: one-step-lagged fractional terms
-            acc_new = rhs(t[i + 1], q_n, qd_i + h * acc, hist)
+            acc_new = rhs(t[i + 1], q_n, qd_i + hv * acc, hist)
             lam[i + 1] = rhs.last_multiplier
             np.add(qd_i, half_h * (acc + acc_new), out=qd_n)
             if incs is not None:
@@ -531,13 +600,13 @@ def _steps(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResu
             out = rhs(t[i], q_i, qd_i, hist)
             lam[i] = rhs.last_multiplier
             if scheme == "hamilton-euler":
-                np.add(q_i, h * out[0], out=q_n)
-                np.add(qd_i, h * out[1], out=qd_n)
+                np.add(q_i, hv * out[0], out=q_n)
+                np.add(qd_i, hv * out[1], out=qd_n)
             else:
-                np.add(qd_i, h * out, out=qd_n)
+                np.add(qd_i, hv * out, out=qd_n)
                 if incs is not None:
                     qd_n += incs[i]
-                np.add(q_i, h * qd_n, out=q_n)
+                np.add(q_i, hv * qd_n, out=q_n)
             accept(i)
             q_i, qd_i = q_n, qd_n
         rhs(t[-1], q_i, qd_i, hist)

@@ -573,13 +573,34 @@ class TestReuse:
         rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5), form="pre")
         return lambda cfg: integrate_second_order(rr, ([1.0], [0.0]), cfg)
 
-    @pytest.mark.parametrize("case", ["direct", "hamilton", "pre"])
-    def test_second_run_matches_first(self, case):
-        run = getattr(self, "_" + case)()
-        cfg = IntegratorConfig(h=0.01, t_end=1.0)
-        first, second = run(cfg), run(cfg)
+    def _reduced(self):
+        rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5))
+        return lambda cfg: integrate_second_order(rr, ([1.0], [0.0]), cfg)
+
+    def _prop1(self):
+        sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+        rr = rhs_linear(sys)
+        return lambda cfg: integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
+
+    @staticmethod
+    def _same(first, second):
         for name in ("q", "qdot", "multiplier", "residual"):
             a, b = getattr(first, name), getattr(second, name)
             assert (a is None) == (b is None), name
             if a is not None:
                 assert np.array_equal(a, b, equal_nan=True), name
+
+    @pytest.mark.parametrize("case", ["direct", "hamilton", "pre"])
+    def test_second_run_matches_first(self, case):
+        run = getattr(self, "_" + case)()
+        cfg = IntegratorConfig(h=0.01, t_end=1.0)
+        self._same(run(cfg), run(cfg))
+
+    @pytest.mark.parametrize("case", ["direct", "hamilton", "pre", "reduced", "prop1"])
+    def test_run_at_another_step_matches_fresh_object(self, case):
+        """What an object computes from the step size (the pre form's
+        h^(-alpha)/Gamma(3 - alpha), say) follows h from run to run."""
+        run = getattr(self, "_" + case)()
+        run(IntegratorConfig(h=0.01, t_end=1.0))
+        cfg = IntegratorConfig(h=0.005, t_end=1.0)
+        self._same(run(cfg), getattr(self, "_" + case)()(cfg))

@@ -59,6 +59,20 @@ def l1_bound(col, h, alpha):
     return (panels + 4) * np.finfo(float).eps * np.sum(np.abs(terms))
 
 
+def along_bound(qdot, b, h, alpha):
+    """(panels + n + 4) eps sum_k |c w_k| |b|.|d_k|: a bound on how far b .
+    D^alpha qdot from the projected series b . d_k may round from b times
+    the n sums, d_k being the differences of the (nodes, n) rows ``qdot``."""
+    panels, n = len(qdot) - 1, len(b)
+    if alpha < 1.0:
+        d, p, c = np.diff(qdot, axis=0), 1.0 - alpha, h ** (-alpha) / math.gamma(2.0 - alpha)
+    else:
+        d = np.array([_second_differences(col, h) for col in qdot.T]).T
+        p, c = 2.0 - alpha, h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    w = np.abs(c * _l1_weights(panels, p)[::-1])
+    return (panels + n + 4) * np.finfo(float).eps * float(w @ (np.abs(d) @ np.abs(b)))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(FracDomainError):
@@ -160,6 +174,49 @@ class TestHistory:
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
+        nodes=st.integers(2, 48),
+        n=st.integers(1, 3),
+        alpha=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_along_within_rounding_bound_of_caputo_qdot(self, nodes, n, alpha, seed):
+        """b . D^alpha qdot from the projected series is within
+        ``along_bound`` of b times ``caputo_qdot``, at every count from the
+        one that makes its lane, at both orders."""
+        rng = np.random.default_rng(seed)
+        g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
+        hist = History(g, n)
+        b = tuple((rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)).tolist())
+        first = int(rng.integers(1, nodes + 1))
+        for count in range(1, nodes + 1):
+            hist.append(rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.integers(-3, 4))
+            if count < first:
+                continue
+            for a in (alpha, 2.0 - alpha):
+                got = hist.caputo_qdot_along(a, b)
+                want = float(np.dot(b, hist.caputo_qdot(a)))
+                assert abs(got - want) <= along_bound(hist.qdot_view, b, hist.h, a)
+
+    def test_along_lane_per_vector(self):
+        """Each vector b gets its own lane, and its answers are those of a
+        history that was asked for it alone; b must have n entries."""
+        g = Grid(0.0, 1.0, 10)
+        both, one = History(g, 2), History(g, 2)
+        rng = np.random.default_rng(3)
+        for count in range(1, 9):
+            q, qdot = rng.normal(size=2), rng.normal(size=2)
+            both.append(q, qdot)
+            one.append(q, qdot)
+            x, y = both.caputo_qdot_along(0.5, (1.0, 0.0)), both.caputo_qdot_along(0.5, (0.0, 2.0))
+            assert y == one.caputo_qdot_along(0.5, (0.0, 2.0))
+            assert (x != y) == (count > 1)
+        assert len(both._along_lanes) == 2
+        assert both.terms == 2 * one.terms == 2 * sum(range(1, 8))
+        with pytest.raises(FracDomainError):
+            both.caputo_qdot_along(0.5, (1.0, 2.0, 3.0))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
         nodes=st.integers(2, 40),
         n=st.integers(1, 3),
         alpha=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.99)),
@@ -171,14 +228,15 @@ class TestHistory:
         repeats, ``ahead`` queries in either order, both difference orders
         and a rewritten aux row; one is first asked after its last row, so
         that each of its difference buffers is written by the backfill.
-        Every answer they share is equal, ``caputo_q_series`` at both
-        orders too."""
+        The projected queries b . D^alpha qdot, for two vectors b, are made
+        at random counts too (late ones by the backfill).  Every answer
+        they share is equal, ``caputo_q_series`` at both orders too."""
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
         every, sched, late = History(g, n), History(g, n), History(g, n)
-        queries = [
-            (kind, a) for a in (alpha, 2.0 - alpha) for kind in ("q", "qdot", "ahead", "aux")
-        ]
+        kinds = ("q", "qdot", "ahead", "aux", "along", "along2")
+        queries = [(kind, a) for a in (alpha, 2.0 - alpha) for kind in kinds]
+        bs = {kind: tuple(rng.normal(size=n).tolist()) for kind in ("along", "along2")}
 
         def ask(hist, kind, a, ahead):
             if kind == "q":
@@ -187,6 +245,8 @@ class TestHistory:
                 return hist.caputo_qdot(a)
             if kind == "ahead":
                 return hist.caputo_q(a, ahead=ahead)
+            if kind in bs:
+                return hist.caputo_qdot_along(a, bs[kind])
             return hist.caputo_aux(a)
 
         for i in range(nodes):
@@ -230,10 +290,10 @@ def linear_system():
 class TestStateSums:
     @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
     def test_linear_step_sums_state_once(self, scheme, monkeypatch):
-        """A prop1 linear-nd step asks for D^alpha qdot alone: one n-row
-        history sum per count, and no ``ahead`` or aux sum.  The residual's
-        D^alpha q at every node is one blocked product after the last
-        step."""
+        """A prop1 linear-nd step asks for b . D^alpha qdot alone: one sum
+        of the projected series per count, and no ``ahead`` or aux sum.  The
+        residual's D^alpha q at every node is one blocked product after the
+        last step."""
         sums = Counter()
         other = []
         series = []
@@ -241,7 +301,7 @@ class TestStateSums:
 
         def counted(hist, lane):
             if hist.count >= 2:  # count 1 has no panel to sum
-                assert lane is hist._qd_lanes[0.5]
+                assert lane is hist._along_lanes[(0.5, (0.5, -0.3))]
                 sums[hist.count] += 1
             return state_sum(hist, lane)
 
@@ -611,6 +671,16 @@ class TestDivergence:
         partial = exc.value.partial
         assert partial.diagnostics["truncated_at"] == 2
         assert partial.q[:, 0].tolist() == [0.999999e12, 1e12]
+
+    @pytest.mark.parametrize("scheme", DIVERGENCE_SCHEMES)
+    def test_entry_whose_square_overflows(self, scheme):
+        # every scheme puts a finite 1e200 into the state at node 1: its
+        # square overflows, and the run still ends on "exceeded"
+        with pytest.raises(DivergenceError, match="exceeded") as exc:
+            coast(scheme, [1.0, 2.0], [0.0, 0.0], t_end=2.0, force=2e200)
+        partial = exc.value.partial
+        assert partial.diagnostics["truncated_at"] == 1
+        assert partial.q.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("scheme", DIVERGENCE_SCHEMES)
     @pytest.mark.parametrize("force", [np.nan, np.inf])
