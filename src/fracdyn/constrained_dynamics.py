@@ -341,7 +341,10 @@ class _NonlinearPreRHS(RHS):
     implicitly, and the acceleration handed back is the one a
     semi-implicit-euler step turns into exactly that update (the intended
     scheme for this form).  K(x_j) is evaluated once per node and kept in
-    the history.
+    the history.  A step asks the history two next-node queries, each one
+    Python float: D^alpha x on the prefix extended by 0, and J^(2-alpha)
+    K extended by the K value just stored; the rest of the step is
+    arithmetic on Python floats.
     """
 
     def __init__(self, g: float, K: Callable[[float], float], alpha: float) -> None:
@@ -353,27 +356,24 @@ class _NonlinearPreRHS(RHS):
         self._coef = (None, 0.0)
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
-        h = hist.h
-        x = hist.q_view[:, 0]
-        hist.store(self.K(x[-1]))
-        if len(x) < 3:
+        # Python floats: one-element numpy arithmetic costs ten times more
+        x = float(q[0])
+        k = self.K(x)
+        hist.store(k)
+        if hist.count < 3:
             # fractional terms vanish at 0+ along smooth motion
-            return np.array([-self.K(float(q[0]))])
-        v0 = hist.qdot_view[0, 0]
-        # F at the next node with x_{i+1} split out (taken as 0 in the L1
-        # sum); K is lagged one sample
+            return np.array([-k])
+        h = hist.h
         hc = self._coef
         if hc[0] != h:
             hc = self._coef = (h, h ** (-self.alpha) / math.gamma(3.0 - self.alpha))
-        coef = hc[1]
-        f_known = (
-            hist.caputo_q(self.alpha, ahead=0.0)[0]
-            + hist.integral_aux(2.0 - self.alpha, ahead=hist.aux_view[-1])[0]
-        )
-        x_next = (x[-1] + h * (v0 - self.g * f_known)) / (
-            1.0 + h * self.g * coef
-        )
-        return np.array([((x_next - x[-1]) / h - float(qdot[0])) / h])
+        # F at the next node with x_{i+1} split out (taken as 0 in the L1
+        # sum); K is lagged one sample
+        dx = hist.caputo_q_along(self.alpha, (1.0,), (0.0,))
+        f_known = dx + hist.integral_aux_along(2.0 - self.alpha, (1.0,), (k,))
+        v0 = float(hist._qd[0, 0])
+        x_next = (x + h * (v0 - self.g * f_known)) / (1.0 + h * self.g * hc[1])
+        return np.array([((x_next - x) / h - float(qdot[0])) / h])
 
 
 class _NonlinearReducedRHS(RHS):
@@ -490,11 +490,11 @@ class _HamiltonRHS(RHS):
         (q, p, D^alpha q)."""
         c = self.sys.constraint
         q, p = hist.q_view, hist.qdot_view
-        if self._dq0 is None:
-            dq = hist.caputo_q_series(self.alpha)
-            A = [np.asarray(c.df_dqdot(*row), dtype=float) for row in zip(q, p, dq)]
-        else:
-            A = [c.a] * hist.count
+        if self._dq0 is not None:
+            # the constant A = a: one product over every node
+            return (p - multiplier[:, None] * c.a) @ c.a
+        dq = hist.caputo_q_series(self.alpha)
+        A = [np.asarray(c.df_dqdot(*row), dtype=float) for row in zip(q, p, dq)]
         return np.array([float(np.dot(a, pi - mu * a)) for a, pi, mu in zip(A, p, multiplier)])
 
 

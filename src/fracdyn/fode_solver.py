@@ -7,19 +7,23 @@ product-trapezoidal fractional integral).  It keeps q and qdot side by side
 (the steppers write each new state row there in place), writes each
 difference entry once, when counting a row makes it final, and builds each
 L1 weight table once per run with the scheme's constant folded in.  A
-query reads the final differences (an ``ahead`` or aux query first writes
-the one entry past them) and takes one dot with the table's tail, so its
+query reads the final differences (an aux query first writes the entry
+of the newest stored row) and takes one dot with the table's tail, so its
 answer does not depend on the schedule of queries before it.  Where only
 b . D^alpha qdot reaches the dynamics (the linear constraint's projector
 form), the history keeps the projected series b . (qdot differences) as
-one more difference buffer, and the query sums one series, not n.
+one more difference buffer, and the query sums one series, not n.  The
+pre form's queries at the node past the newest, b . D^alpha q and b .
+J^eps of the stored vectors on the prefix extended by a value ``ahead``,
+answer one Python float and only read: per column one dot over the final
+entries, plus the newest entry computed from ``ahead``.
 Its results are those of ``l1_caputo_last`` and
 ``fractional_integral_last`` on the same prefix within the stated rounding
 bound, (panels + 4) eps sum|c w_k d_k|, and a projected one is within
-(panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums.  All
-schemes are explicit with the
-history term lagged at most one step, so the per-step cost grows linearly
-with the step index (O(N^2) per run).
+(panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums (the
+trapezoid's (m + n + 4) eps sum|s c_j| |b|.|f_j|).  All schemes are
+explicit with the history term lagged at most one step, so the per-step
+cost grows linearly with the step index (O(N^2) per run).
 
 Every right-hand side meets the ``RHS`` protocol.  A step does only the
 work the next state depends on: one right-hand-side call.  What the run
@@ -138,33 +142,44 @@ class History:
     An L1 query is one gemv of the differences with a weight table.  The
     tables are built on the first query of each order, sized to the grid
     and multiplied once by the scheme's constant, h^(-alpha)/Gamma(2-alpha)
-    or h^(2-alpha)/Gamma(3-alpha).  The first or second differences of the
-    state (both series at once) and of the stored vectors are kept in one
-    buffer per array and order, made on the first query of that order with
-    the entries already final.  A difference entry is written once, when
-    its rows are final: ``advance`` writes the entry its new row completes,
-    panel count - 2 of the state and count - 3 of the stored vectors, since
-    ``store`` may still rewrite the newest one.  A state query then only
-    reads; an ``ahead`` query, or an aux query, first writes the one entry
-    past the final ones from its value or the newest stored row, and the
-    next ``advance`` writes it again.  ``caputo_q_series`` answers D^alpha q
-    at every counted node at once, from those differences and table in one
-    blocked product.  ``caputo_qdot_along`` answers b . D^alpha qdot from
-    one projected buffer per (alpha, b), whose entry k is b . (entry k of
-    the qdot differences): ``advance`` writes it right after that state
-    entry, a new one is backfilled with every final entry, and for second
-    differences panel 0 repeats panel 1.
+    or h^(2-alpha)/Gamma(3-alpha); the trapezoid's reversed table, on the
+    first query of each eps, by h^eps/Gamma(eps + 2).  The first or second
+    differences of the state (both series at once) and of the stored
+    vectors are kept in one buffer per array and order, made on the first
+    query of that order with the entries already final.  A difference entry
+    is written once, when its rows are final: ``advance`` writes the entry
+    its new row completes, panel count - 2 of the state and count - 3 of
+    the stored vectors, since ``store`` may still rewrite the newest one.
+    ``advance`` is the only writer of state entries, and a state query only
+    reads; an aux query first writes the entry of the newest stored row,
+    which the next ``advance`` writes again.  ``caputo_q_along`` answers
+    b . D^alpha q at the node past the newest, whose value is ``ahead``: per
+    column one dot of the final entries with the table's tail shifted by
+    one panel, plus the newest weight times the newest entry, which
+    ``_entry`` computes from ``ahead`` in Python floats.
+    ``integral_aux_along`` answers b . J^eps of the stored vectors extended
+    by ``ahead`` at that node, one dot per stored column.
+    ``caputo_q_series`` answers D^alpha q at every counted node at once,
+    from those differences and table in one blocked product.
+    ``caputo_qdot_along`` answers b . D^alpha qdot from one projected buffer
+    per (alpha, b), whose entry k is b . (entry k of the qdot differences):
+    ``advance`` writes it right after that state entry, a new one is
+    backfilled with every final entry, and for second differences panel 0
+    repeats panel 1.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
     (panels + 4) eps sum|c w_k d_k|, since the sums run in another order
     with the constant c folded into the weights; a projected answer is
     within (panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums.
-    ``integral_aux`` keeps the arithmetic of ``fractional_integral_last``.
-    ``terms`` counts the products of the state sums a run asks for once
-    per (series, order, count), however often one is computed: a query
-    repeated at one count, or a node of ``caputo_q_series`` that a query
-    already summed, adds nothing; a projected series counts one product
-    per panel.  Each ``ahead`` and aux query counts its products.
+    ``integral_aux_along`` is within (m + n + 4) eps sum|s c_j| |b|.|f_j|
+    of b times the n ``fractional_integral_last`` values at count m, s
+    being the scale and c_j the weight of row j.  ``terms`` counts the
+    products of the state sums a run asks for once per (series, order,
+    count), however often one is computed: a query repeated at one count,
+    or a node of ``caputo_q_series`` that a query already summed, adds
+    nothing; a projected series counts one product per panel.  Each
+    next-node and aux query counts its products, n per panel or stored
+    row.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
@@ -176,8 +191,6 @@ class History:
         self._q = self._state[:, :n]
         self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
-        # the value of an ``ahead`` query, kept so that a query allocates no row
-        self._ahead = np.empty(n)
         # aux rows before this one are zero; a nonzero row was seen
         self._aux_zero = 0
         self._aux_seen = False
@@ -244,15 +257,41 @@ class History:
     def aux_view(self) -> np.ndarray:
         return self._aux[: self.count]
 
-    def caputo_q(self, alpha: float, ahead=None) -> np.ndarray:
-        """L1 Caputo derivative of q at the newest node; with ``ahead``, at
-        one node past it on the prefix extended by the value ``ahead``."""
+    def caputo_q(self, alpha: float) -> np.ndarray:
+        """L1 Caputo derivative of q at the newest node."""
         lanes = self._q_lanes
         lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
-        if ahead is None:
-            return self._state_sum(lane)
-        self.terms += self.count * self.n
-        return self._ahead_sum(lane, ahead)
+        return self._state_sum(lane)
+
+    def caputo_q_along(self, alpha: float, b: tuple, ahead: tuple) -> float:
+        """b . D^alpha q at the node past the newest, on the prefix extended
+        by the value ``ahead``; b and ``ahead`` hold n floats each.  Per
+        column, one dot of the final differences with the table's tail
+        shifted by one panel, plus the newest weight times the newest
+        entry, which is computed from ``ahead`` and not written."""
+        n = self.n
+        if len(b) != n or len(ahead) != n:
+            raise FracDomainError(f"b and ahead must hold {n} values each")
+        lanes = self._q_lanes
+        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
+        c, order = self.count, lane.order
+        if c < order:
+            return 0.0
+        self.terms += c * n
+        rows = self._q[c - order : c].tolist()
+        rows.append(ahead)
+        newest = self._entry(order, rows)
+        # the entries before the newest are final, but at count 2 of
+        # second differences, where panel 0 repeats the newest panel
+        w, size = lane.w, self._size
+        final, last = c - 1, float(w[-1])
+        if final == 1 and order == 2:
+            final, last = 0, last + float(w[-2])
+        tail = w[size - 1 - final : size - 1]
+        total = 0.0
+        for bk, d, e in zip(b, lane.rows, newest):
+            total += bk * (float(d[:final].dot(tail)) + last * e)
+        return total
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
         lanes = self._qd_lanes
@@ -273,11 +312,13 @@ class History:
         self.terms += panels * self.n
         lanes = self._aux_lanes
         lane = lanes.get(alpha) or self._lane(alpha, self._aux, slice(0, self.n), lanes)
+        if panels < lane.order:
+            # one panel has no second difference
+            return np.zeros(self.n)
         # the entry of the newest row, which ``store`` may still rewrite:
         # the next ``advance`` writes it again
-        if panels >= lane.order:
-            self._panel(lane.T, lane.order, panels - 1, self._aux)
-        return self._sum(lane, panels)
+        self._panel(lane.T, lane.order, panels - 1, self._aux)
+        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
 
     def caputo_q_series(self, alpha: float) -> np.ndarray:
         """(count, n) L1 Caputo derivatives of q at every counted node,
@@ -298,29 +339,35 @@ class History:
         lane.count, lane.summed = self.count, total
         return out
 
-    def integral_aux(self, eps: float, ahead) -> np.ndarray:
-        """Product-trapezoidal J^eps of the stored vectors, extended by the
-        value ``ahead``, at the node past the newest."""
-        entry = self._weights.get(("trapezoid", eps))
-        if entry is None:
+    def integral_aux_along(self, eps: float, b: tuple, ahead: tuple) -> float:
+        """b . J^eps, by the product trapezoid, of the stored vectors
+        extended by the value ``ahead``, at the node past the newest; b and
+        ``ahead`` hold n floats each.  Per column, one dot of the stored
+        column with the reversed table, which has h^eps/Gamma(eps + 2)
+        folded in, plus the two end terms."""
+        n = self.n
+        if len(b) != n or len(ahead) != n:
+            raise FracDomainError(f"b and ahead must hold {n} values each")
+        table = self._weights.get(("trapezoid", eps))
+        if table is None:
             if not 0.0 < eps <= 1.0:
                 raise FracDomainError(f"eps must be in (0, 1], got {eps}")
-            entry = self._weights[("trapezoid", eps)] = (
-                _trapezoid_weights(self._size, eps),
-                self.h**eps / math.gamma(eps + 2.0),
+            scale = self.h**eps / math.gamma(eps + 2.0)
+            # c_(size-1) ... c_1: the last m - 1 are those of count m
+            table = self._weights[("trapezoid", eps)] = (
+                scale, _trapezoid_weights(self._size, eps)[::-1] * scale
             )
-        f = self._aux
         m = self.count
         if m == 0:
-            return np.zeros(self.n)
-        c, scale = entry
-        total = _trapezoid_start(m, eps) * f[0] + ahead
-        if m >= 2:
-            c = c[: m - 1]
-            for k in range(self.n):
-                total[k] += np.dot(c, f[m - 1 : 0 : -1, k])
-            self.terms += (m - 1) * self.n
-        return scale * total
+            return 0.0
+        scale, c = table
+        self.terms += (m - 1) * n
+        start = _trapezoid_start(m, eps)
+        tail = c[self._size - m :]
+        total = 0.0
+        for bk, f0, x, col in zip(b, self._aux[0].tolist(), ahead, self._aux.T):
+            total += bk * (scale * (start * f0 + x) + float(col[1:m].dot(tail)))
+        return total
 
     def _table(self, alpha: float):
         """The L1 scheme's difference order at alpha and its weight table.
@@ -371,25 +418,30 @@ class History:
         self._buffers.append((T, x, order, lag))
         return T.T
 
-    def _panel(self, T: np.ndarray, order: int, k: int, x: np.ndarray, nxt=None) -> None:
+    def _panel(self, T: np.ndarray, order: int, k: int, x: np.ndarray) -> None:
         """Write panel k of the transposed difference buffer ``T`` of the
-        rows x (with the row ``nxt`` in place of x[k + 1] when given):
-        x[k+1] - x[k], or (x[k+1] - 2 x[k] + x[k-1]) / h^2 for k >= 1 with
-        panel 0 repeating panel 1 (and zero until there is one), as in
-        ``frac_ops``."""
+        rows x, the entry ``_entry`` gives, with panel 0 repeating panel 1
+        for second differences (and zero until there is one)."""
         if order == 1:
-            np.subtract(x[k + 1] if nxt is None else nxt, x[k], out=T[k])
+            # ``_entry``'s subtraction as one ufunc: the same IEEE results,
+            # cheaper on the state's 2n columns
+            np.subtract(x[k + 1], x[k], out=T[k])
             return
-        # Python floats: the same IEEE operations as the ufuncs, cheaper on
-        # a few columns
-        if nxt is None:
-            r0, r1, r2 = x[k - 1 : k + 2].tolist()
-        else:
-            (r0, r1), r2 = x[k - 1 : k + 1].tolist(), nxt.tolist()
-        h2 = self._h2
-        T[k] = [(x2 - 2.0 * x1 + x0) / h2 for x2, x1, x0 in zip(r2, r1, r0)]
+        T[k] = self._entry(2, x[k - 1 : k + 2].tolist())
         if k == 1:
             T[0] = T[1]
+
+    def _entry(self, order: int, rows: list) -> list:
+        """The difference entry, as Python floats, of the order + 1 rows
+        ``rows`` (sequences of floats, oldest first): x1 - x0, or
+        (x2 - 2 x1 + x0) / h^2, as in ``frac_ops``.  Python floats: the
+        same IEEE operations as the ufuncs, cheaper on a few columns."""
+        if order == 1:
+            r0, r1 = rows
+            return [x1 - x0 for x1, x0 in zip(r1, r0)]
+        r0, r1, r2 = rows
+        h2 = self._h2
+        return [(x2 - 2.0 * x1 + x0) / h2 for x2, x1, x0 in zip(r2, r1, r0)]
 
     def _project(self, p: np.ndarray, D: np.ndarray, b: np.ndarray, order: int, k: int) -> None:
         """Write entry k of the projected buffer ``p``: b . D[k], with panel
@@ -398,19 +450,10 @@ class History:
         if order == 2 and k == 1:
             p[0] = p[1]
 
-    def _sum(self, lane: _Lane, panels: int) -> np.ndarray:
-        """The L1 sums of a lane's series over its first ``panels`` panels;
-        zero with fewer panels than its difference order (one panel has no
-        second difference)."""
-        if panels < lane.order:
-            return np.zeros(self.n)
-        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
-
     def _state_sum(self, lane: _Lane):
         """The L1 sums of a lane's series at the newest node (one float for
         a projected series), its products counted once per count.  It
-        takes the dot itself, as ``_sum`` does for the other queries: one
-        call frame less per step."""
+        takes the dot itself: one call frame less per step."""
         c = self.count
         panels = c - 1
         if lane.count != c:
@@ -421,18 +464,6 @@ class History:
         if panels < lane.order:
             return 0.0 if lane.rows.ndim == 1 else np.zeros(self.n)
         return lane.dot(lane.rows[..., :panels], lane.w[self._size - panels :])
-
-    def _ahead_sum(self, lane: _Lane, ahead) -> np.ndarray:
-        """The L1 sums of q at the node past the newest, whose value is
-        ``ahead``.  The entry of that last panel is written for the q
-        columns alone; it is not final, and the next ``advance`` writes it
-        again."""
-        c = self.count
-        if c >= lane.order:
-            row = self._ahead
-            row[:] = ahead
-            self._panel(lane.T, lane.order, c - 1, self._q, row)
-        return self._sum(lane, c)
 
 
 def _causal_products(w: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ largest difference from the values of a trusted commit.  This script
 measures those differences:
 
     python tests/golden_delta.py --dump SRC OUT.npz
-    python tests/golden_delta.py --compare A.npz B.npz
+    python tests/golden_delta.py --compare A.npz B.npz [--bound REL]
 
 ``--dump`` imports ``test_golden`` and ``fracdyn`` from the checkout at
 SRC (its ``tests/`` and ``src/``), runs every case of ``CASES`` and saves
@@ -15,7 +15,10 @@ starts with a ``t,`` header) is read as numbers, one row per data line;
 the result arrays of library runs are read as float64.  ``--compare``
 prints, for each case, the number of values, max |d| and
 max |d|/max(1, |v|), v being the values of A; NaN against NaN counts as
-equal, NaN against a number as an infinite difference.
+equal, NaN against a number as an infinite difference.  It exits 1, and
+names each failing case, when a case has values of another shape in A
+and B, appears in only one of them, or moves by more than REL in
+max |d|/max(1, |v|) (``--bound``; no limit by default).
 
 It needs numpy and, for ``--dump``, what ``test_golden`` imports (pytest).
 pytest does not collect it, as its name does not start with ``test_``.
@@ -60,16 +63,22 @@ def dump(src: Path, out: Path) -> None:
     print(f"{len(arrays)} cases from {src} to {out}")
 
 
-def compare(path_a: Path, path_b: Path) -> None:
+def compare(path_a: Path, path_b: Path, bound: float = np.inf) -> list:
+    """Print the differences of each case; return the failing cases, each
+    with the reason it fails."""
     a_all, b_all = np.load(path_a), np.load(path_b)
+    failed = []
     print(f"{'case':28s} {'values':>8s} {'max|d|':>10s} {'max|d|/max(1,|v|)':>18s}")
     for name in sorted(set(a_all.files) | set(b_all.files)):
         if name not in a_all.files or name not in b_all.files:
-            print(f"{name:28s} only in {path_a if name in a_all.files else path_b}")
+            where = f"only in {path_a if name in a_all.files else path_b}"
+            print(f"{name:28s} {where}")
+            failed.append((name, where))
             continue
         a, b = a_all[name], b_all[name]
         if a.shape != b.shape:
             print(f"{name:28s} {a.size} against {b.size} values")
+            failed.append((name, f"shape {a.shape} against {b.shape}"))
             continue
         both_nan = np.isnan(a) & np.isnan(b)
         with np.errstate(invalid="ignore"):
@@ -79,19 +88,26 @@ def compare(path_a: Path, path_b: Path) -> None:
         dmax = float(d.max()) if d.size else 0.0
         rmax = float(rel.max()) if rel.size else 0.0
         print(f"{name:28s} {a.size:8d} {dmax:10.2e} {rmax:18.2e}")
+        if not rmax <= bound:
+            failed.append((name, f"max|d|/max(1,|v|) = {rmax:.2e} exceeds {bound:.2e}"))
+    for name, why in failed:
+        print(f"FAILED {name}: {why}")
+    return failed
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--dump", nargs=2, metavar=("SRC", "OUT"), type=Path)
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path)
+    ap.add_argument("--bound", type=float, default=np.inf, metavar="REL",
+                    help="largest max|d|/max(1,|v|) a case may move (--compare)")
     args = ap.parse_args(argv)
     if args.dump:
         dump(*args.dump)
-    else:
-        compare(*args.compare)
+        return 0
+    return 1 if compare(*args.compare, bound=args.bound) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

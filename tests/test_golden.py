@@ -113,7 +113,7 @@ GOLDEN = {
     "case1-2d-b2zero": "83a42e0f5bbe28fcdcfc6b5a10ed5502eed08cfb71b3fa97df844257f501a4eb",
     "case2-2d": "2a9ef94fe016d7dedead36af8128c51d3132fda548041f52f135b8d7d6759aee",
     "nonlinear-fracosc": "babfff5ecec65054f96ba1085d68e299f9490d9e50dabfa2dec845bbfa4eeed1",
-    "nonlinear-fracosc-pre": "702d4ebb228ab6d31495b0e3a30bda24e68cff75ce0c5d8ca7bac263897075f0",
+    "nonlinear-fracosc-pre": "78a3efb434330bd2dfb475afda76b0a3d0367fe00c8686721322d8ab4e6e7a97",
     "hamilton-linear": "6e6b2d9e7f72b5d1b7f36a9a6d79916fb21cd347043ec7949f96d8270e381d0a",
     "direct-semi-implicit-euler": "b20f0999bd6186e7b65e762300f3d3716b64bf394cb96a704173fb87b4389ad1",
     "direct-velocity-verlet": "9f9faf048fc9493f7d9d5a76c081c769cb06647a993f95871c51761681133eb6",
@@ -241,10 +241,14 @@ def _prop1_result(scheme):
     return integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
 
 
-def _reduced_result():
+def _reduced_result(form="reduced"):
     cfg = IntegratorConfig(h=0.005, t_end=1.0)
-    rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x, FracOrder(1.5))
+    rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x, FracOrder(1.5), form=form)
     return integrate_second_order(rr, ([1.0], [0.0]), cfg)
+
+
+def _pre_result():
+    return _reduced_result("pre")
 
 
 @pytest.mark.parametrize(
@@ -263,6 +267,9 @@ def _reduced_result():
         (lambda: _prop1_result("velocity-verlet"), (1 + 2) * (200 * 201 // 2) - 200),
         # n = 1, D^(3-alpha) x alone: no sum over the velocity
         (_reduced_result, 200 * 201 // 2),
+        # n = 1, from count 3 on: D^alpha x at the next node sums c
+        # products, and J^(2-alpha) K there c - 1
+        (_pre_result, sum(2 * c - 1 for c in range(3, 202))),
     ],
     ids=[
         "general",
@@ -270,6 +277,7 @@ def _reduced_result():
         "prop1-semi-implicit-euler",
         "prop1-velocity-verlet",
         "nonlinear-fracosc-reduced",
+        "nonlinear-fracosc-pre",
     ],
 )
 def test_history_terms(result, terms):
@@ -277,3 +285,19 @@ def test_history_terms(result, terms):
     a step sums it, the post-run residual does, or both; no series is
     counted that nobody asked for."""
     assert result().diagnostics["history_terms"] == terms
+
+
+def test_golden_delta_compare_names_failing_cases(tmp_path, capsys):
+    """``golden_delta.py --compare A B --bound REL`` exits 1 and names each
+    case that moves by more than REL, changes shape or is in one file
+    only; a case within the bound, NaN against NaN included, passes."""
+    import golden_delta
+
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    np.savez(a, same=[1.0, np.nan], near=[2.0, 3.0], far=[1e3, 1.0], shape=[1.0], gone=[0.0])
+    np.savez(b, same=[1.0, np.nan], near=[2.0, 3.0 + 1e-12], far=[1e3 + 1e-6, 1.0],
+             shape=[1.0, 2.0], new=[0.0])
+    assert golden_delta.main(["--compare", str(a), str(b), "--bound", "1e-11"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED")]
+    assert [line.split()[1] for line in failed] == ["far:", "gone:", "new:", "shape:"]
+    assert golden_delta.main(["--compare", str(a), str(a), "--bound", "0"]) == 0

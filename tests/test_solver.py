@@ -29,6 +29,8 @@ from fracdyn.fode_solver import (
 from fracdyn.frac_ops import (
     _l1_weights,
     _second_differences,
+    _trapezoid_start,
+    _trapezoid_weights,
     fractional_integral_last,
     l1_caputo_last,
 )
@@ -71,6 +73,20 @@ def along_bound(qdot, b, h, alpha):
         p, c = 2.0 - alpha, h ** (2.0 - alpha) / math.gamma(3.0 - alpha)
     w = np.abs(c * _l1_weights(panels, p)[::-1])
     return (panels + n + 4) * np.finfo(float).eps * float(w @ (np.abs(d) @ np.abs(b)))
+
+
+def trapezoid_bound(f, b, h, eps_order):
+    """(m + n + 4) eps sum_j |s c_j| |b|.|f_j|: a bound on how far b . J^eps
+    at the last node of the (m + 1, n) rows ``f``, summed column by column
+    with the scale s = h^eps/Gamma(eps + 2) folded into the weights, may
+    round from b times the ``fractional_integral_last`` values, c_j being
+    the weight of row j (the start weight, the interior ones, then 1)."""
+    m, n = len(f) - 1, len(b)
+    c = np.ones(m + 1)
+    c[0] = _trapezoid_start(m, eps_order)
+    c[1:m] = _trapezoid_weights(m, eps_order)[::-1]
+    s = h**eps_order / math.gamma(eps_order + 2.0)
+    return (m + n + 4) * np.finfo(float).eps * float(np.abs(s * c) @ (np.abs(f) @ np.abs(b)))
 
 
 class TestConfig:
@@ -122,8 +138,10 @@ class TestHistory:
         frac_ops sum on the same prefix (``l1_bound``), at every count and
         at two orders, with queries skipped at some counts, repeated at
         others, and the newest stored row overwritten between queries (as
-        velocity Verlet and direct mode do).  The trapezoid integral keeps
-        the arithmetic of ``fractional_integral_last`` and equals it.  After
+        velocity Verlet and direct mode do).  The next-node queries, for a
+        random b and a random value ``ahead``, are within ``along_bound``
+        of b times ``l1_caputo_last`` and within ``trapezoid_bound`` of b
+        times ``fractional_integral_last`` on the extended prefix.  After
         the last node, ``caputo_q_series`` meets the same bound at every
         node."""
         rng = np.random.default_rng(seed)
@@ -147,13 +165,17 @@ class TestHistory:
                     close(got, cols(hist.qdot_view, k), a)
                 for k, got in enumerate(hist.caputo_aux(a)):
                     close(got, cols(hist.aux_view, k), a)
-            ahead = rng.normal(size=n) * scale[0]
-            for k, got in enumerate(hist.caputo_q(alpha, ahead=ahead)):
-                close(got, cols(hist.q_view, k, ahead[k]), alpha)
-            last = hist.aux_view[-1]
-            for k, got in enumerate(hist.integral_aux(eps, ahead=last)):
-                ref = fractional_integral_last(cols(hist.aux_view, k, last[k]), eps, h)
-                assert got == ref
+            b = tuple((rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)).tolist())
+            ahead = tuple((rng.normal(size=n) * scale[0]).tolist())
+            x = np.vstack([hist.q_view, ahead])
+            want = sum(bk * l1_caputo_last(col, h, alpha) for bk, col in zip(b, x.T))
+            got = hist.caputo_q_along(alpha, b, ahead)
+            assert abs(got - want) <= along_bound(x, b, h, alpha)
+            ahead = tuple((rng.normal(size=n) * scale[2]).tolist())
+            f = np.vstack([hist.aux_view, ahead])
+            want = sum(bk * fractional_integral_last(col, eps, h) for bk, col in zip(b, f.T))
+            got = hist.integral_aux_along(eps, b, ahead)
+            assert abs(got - want) <= trapezoid_bound(f, b, h, eps)
 
         for i in range(nodes):
             hist.append(rng.normal(size=n) * scale[0], rng.normal(size=n) * scale[1])
@@ -215,6 +237,17 @@ class TestHistory:
         with pytest.raises(FracDomainError):
             both.caputo_qdot_along(0.5, (1.0, 2.0, 3.0))
 
+    def test_next_node_queries_need_n_values(self):
+        """The next-node queries take b and ``ahead`` of n floats each."""
+        hist = History(Grid(0.0, 1.0, 10), 2)
+        for _ in range(4):
+            hist.append(np.ones(2), np.ones(2))
+        for query, order in ((hist.caputo_q_along, 1.5), (hist.integral_aux_along, 0.5)):
+            assert query(order, (1.0, 0.0), (1.0, 1.0)) == query(order, (1.0, 0.0), (1.0, 7.0))
+            for b, ahead in (((1.0,), (1.0, 1.0)), ((1.0, 0.0), (1.0,))):
+                with pytest.raises(FracDomainError):
+                    query(order, b, ahead)
+
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
         nodes=st.integers(2, 40),
@@ -225,18 +258,23 @@ class TestHistory:
     def test_every_count_equals_any_schedule(self, nodes, n, alpha, seed):
         """Three histories get the same rows.  One answers every query at
         every count; one answers a random schedule, with skipped counts,
-        repeats, ``ahead`` queries in either order, both difference orders
+        repeats, next-node queries in either order, both difference orders
         and a rewritten aux row; one is first asked after its last row, so
         that each of its difference buffers is written by the backfill.
-        The projected queries b . D^alpha qdot, for two vectors b, are made
-        at random counts too (late ones by the backfill).  Every answer
-        they share is equal, ``caputo_q_series`` at both orders too."""
+        The projected queries (b . D^alpha qdot for two vectors b, and the
+        next-node b . D^alpha q and b . J^eps of the stored vectors) take
+        random vectors b and are made at random counts too (late ones by
+        the backfill).  Every answer they share is equal,
+        ``caputo_q_series`` at both orders too."""
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
         every, sched, late = History(g, n), History(g, n), History(g, n)
-        kinds = ("q", "qdot", "ahead", "aux", "along", "along2")
+        kinds = ("q", "qdot", "ahead", "integral", "aux", "along", "along2")
         queries = [(kind, a) for a in (alpha, 2.0 - alpha) for kind in kinds]
-        bs = {kind: tuple(rng.normal(size=n).tolist()) for kind in ("along", "along2")}
+        bs = {
+            kind: tuple(rng.normal(size=n).tolist())
+            for kind in ("along", "along2", "ahead", "integral")
+        }
 
         def ask(hist, kind, a, ahead):
             if kind == "q":
@@ -244,15 +282,17 @@ class TestHistory:
             if kind == "qdot":
                 return hist.caputo_qdot(a)
             if kind == "ahead":
-                return hist.caputo_q(a, ahead=ahead)
+                return hist.caputo_q_along(a, bs[kind], ahead)
+            if kind == "integral":
+                # an order in (0, 1) from either alpha
+                return hist.integral_aux_along(a % 1.0, bs[kind], ahead)
             if kind in bs:
                 return hist.caputo_qdot_along(a, bs[kind])
             return hist.caputo_aux(a)
 
         for i in range(nodes):
             q, qdot, v = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for _ in range(3))
-            # a Python float, as the pre form passes, or an n-vector
-            ahead = float(rng.normal()) if rng.random() < 0.5 else rng.normal(size=n)
+            ahead = tuple(rng.normal(size=n).tolist())
             every.append(q, qdot)
             sched.append(q, qdot)
             late.append(q, qdot)
@@ -291,7 +331,7 @@ class TestStateSums:
     @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
     def test_linear_step_sums_state_once(self, scheme, monkeypatch):
         """A prop1 linear-nd step asks for b . D^alpha qdot alone: one sum
-        of the projected series per count, and no ``ahead`` or aux sum.  The
+        of the projected series per count, and no next-node or aux sum.  The
         residual's D^alpha q at every node is one blocked product after the
         last step."""
         sums = Counter()
@@ -310,7 +350,8 @@ class TestStateSums:
             return caputo_series(hist, alpha)
 
         monkeypatch.setattr(History, "_state_sum", counted)
-        monkeypatch.setattr(History, "_ahead_sum", lambda *a: other.append("ahead"))
+        monkeypatch.setattr(History, "caputo_q_along", lambda *a: other.append("ahead"))
+        monkeypatch.setattr(History, "integral_aux_along", lambda *a: other.append("integral"))
         monkeypatch.setattr(History, "caputo_aux", lambda *a: other.append("aux"))
         monkeypatch.setattr(History, "caputo_q_series", counted_series)
         sys = linear_system()
@@ -324,11 +365,25 @@ class TestStateSums:
         assert other == [] and series == [201]
 
 
-def reduced_run(form):
+def reduced_run(form, K=None):
     """201 nodes of the nonlinear oscillator at alpha = 1.5: D^1.5 x at
-    every count (reduced), or the ``ahead`` query and J^0.5 K (pre)."""
-    rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x + x**3, FracOrder(1.5), form=form)
+    every count (reduced), or D^1.5 x and J^0.5 K at the next node (pre)."""
+    rr = rhs_nonlinear_frac_oscillator(1.0, K or (lambda x: x + x**3), FracOrder(1.5), form=form)
     return integrate_second_order(rr, ([1.0], [0.0]), IntegratorConfig(h=0.005, t_end=1.0))
+
+
+@pytest.mark.parametrize("form", ["pre", "reduced"])
+def test_nonlinear_forms_call_K_once_per_node(form):
+    """Each step calls K once, at its own node: 201 calls for 201 nodes."""
+    calls = []
+
+    def K(x):
+        calls.append(x)
+        return x + x**3
+
+    res = reduced_run(form, K)
+    assert len(calls) == 201
+    assert calls == res.q[:, 0].tolist()
 
 
 def prop1_run(scheme):
@@ -341,8 +396,8 @@ class TestDifferenceWrites:
     """A difference entry is written once, when its rows are final: each
     state entry in panel order, by the backfill when the first query of
     its order makes the buffer and by ``advance`` from then on.  No query
-    writes any other state entry but the ``ahead`` one, past the final
-    ones, which the next ``advance`` writes again."""
+    writes any state entry: the next-node queries compute the entry past
+    the final ones and do not write it."""
 
     @pytest.mark.parametrize(
         "run,first,backfilled",
@@ -352,7 +407,7 @@ class TestDifferenceWrites:
             (lambda: prop1_run("velocity-verlet"), 0, 0),
             # order 2: panel 0 repeats panel 1, written with it
             (lambda: reduced_run("reduced"), 1, 0),
-            # the first ``ahead`` query comes at count 3
+            # the first next-node query comes at count 3
             (lambda: reduced_run("pre"), 1, 1),
         ],
         ids=["prop1-semi-implicit-euler", "prop1-velocity-verlet", "reduced", "pre"],
@@ -363,11 +418,11 @@ class TestDifferenceWrites:
         writes, callers, hists = [], [], set()
         panel = History._panel
 
-        def logged_panel(hist, T, order, k, x, nxt=None):
+        def logged_panel(hist, T, order, k, x):
             hists.add(hist)
             if x is hist._state or x is hist._q:
                 writes.append((callers[-1] if callers else "other", k, hist.count))
-            return panel(hist, T, order, k, x, nxt)
+            return panel(hist, T, order, k, x)
 
         def within(name, method):
             def wrapped(hist, *args):
@@ -380,20 +435,22 @@ class TestDifferenceWrites:
             return wrapped
 
         monkeypatch.setattr(History, "_panel", logged_panel)
-        for name, method in [
-            ("advance", "advance"), ("backfill", "_buffer"), ("ahead", "_ahead_sum")
+        queries = [
+            "caputo_q", "caputo_q_along", "caputo_qdot", "caputo_qdot_along",
+            "caputo_aux", "integral_aux_along", "caputo_q_series",
+        ]
+        for name, method in [("advance", "advance"), ("backfill", "_buffer")] + [
+            ("query", query) for query in queries
         ]:
             monkeypatch.setattr(History, method, within(name, getattr(History, method)))
         assert run().grid.n_nodes == 201
-        final = [(who, k, c) for who, k, c in writes if who != "ahead"]
-        assert [k for _, k, _ in final] == list(range(first, 200))
-        assert [who for who, _, _ in final] == ["backfill"] * backfilled + ["advance"] * (
+        assert [k for _, k, _ in writes] == list(range(first, 200))
+        assert [who for who, _, _ in writes] == ["backfill"] * backfilled + ["advance"] * (
             200 - first - backfilled
         )
         # once its last row is counted: by advance at that count, by the
         # backfill at that count or later
-        assert all(c == k + 2 if who == "advance" else c >= k + 2 for who, k, c in final)
-        assert all(k == c - 1 for who, k, c in writes if who == "ahead")
+        assert all(c == k + 2 if who == "advance" else c >= k + 2 for who, k, c in writes)
         # the final entries are the frac_ops differences of the whole run
         (hist,) = hists
         state = hist._state
