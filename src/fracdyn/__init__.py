@@ -26,7 +26,6 @@ from .frac_ops import (
     caputo_left,
     caputo_right,
     fractional_integral,
-    l1_caputo_series,
     prop1_shift,
     riemann_liouville_left,
     riemann_liouville_right,
@@ -42,7 +41,6 @@ __all__ = [
     "fractional_integral",
     "caputo_left",
     "caputo_right",
-    "l1_caputo_series",
     "riemann_liouville_left",
     "riemann_liouville_right",
     "prop1_shift",

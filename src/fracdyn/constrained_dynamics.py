@@ -18,6 +18,9 @@ velocity history.  The power-law correction is singular at t = 0; its
 exact integral over each step is handed to the solver, once per run,
 instead of being sampled.  A direct path (backward difference of the D^alpha q
 history) is kept for cross-checks.
+
+The variational residual's fractional term is the right derivative
+D^alpha_(T-) (mu df/dD^alpha q) (Agrawal, J. Math. Anal. Appl. 272, 2002).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .errors import (
     GridMismatchError,
     SingularConstraintError,
 )
-from .fode_solver import RHS, _quiet
-from .frac_ops import l1_caputo_series
+from .fode_solver import RHS, _quiet, _sampled
+from .frac_ops import riemann_liouville_right
 from .series import FracOrder, SampleSeries
 
 __all__ = [
@@ -423,9 +426,9 @@ def rhs_nonlinear_frac_oscillator(
 class _HamiltonRHS(RHS):
     """Callable (t, q, p, history) -> (qdot, pdot).  df_dqdot = A does not
     depend on qdot, so it is called with p; the fractional integrand
-    mu * df_ddq is kept in the history.  A linear constraint has the
-    constant A = a and, with b = 0, no integrand, so its steps ask the
-    history nothing."""
+    mu * df_ddq is stored in the history, and A kept there for the
+    residual.  A linear constraint has the constant A = a and, with b = 0,
+    no integrand, so its steps ask the history nothing."""
 
     def __init__(self, sys: SystemSpec) -> None:
         c = sys.constraint
@@ -475,6 +478,7 @@ class _HamiltonRHS(RHS):
         mu = float(np.dot(a, p) / a2)
         qdot = p - mu * a
         self.last_multiplier = mu
+        hist.keep(a)
 
         fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
         pdot = -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
@@ -486,16 +490,14 @@ class _HamiltonRHS(RHS):
         return qdot, pdot
 
     def residual(self, hist, multiplier) -> np.ndarray:
-        """A.qdot with qdot = p - mu A at every node, A from the run's
-        (q, p, D^alpha q)."""
-        c = self.sys.constraint
-        q, p = hist.q_view, hist.qdot_view
-        if self._dq0 is not None:
+        """A.qdot with qdot = p - mu A at every node, A being the constant
+        a or the one each step kept."""
+        p = hist.qdot_view
+        if self._a is not None:
             # the constant A = a: one product over every node
-            return (p - multiplier[:, None] * c.a) @ c.a
-        dq = hist.caputo_q_series(self.alpha)
-        A = [np.asarray(c.df_dqdot(*row), dtype=float) for row in zip(q, p, dq)]
-        return np.array([float(np.dot(a, pi - mu * a)) for a, pi, mu in zip(A, p, multiplier)])
+            return (p - multiplier[:, None] * self._a) @ self._a
+        A = hist.kept_view
+        return np.einsum("ij,ij->i", A, p - multiplier[:, None] * A)
 
 
 def hamilton_rhs(sys: SystemSpec):
@@ -515,11 +517,13 @@ def hamilton_rhs(sys: SystemSpec):
 
 def variational_residual(traj, mu: SampleSeries, sys: SystemSpec):
     """Residual of the variational (conditional-extremum) equations along a
-    completed trajectory, one series per coordinate.
+    completed trajectory, one series per coordinate:
+    -grad u - qddot + mu df/dq - d/dt(mu df/dqdot) + D^alpha_(T-)(mu df/dD).
 
     The d'Alembert trajectory generally does not satisfy these equations;
     the residual quantifies by how much.  Endpoints carry one-sided
-    differences and are reported as-is.
+    differences and are reported as-is, but the last node is NaN where the
+    right Riemann-Liouville term is live: it is singular there.
     """
     grid = traj.grid
     if mu.grid != grid:
@@ -529,34 +533,19 @@ def variational_residual(traj, mu: SampleSeries, sys: SystemSpec):
     if q.shape[0] != grid.n_nodes:
         raise GridMismatchError("trajectory length does not match its grid")
     c = sys.constraint
-    h = grid.h
-    n = sys.n
-    nn = grid.n_nodes
-    alpha = c.order.alpha if c is not None else None
-
-    grad = np.array([sys.grad_potential(q[i]) for i in range(nn)])
-    qddot = np.gradient(qdot, h, axis=0)
-    res = -grad - qddot
+    grad = np.array([sys.grad_potential(x) for x in q])
+    res = -grad - np.gradient(qdot, grid.h, axis=0)
 
     if c is None:
-        series = []
-        for k in range(n):
-            series.append(SampleSeries(grid, res[:, k]))
-        return series
+        return [SampleSeries(grid, col) for col in res.T]
 
-    dql = np.column_stack(
-        [l1_caputo_series(q[:, k], h, alpha) for k in range(n)]
-    )
+    rows = list(zip(q, qdot, _sampled(grid, q).caputo_q_series(c.order.alpha)))
+    fq, fqd, fd = (np.array([df(*row) for row in rows]) for df in (c.df_dq, c.df_dqdot, c.df_ddq))
     mu_v = mu.values
-    fq = np.array([c.df_dq(q[i], qdot[i], dql[i]) for i in range(nn)])
-    fqd = np.array([c.df_dqdot(q[i], qdot[i], dql[i]) for i in range(nn)])
-    fd = np.array([c.df_ddq(q[i], qdot[i], dql[i]) for i in range(nn)])
-
     res += mu_v[:, None] * fq
-    res -= np.gradient(mu_v[:, None] * fqd, h, axis=0)
-    for k in range(n):
-        arg = mu_v * fd[:, k]
+    res -= np.gradient(mu_v[:, None] * fqd, grid.h, axis=0)
+    for k, col in enumerate(fd.T):
+        arg = mu_v * col
         if np.any(arg):
-            res[:, k] += l1_caputo_series(arg, h, alpha)
-    return [SampleSeries(grid, res[:, k]) for k in range(n)]
-
+            res[:, k] += riemann_liouville_right(SampleSeries(grid, arg), c.order).values
+    return [SampleSeries(grid, col) for col in res.T]

@@ -3,20 +3,22 @@
 The right-hand sides built in ``constrained_dynamics`` need the Caputo
 derivative of the trajectory-so-far at every step; ``History`` keeps the
 accumulated samples and answers those queries with the L1 scheme (and the
-product-trapezoidal fractional integral).  It keeps q and qdot side by side
-(the steppers write each new state row there in place), writes each
-difference entry once, when counting a row makes it final, and builds each
-L1 weight table once per run with the scheme's constant folded in.  A
-query reads the final differences (an aux query first writes the entry
-of the newest stored row) and takes one dot with the table's tail, so its
-answer does not depend on the schedule of queries before it.  Where only
-b . D^alpha qdot reaches the dynamics (the linear constraint's projector
-form), the history keeps the projected series b . (qdot differences) as
-one more difference buffer, and the query sums one series, not n.  The
-pre form's queries at the node past the newest, b . D^alpha q and b .
-J^eps of the stored vectors on the prefix extended by a value ``ahead``,
-answer one Python float and only read: per column one dot over the final
-entries, plus the newest entry computed from ``ahead``.
+product-trapezoidal fractional integral); filled from samples
+(``_sampled``), it is the package's one L1 engine for whole series too.
+It keeps q and qdot side by side (the steppers write each new state row
+there in place), writes each difference entry once, when counting a row
+makes it final, and builds each L1 weight table once per run with the
+scheme's constant folded in.  A query reads the final differences (an
+aux query first writes the entry of the newest stored row) and takes one
+dot with the table's tail, so its answer does not depend on the schedule
+of queries before it.  Where only b . D^alpha qdot reaches the dynamics
+(the linear constraint's projector form), the history keeps the projected
+series b . (qdot differences) as one more difference buffer, and the
+query sums one series, not n.  The pre form's queries at the node past
+the newest, b . D^alpha q and b . J^eps of the stored vectors on the
+prefix extended by a value ``ahead``, answer one Python float and only
+read: per column one dot over the final entries, plus the newest entry
+computed from ``ahead``.
 Its results are those of ``l1_caputo_last`` and
 ``fractional_integral_last`` on the same prefix within the stated rounding
 bound, (panels + 4) eps sum|c w_k d_k|, and a projected one is within
@@ -29,10 +31,11 @@ Every right-hand side meets the ``RHS`` protocol.  A step does only the
 work the next state depends on: one right-hand-side call.  What the run
 reports but never steps on is computed once per run: the singular
 velocity increments before the first step, and the constraint residual
-at every node after the last one (D^alpha q at every node from one
-blocked product, or from the rows the steps stored).  A run's memory
-lives only in the ``History`` the stepper creates for that run, so one
-RHS object can serve any number of runs.
+at every node after the last one, from the rows the steps stored or kept
+(their D^alpha q, or the Hamilton form's A) or from D^alpha q at every
+node in one blocked product.  A run's memory lives only in the
+``History`` the stepper creates for that run, so one RHS object can serve
+any number of runs.
 
 Singular power-law correction terms (the derivative-shift startup term)
 are not sampled; right-hand sides hand over their exact per-step integrals
@@ -137,7 +140,8 @@ class History:
     which the steppers write in place (``append`` copies a state in);
     besides them the history holds one n-vector per node that the
     right-hand side supplies through ``store`` (a fractional integrand,
-    say).
+    say), and, made on the first ``keep``, one more that no query reads,
+    for the post-run pass (the Hamilton form's A).
 
     An L1 query is one gemv of the differences with a weight table.  The
     tables are built on the first query of each order, sized to the grid
@@ -191,6 +195,7 @@ class History:
         self._q = self._state[:, :n]
         self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
+        self._kept = None
         # aux rows before this one are zero; a nonzero row was seen
         self._aux_zero = 0
         self._aux_seen = False
@@ -235,6 +240,12 @@ class History:
         """Set the right-hand side's vector at the newest node."""
         self._aux[self.count - 1] = v
 
+    def keep(self, v) -> None:
+        """Keep v at the newest node for the post-run pass (``kept_view``)."""
+        if self._kept is None:
+            self._kept = np.zeros((self._size, self.n))
+        self._kept[self.count - 1] = v
+
     @property
     def aux_nonzero(self) -> bool:
         """Whether a stored vector was seen nonzero.  Rows found zero are
@@ -256,6 +267,10 @@ class History:
     @property
     def aux_view(self) -> np.ndarray:
         return self._aux[: self.count]
+
+    @property
+    def kept_view(self) -> np.ndarray:
+        return self._kept[: self.count]
 
     def caputo_q(self, alpha: float) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node."""
@@ -464,6 +479,17 @@ class History:
         if panels < lane.order:
             return 0.0 if lane.rows.ndim == 1 else np.zeros(self.n)
         return lane.dot(lane.rows[..., :panels], lane.w[self._size - panels :])
+
+
+def _sampled(grid: Grid, q: np.ndarray) -> History:
+    """A ``History`` of the samples q (one series, or one column per
+    coordinate) with zero velocities: its ``caputo_q_series`` gives their
+    L1 derivatives at every node."""
+    q = np.asarray(q, dtype=float).reshape(grid.n_nodes, -1)
+    hist = History(grid, q.shape[1])
+    for row in q:
+        hist.append(row, 0.0)
+    return hist
 
 
 def _causal_products(w: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ Two discretizations are used throughout:
 * a product-trapezoidal rule for the fractional integral
   (J^eps f)(t) = 1/Gamma(eps) * int_a^t (t-tau)^(eps-1) f(tau) dtau,
   exact for piecewise-linear f and second-order accurate otherwise;
-* the causal L1 scheme (piecewise-linear history interpolation) for
-  in-simulation evaluation of left Caputo derivatives, of order 2-alpha.
+* the causal L1 scheme (piecewise-linear history interpolation) for left
+  Caputo derivatives, of order 2-alpha: ``l1_caputo_last`` at one node is
+  the reference for ``fode_solver.History``, the library's L1 engine.
 
 Left/right Caputo derivatives of order alpha, with m-1 < alpha < m, are
 computed as J^(m-alpha) applied to samples of the m-th integer derivative;
@@ -38,7 +39,6 @@ __all__ = [
     "riemann_liouville_right",
     "prop1_shift",
     "l1_caputo_last",
-    "l1_caputo_series",
 ]
 
 
@@ -162,25 +162,6 @@ def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
     q = np.asarray(q, dtype=float)
     d = np.diff(q) if order == 1 else _second_differences(q, h)
     return float(np.dot(_l1_weights(n, p)[::-1], d) * hp / g)
-
-
-def l1_caputo_series(q: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """L1-scheme left Caputo derivative at every node of ``q`` at once.
-
-    For 1 < alpha < 2 node 1 is one-sided and not causal: its panel 0
-    repeats the whole series' panel 1, which reads q[2], while
-    ``l1_caputo_last`` on the two-node prefix and ``History`` give 0 there.
-    """
-    q = np.asarray(q, dtype=float)
-    n = len(q) - 1
-    out = np.zeros(n + 1)
-    if n < 1:
-        return out
-    order, p, hp, g = _l1_scheme(alpha, h)
-    d = np.diff(q) if order == 1 else _second_differences(q, h)
-    w = np.concatenate(([0.0], _l1_weights(n, p)))
-    out[1:] = np.convolve(d, w)[1 : n + 1] * hp / g
-    return out
 
 
 # ---------------------------------------------------------------------------

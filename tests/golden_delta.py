@@ -12,13 +12,18 @@ measures those differences:
 SRC (its ``tests/`` and ``src/``), runs every case of ``CASES`` and saves
 the values each one hashes, one array per case.  CSV output (a blob that
 starts with a ``t,`` header) is read as numbers, one row per data line;
-the result arrays of library runs are read as float64.  ``--compare``
-prints, for each case, the number of values, max |d| and
-max |d|/max(1, |v|), v being the values of A; NaN against NaN counts as
-equal, NaN against a number as an infinite difference.  It exits 1, and
-names each failing case, when a case has values of another shape in A
-and B, appears in only one of them, or moves by more than REL in
-max |d|/max(1, |v|) (``--bound``; no limit by default).
+the result arrays of library runs are read as float64.  It also saves
+the measured value of each ``fracdyn verify all`` row, as the case
+``verify:<row name>``.  ``--compare`` prints, for each case, the number
+of values, max |d| and max |d|/max(1, |v|), v being the values of A; NaN
+against NaN counts as equal, NaN against a number as an infinite
+difference.  Then it lists each verify value that moved, in A and in B,
+with its difference B - A.  It exits 1, and names each failing case,
+when a case has values of another shape in A and B, appears in only one
+of them, or, unless it is a verify case, moves by more than REL in
+max |d|/max(1, |v|) (``--bound``; no limit by default).  A verify value
+is a measured error or order, which moves with the method it measures;
+its row's tolerance, not REL, is its gate.
 
 It needs numpy and, for ``--dump``, what ``test_golden`` imports (pytest).
 pytest does not collect it, as its name does not start with ``test_``.
@@ -32,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+
+_VERIFY = "verify:"
 
 
 def _values(blob: bytes) -> np.ndarray:
@@ -52,6 +60,7 @@ def dump(src: Path, out: Path) -> None:
     sys.path[:0] = [str(src / "src"), str(src / "tests")]
     import fracdyn
     import test_golden
+    from fracdyn.verification import run_suite
 
     if not Path(fracdyn.__file__).resolve().is_relative_to(src / "src"):
         raise SystemExit(f"fracdyn was imported from {fracdyn.__file__}, not {src}")
@@ -59,6 +68,8 @@ def dump(src: Path, out: Path) -> None:
     for name in sorted(test_golden.CASES):
         with tempfile.TemporaryDirectory() as tmp:
             arrays[name] = _values(test_golden.CASES[name](Path(tmp)))
+    for row in run_suite("all"):
+        arrays[_VERIFY + row.name] = np.array([row.measured])
     np.savez(out, **arrays)
     print(f"{len(arrays)} cases from {src} to {out}")
 
@@ -67,17 +78,19 @@ def compare(path_a: Path, path_b: Path, bound: float = np.inf) -> list:
     """Print the differences of each case; return the failing cases, each
     with the reason it fails."""
     a_all, b_all = np.load(path_a), np.load(path_b)
-    failed = []
-    print(f"{'case':28s} {'values':>8s} {'max|d|':>10s} {'max|d|/max(1,|v|)':>18s}")
-    for name in sorted(set(a_all.files) | set(b_all.files)):
+    failed, moved = [], []
+    names = sorted(set(a_all.files) | set(b_all.files))
+    w = max([28] + [len(name) for name in names])
+    print(f"{'case':{w}s} {'values':>8s} {'max|d|':>10s} {'max|d|/max(1,|v|)':>18s}")
+    for name in names:
         if name not in a_all.files or name not in b_all.files:
             where = f"only in {path_a if name in a_all.files else path_b}"
-            print(f"{name:28s} {where}")
+            print(f"{name:{w}s} {where}")
             failed.append((name, where))
             continue
         a, b = a_all[name], b_all[name]
         if a.shape != b.shape:
-            print(f"{name:28s} {a.size} against {b.size} values")
+            print(f"{name:{w}s} {a.size} against {b.size} values")
             failed.append((name, f"shape {a.shape} against {b.shape}"))
             continue
         both_nan = np.isnan(a) & np.isnan(b)
@@ -87,9 +100,14 @@ def compare(path_a: Path, path_b: Path, bound: float = np.inf) -> list:
         rel = d / np.maximum(1.0, np.nan_to_num(np.abs(a), nan=1.0))
         dmax = float(d.max()) if d.size else 0.0
         rmax = float(rel.max()) if rel.size else 0.0
-        print(f"{name:28s} {a.size:8d} {dmax:10.2e} {rmax:18.2e}")
-        if not rmax <= bound:
+        print(f"{name:{w}s} {a.size:8d} {dmax:10.2e} {rmax:18.2e}")
+        if name.startswith(_VERIFY):
+            if dmax:
+                moved.append((name, float(a[0]), float(b[0])))
+        elif not rmax <= bound:
             failed.append((name, f"max|d|/max(1,|v|) = {rmax:.2e} exceeds {bound:.2e}"))
+    for name, x, y in moved:
+        print(f"MOVED {name}: {x!r} -> {y!r}, delta {y - x:+.3e}")
     for name, why in failed:
         print(f"FAILED {name}: {why}")
     return failed

@@ -24,7 +24,7 @@ from fracdyn.errors import (
     SingularConstraintError,
 )
 from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_second_order
-from fracdyn.frac_ops import _l1_scheme, _l1_weights, _second_differences, l1_caputo_series
+from fracdyn.frac_ops import _l1_scheme, _l1_weights, _second_differences, l1_caputo_last
 from fracdyn.series import FracOrder, Grid, SampleSeries
 
 
@@ -141,13 +141,14 @@ EPS = np.finfo(float).eps
 
 
 def l1_reference(q, h, alpha):
-    """D^alpha q by ``l1_caputo_series`` at every node, one column per
-    coordinate, and the sums of the magnitudes of its terms."""
+    """D^alpha q at every node, one column per coordinate, by
+    ``l1_caputo_last`` on each prefix, and the sums of the magnitudes of
+    its terms."""
     order, p, hp, g = _l1_scheme(alpha, h)
     dq, mag = np.zeros_like(q), np.zeros_like(q)
     w = np.abs(_l1_weights(len(q) - 1, p) * hp / g)
     for k in range(q.shape[1]):
-        dq[:, k] = l1_caputo_series(q[:, k], h, alpha)
+        dq[:, k] = [l1_caputo_last(q[: i + 1, k], h, alpha) for i in range(len(q))]
         d = np.diff(q[:, k]) if order == 1 else _second_differences(q[:, k], h)
         mag[1:, k] = np.convolve(np.abs(d), w)[: len(q) - 1]
     return dq, mag
@@ -155,16 +156,12 @@ def l1_reference(q, h, alpha):
 
 def assert_linear_residual(res, a, b, alpha):
     """The residual column against a.qdot + b.D^alpha q recomputed by
-    ``l1_caputo_series``, within the worst-case rounding bound of a sum of
+    ``l1_reference``, within the worst-case rounding bound of a sum of
     i + n terms in any order, (i + 2n + 8) eps times the sum of the
     terms' magnitudes."""
     a, b = np.asarray(a), np.asarray(b)
     h, n = res.grid.h, len(a)
     dq, mag = l1_reference(res.q, h, alpha)
-    if alpha > 1.0:
-        # one panel has no second difference: the causal sum is zero there,
-        # while the series takes that panel from node 2
-        dq[1] = 0.0
     want = res.qdot @ a + dq @ b
     size = np.abs(res.qdot) @ np.abs(a) + mag @ np.abs(b)
     tol = (np.arange(len(want)) + 2 * n + 8) * EPS * size
@@ -458,7 +455,7 @@ class TestHamilton:
 
     def test_residual_from_p_and_mu(self):
         """The residual column is A.(p - mu A) with A from the run's q and
-        its D^alpha q, recomputed here by ``l1_caputo_series``.  Both are
+        its D^alpha q, recomputed here by ``l1_reference``.  Both are
         rounding noise of size eps |A| (|p| + |mu| |A|), and a change of A
         by a few ulps moves them by that much."""
         dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
@@ -476,6 +473,23 @@ class TestHamilton:
             want = a @ (res.qdot[i] - mu * a)
             size = np.linalg.norm(a) * (np.linalg.norm(res.qdot[i]) + abs(mu) * np.linalg.norm(a))
             assert abs(res.residual[i] - want) <= 16 * EPS * size
+
+    def test_A_once_per_node(self):
+        """A non-constant A is taken once per node of the run, by the step
+        there; the residual reads the A each step kept."""
+        calls = []
+        dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
+
+        def A(q, d):
+            calls.append(1)
+            return np.array([1.0 + 0.3 * d[0] + 0.1 * q[1], 0.5 - 0.2 * d[1]])
+
+        sys = hamilton_sys(A, [1.0, 0.0], [0.0, 1.0], df_ddq=lambda q, qd, d: dA_dD.T @ qd)
+        rr = hamilton_rhs(sys)
+        built = len(calls)
+        res = integrate_hamilton(rr, (sys.q_init, sys.qdot_init), IntegratorConfig(h=0.005, t_end=1.0))
+        assert res.grid.n_nodes == 201
+        assert len(calls) - built == 201
 
     def test_vanishing_A_rejected(self):
         with pytest.raises(SingularConstraintError):
@@ -533,6 +547,39 @@ class TestVariationalResidual:
         res = variational_residual(Traj(), SampleSeries(g, t**2), sys)
         assert np.max(np.abs(res[0].values[1:-1] + 2 * t[1:-1])) < 1e-10
         assert np.max(np.abs(res[1].values[1:-1] - np.sin(t[1:-1]))) < 1e-4
+
+    def test_right_sided_closed_form(self):
+        """b != 0: with U = 0, a = (1, 0), b = (0, 1), alpha = 0.5 and
+        mu = (T - t)^2, q_1 = (T - t)^3/3 and q_2 = 2 (T - t)^(4-alpha) /
+        Gamma(5 - alpha) solve the equations exactly, since
+        D^alpha_(T-) (T - t)^2 = Gamma(3)/Gamma(3 - alpha) (T - t)^(2-alpha)
+        = q_2''.  The interior residual in q_2 converges at order >= 1 (a
+        left derivative of mu leaves it near 5.6); the last node, where the
+        right derivative is singular, is NaN."""
+        T, alpha = 2.0, 0.5
+        sys = SystemSpec(
+            grad_potential=lambda q: np.zeros(2),
+            constraint=ConstraintSpec.linear([1.0, 0.0], [0.0, 1.0], FracOrder(alpha)),
+            q_init=[0.0, 0.0],
+            qdot_init=[0.0, 0.0],
+        )
+        c = 2.0 / math.gamma(5.0 - alpha)
+        errs = []
+        for steps in (400, 1600):
+            g = Grid(0.0, T, steps)
+            s = T - g.nodes()
+
+            class Traj:
+                grid = g
+                q = np.column_stack([s**3 / 3.0, c * s ** (4.0 - alpha)])
+                qdot = np.column_stack([-(s**2), -c * (4.0 - alpha) * s ** (3.0 - alpha)])
+
+            res = variational_residual(Traj(), SampleSeries(g, s**2), sys)
+            assert np.isnan(res[1].values[-1]) and not np.isnan(res[1].values[:-1]).any()
+            assert np.max(np.abs(res[0].values)) < 1e-12
+            errs.append(np.max(np.abs(res[1].values[1:-1])))
+        assert errs[0] < 1e-4
+        assert math.log(errs[0] / errs[1]) / math.log(4.0) >= 1.0
 
     def test_grid_mismatch(self):
         from fracdyn.errors import GridMismatchError

@@ -16,6 +16,8 @@ recorded again on that stack from a commit whose output is trusted.
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ GOLDEN = {
     "hamilton-linear": "6e6b2d9e7f72b5d1b7f36a9a6d79916fb21cd347043ec7949f96d8270e381d0a",
     "direct-semi-implicit-euler": "b20f0999bd6186e7b65e762300f3d3716b64bf394cb96a704173fb87b4389ad1",
     "direct-velocity-verlet": "9f9faf048fc9493f7d9d5a76c081c769cb06647a993f95871c51761681133eb6",
-    "hamilton-dA_dD": "3f604a44a9b4197a5239193e9fc24b90a101886f7b71179702bab1ba120ddcc7",
+    "hamilton-dA_dD": "6e033d78569f7e845949d9cbda6eba9d5a1739faf3b50f08ff77f4e81099ce17",
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
     "linear-nd-a15-verlet": "f47d1e94546ac82b06cd6b587abdf15ff3ca2dfb22805925f7027955d482850e",
     "general": "7e9302649aec377a99c979942ac33517d721ac05274171a23cb6e6c1e05ab00a",
@@ -212,10 +214,14 @@ def _direct_result(scheme):
     return integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
 
 
-def _run_hamilton(_tmp) -> bytes:
+def _hamilton_result():
     sys = hamilton_system()
     cfg = IntegratorConfig(h=0.005, t_end=1.0)
-    return _arrays(integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg))
+    return integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg)
+
+
+def _run_hamilton(_tmp) -> bytes:
+    return _arrays(_hamilton_result())
 
 
 CASES = {
@@ -270,6 +276,9 @@ def _pre_result():
         # n = 1, from count 3 on: D^alpha x at the next node sums c
         # products, and J^(2-alpha) K there c - 1
         (_pre_result, sum(2 * c - 1 for c in range(3, 202))),
+        # n = 2: D^alpha q at each count for A, and the integrand's sum
+        # from count 2 on; the residual reads the A each step kept
+        (_hamilton_result, 2 * 2 * (200 * 201 // 2)),
     ],
     ids=[
         "general",
@@ -278,6 +287,7 @@ def _pre_result():
         "prop1-velocity-verlet",
         "nonlinear-fracosc-reduced",
         "nonlinear-fracosc-pre",
+        "hamilton-dA_dD",
     ],
 )
 def test_history_terms(result, terms):
@@ -290,14 +300,44 @@ def test_history_terms(result, terms):
 def test_golden_delta_compare_names_failing_cases(tmp_path, capsys):
     """``golden_delta.py --compare A B --bound REL`` exits 1 and names each
     case that moves by more than REL, changes shape or is in one file
-    only; a case within the bound, NaN against NaN included, passes."""
+    only; a case within the bound, NaN against NaN included, passes.  A
+    verify value is not held to REL: each one that moved is listed with
+    both values and its difference."""
     import golden_delta
 
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-    np.savez(a, same=[1.0, np.nan], near=[2.0, 3.0], far=[1e3, 1.0], shape=[1.0], gone=[0.0])
+    verify_a = {"verify:order, h=1/2": [1.5], "verify:error": [0.25], "verify:nan": [np.nan]}
+    verify_b = {"verify:order, h=1/2": [1.5], "verify:error": [0.5], "verify:nan": [np.nan]}
+    np.savez(a, same=[1.0, np.nan], near=[2.0, 3.0], far=[1e3, 1.0], shape=[1.0], gone=[0.0],
+             **verify_a)
     np.savez(b, same=[1.0, np.nan], near=[2.0, 3.0 + 1e-12], far=[1e3 + 1e-6, 1.0],
-             shape=[1.0, 2.0], new=[0.0])
+             shape=[1.0, 2.0], new=[0.0], **verify_b)
     assert golden_delta.main(["--compare", str(a), str(b), "--bound", "1e-11"]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED")]
+    out = capsys.readouterr().out.splitlines()
+    failed = [line for line in out if line.startswith("FAILED")]
     assert [line.split()[1] for line in failed] == ["far:", "gone:", "new:", "shape:"]
+    assert [line for line in out if line.startswith("MOVED")] == [
+        "MOVED verify:error: 0.25 -> 0.5, delta +2.500e-01"
+    ]
     assert golden_delta.main(["--compare", str(a), str(a), "--bound", "0"]) == 0
+
+
+def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
+    """``--dump`` saves, besides each golden case, the measured value of
+    each ``verify all`` row as the case ``verify:<row name>``."""
+    import golden_delta
+    import test_golden
+    from fracdyn import verification
+    from fracdyn.verification import CheckRow
+
+    rows = [CheckRow("order, h=1/2", 1.5, 1.0, True), CheckRow("error", 0.25, 1.0, True)]
+    monkeypatch.setattr(verification, "run_suite", lambda name: rows if name == "all" else [])
+    monkeypatch.setattr(test_golden, "CASES", {"case": lambda tmp: np.array([1.0, 2.0]).tobytes()})
+    # ``dump`` puts the checkout's paths first
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    repo = Path(__file__).resolve().parents[1]
+    out = tmp_path / "d.npz"
+    golden_delta.dump(repo, out)
+    got = np.load(out)
+    assert sorted(got.files) == ["case", "verify:error", "verify:order, h=1/2"]
+    assert got["case"].tolist() == [1.0, 2.0] and got["verify:error"].tolist() == [0.25]
