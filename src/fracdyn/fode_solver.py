@@ -1,31 +1,17 @@
 """Fixed-step causal integrators for dynamics with fractional history terms.
 
 The right-hand sides built in ``constrained_dynamics`` need the Caputo
-derivative of the trajectory-so-far at every step; ``History`` keeps the
-accumulated samples and answers those queries with the L1 scheme (and the
+derivative of the trajectory-so-far at every step.  ``History`` keeps the
+run's samples and answers those queries with the L1 scheme (and the
 product-trapezoidal fractional integral); filled from samples
 (``_sampled``), it is the package's one L1 engine for whole series too.
-It keeps q and qdot side by side (the steppers write each new state row
-there in place), writes each difference entry once, when counting a row
-makes it final, and builds each L1 weight table once per run with the
-scheme's constant folded in.  A query reads the final differences (an
-aux query first writes the entry of the newest stored row) and takes one
-dot with the table's tail, so its answer does not depend on the schedule
-of queries before it.  Where only b . D^alpha qdot reaches the dynamics
-(the linear constraint's projector form), the history keeps the projected
-series b . (qdot differences) as one more difference buffer, and the
-query sums one series, not n.  The pre form's queries at the node past
-the newest, b . D^alpha q and b . J^eps of the stored vectors on the
-prefix extended by a value ``ahead``, answer one Python float and only
-read: per column one dot over the final entries, plus the newest entry
-computed from ``ahead``.
-Its results are those of ``l1_caputo_last`` and
-``fractional_integral_last`` on the same prefix within the stated rounding
-bound, (panels + 4) eps sum|c w_k d_k|, and a projected one is within
-(panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums (the
-trapezoid's (m + n + 4) eps sum|s c_j| |b|.|f_j|).  All schemes are
-explicit with the history term lagged at most one step, so the per-step
-cost grows linearly with the step index (O(N^2) per run).
+A query reads one lane of one table: the rows of a difference buffer and
+a weight table built once per run.  Every buffer, the projected ones
+too, is written by one loop, each entry once its rows are final, so an
+answer does not depend on the schedule of queries before it.  A run's
+``history_terms`` is the number of products its queries computed.
+All schemes are explicit with the history term lagged at most one step,
+so the per-step cost grows linearly with the step index (O(N^2) per run).
 
 Every right-hand side meets the ``RHS`` protocol.  A step does only the
 work the next state depends on: one right-hand-side call.  What the run
@@ -111,79 +97,59 @@ class SimulationResult:
 
 
 class _Lane:
-    """One series of a ``History`` (some columns of its state or aux array,
-    or one projected series) at one order alpha, bound once for the
+    """One series of a ``History`` at one order alpha, bound once for the
     per-step query: the L1 scheme's difference order, the series' rows of
-    that order's difference buffer (one 1-d row for a projected series) and
-    their transpose, the products per panel, the pre-scaled weight table,
-    the dot to take, and the last count summed with the panels summed so
-    far."""
+    that order's difference buffer (one 1-d row for a projected series),
+    the products per panel, the pre-scaled weight table and the dot to
+    take."""
 
-    __slots__ = ("order", "rows", "T", "width", "w", "dot", "count", "summed")
+    __slots__ = ("order", "rows", "width", "w", "dot")
 
     def __init__(self, rows: np.ndarray, order: int, w: np.ndarray) -> None:
         self.order = order
         self.rows = rows
-        self.T = rows.T
         self.width = 1 if rows.ndim == 1 else len(rows)
         self.w = w
         # on a single row the dot product is cheaper than a gemv
         self.dot = np.dot if self.width == 1 else np.matmul
-        self.count = 0
-        self.summed = 0
 
 
 class History:
     """All the memory of one run, with causal fractional queries on it.
 
     The q and qdot samples sit side by side in one (nodes, 2n) state array,
-    which the steppers write in place (``append`` copies a state in);
-    besides them the history holds one n-vector per node that the
-    right-hand side supplies through ``store`` (a fractional integrand,
-    say), and, made on the first ``keep``, one more that no query reads,
-    for the post-run pass (the Hamilton form's A).
+    which the steppers write in place (``append`` copies a state in).  Per
+    node the history also holds the n-vector the right-hand side ``store``s
+    (a fractional integrand, say) and, made on the first ``keep``, one more
+    that no query reads, for the post-run pass (the Hamilton form's A).
 
-    An L1 query is one gemv of the differences with a weight table.  The
-    tables are built on the first query of each order, sized to the grid
-    and multiplied once by the scheme's constant, h^(-alpha)/Gamma(2-alpha)
-    or h^(2-alpha)/Gamma(3-alpha); the trapezoid's reversed table, on the
-    first query of each eps, by h^eps/Gamma(eps + 2).  The first or second
-    differences of the state (both series at once) and of the stored
-    vectors are kept in one buffer per array and order, made on the first
-    query of that order with the entries already final.  A difference entry
-    is written once, when its rows are final: ``advance`` writes the entry
-    its new row completes, panel count - 2 of the state and count - 3 of
-    the stored vectors, since ``store`` may still rewrite the newest one.
-    ``advance`` is the only writer of state entries, and a state query only
-    reads; an aux query first writes the entry of the newest stored row,
-    which the next ``advance`` writes again.  ``caputo_q_along`` answers
-    b . D^alpha q at the node past the newest, whose value is ``ahead``: per
-    column one dot of the final entries with the table's tail shifted by
-    one panel, plus the newest weight times the newest entry, which
-    ``_entry`` computes from ``ahead`` in Python floats.
-    ``integral_aux_along`` answers b . J^eps of the stored vectors extended
-    by ``ahead`` at that node, one dot per stored column.
-    ``caputo_q_series`` answers D^alpha q at every counted node at once,
-    from those differences and table in one blocked product.
-    ``caputo_qdot_along`` answers b . D^alpha qdot from one projected buffer
-    per (alpha, b), whose entry k is b . (entry k of the qdot differences):
-    ``advance`` writes it right after that state entry, a new one is
-    backfilled with every final entry, and for second differences panel 0
-    repeats panel 1.
+    An L1 query reads one lane, keyed (series, alpha) for the series "q",
+    "qdot" or "aux" (the stored vectors), or ("qdot", alpha, b) for the
+    projected series b . qdot: the rows of a difference buffer and the
+    weight table of alpha, built once per run, reversed and multiplied by
+    the scheme's constant.  Every difference buffer is one record of
+    ``_buffers``: the first or second differences of the state or of the
+    stored vectors, or b . (entry k of the qdot differences).  Each entry
+    is written once, when its rows are final: by the backfill of a new
+    buffer, then by ``advance``, at panel count - lag (lag 2, or 3 for the
+    stored vectors, whose newest row ``store`` may rewrite); for second
+    differences panel 0 repeats panel 1.  A state query only reads; an aux
+    query first writes the entry of the newest stored row, which the next
+    ``advance`` writes again.  ``caputo_q_along`` and
+    ``integral_aux_along`` answer at the node past the newest, whose value
+    is ``ahead``, and only read.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
-    (panels + 4) eps sum|c w_k d_k|, since the sums run in another order
-    with the constant c folded into the weights; a projected answer is
-    within (panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums.
-    ``integral_aux_along`` is within (m + n + 4) eps sum|s c_j| |b|.|f_j|
-    of b times the n ``fractional_integral_last`` values at count m, s
-    being the scale and c_j the weight of row j.  ``terms`` counts the
-    products of the state sums a run asks for once per (series, order,
-    count), however often one is computed: a query repeated at one count,
-    or a node of ``caputo_q_series`` that a query already summed, adds
-    nothing; a projected series counts one product per panel.  Each
-    next-node and aux query counts its products, n per panel or stored
-    row.
+    (panels + 4) eps sum|c w_k d_k|, a projected one within
+    (panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums, and
+    ``integral_aux_along`` within (m + n + 4) eps sum|s c_j| |b|.|f_j| of
+    b times the n ``fractional_integral_last`` values at count m
+    (s = h^eps/Gamma(eps + 2), c_j the weight of row j).
+
+    ``terms`` is the number of products the queries computed: panels x
+    width for each dot a lane's query takes, however often it is asked at
+    one count; panels(panels + 1)/2 x n for ``caputo_q_series``; n per
+    panel or stored row for the next-node queries.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
@@ -202,19 +168,10 @@ class History:
         self.count = 0
         self.terms = 0
         self._weights: dict = {}
-        # one (transposed buffer, array, difference order, lag) per
-        # difference buffer: ``advance`` writes its panel count - lag
+        self._lanes: dict = {}
+        # one (transposed buffer, source rows, difference order, lag, b or
+        # None) per difference buffer: ``advance`` writes its panel count - lag
         self._buffers: list = []
-        # one (buffer, qdot columns of the state's difference buffer, b,
-        # difference order) per projected series b . qdot
-        self._projections: list = []
-        # the state columns of q and of qdot; the lanes of q, qdot and the
-        # stored vectors by alpha, and of b . qdot by (alpha, b)
-        self._q_cols, self._qd_cols = slice(0, n), slice(n, 2 * n)
-        self._q_lanes: dict = {}
-        self._qd_lanes: dict = {}
-        self._aux_lanes: dict = {}
-        self._along_lanes: dict = {}
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         """Add the state at the next node."""
@@ -228,20 +185,20 @@ class History:
         difference entries the count makes final.  A counted row must not
         change again."""
         c = self.count = self.count + 1
-        for T, x, order, lag in self._buffers:
+        for T, x, order, lag, b in self._buffers:
             if c - lag >= order - 1:
-                self._panel(T, order, c - lag, x)
-        # after the state entry each one reads
-        for p, D, b, order in self._projections:
-            if c - 2 >= order - 1:
-                self._project(p, D, b, order, c - 2)
+                self._panel(T, order, c - lag, x, b)
 
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
+        if not self.count:
+            raise FracDomainError("store needs a counted node")
         self._aux[self.count - 1] = v
 
     def keep(self, v) -> None:
         """Keep v at the newest node for the post-run pass (``kept_view``)."""
+        if not self.count:
+            raise FracDomainError("keep needs a counted node")
         if self._kept is None:
             self._kept = np.zeros((self._size, self.n))
         self._kept[self.count - 1] = v
@@ -274,9 +231,7 @@ class History:
 
     def caputo_q(self, alpha: float) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node."""
-        lanes = self._q_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
-        return self._state_sum(lane)
+        return self._sum(self._lanes.get(("q", alpha)) or self._lane(("q", alpha)))
 
     def caputo_q_along(self, alpha: float, b: tuple, ahead: tuple) -> float:
         """b . D^alpha q at the node past the newest, on the prefix extended
@@ -287,8 +242,7 @@ class History:
         n = self.n
         if len(b) != n or len(ahead) != n:
             raise FracDomainError(f"b and ahead must hold {n} values each")
-        lanes = self._q_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
+        lane = self._lanes.get(("q", alpha)) or self._lane(("q", alpha))
         c, order = self.count, lane.order
         if c < order:
             return 0.0
@@ -309,49 +263,38 @@ class History:
         return total
 
     def caputo_qdot(self, alpha: float) -> np.ndarray:
-        lanes = self._qd_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._qd_cols, lanes)
-        return self._state_sum(lane)
+        return self._sum(self._lanes.get(("qdot", alpha)) or self._lane(("qdot", alpha)))
 
     def caputo_qdot_along(self, alpha: float, b: tuple) -> float:
         """b . D^alpha qdot at the newest node, for a tuple b of n floats
         (it keys the lane): one dot of the projected differences with the
         weight table, in place of the n sums of ``caputo_qdot``."""
-        lane = self._along_lanes.get((alpha, b)) or self._along_lane(alpha, b)
-        return float(self._state_sum(lane))
+        key = ("qdot", alpha, b)
+        return float(self._sum(self._lanes.get(key) or self._lane(key)))
 
     def caputo_aux(self, alpha: float) -> np.ndarray:
+        lane = self._lanes.get(("aux", alpha)) or self._lane(("aux", alpha))
         panels = self.count - 1
-        if panels < 1:
-            return np.zeros(self.n)
-        self.terms += panels * self.n
-        lanes = self._aux_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, self._aux, slice(0, self.n), lanes)
-        if panels < lane.order:
-            # one panel has no second difference
-            return np.zeros(self.n)
-        # the entry of the newest row, which ``store`` may still rewrite:
-        # the next ``advance`` writes it again
-        self._panel(lane.T, lane.order, panels - 1, self._aux)
-        return lane.dot(lane.rows[:, :panels], lane.w[self._size - panels :])
+        if panels >= lane.order:
+            # the entry of the newest row, which ``store`` may still
+            # rewrite: the next ``advance`` writes it again
+            self._panel(lane.rows.T, lane.order, panels - 1, self._aux)
+        return self._sum(lane)
 
     def caputo_q_series(self, alpha: float) -> np.ndarray:
         """(count, n) L1 Caputo derivatives of q at every counted node,
         each the one ``caputo_q`` gives at that count (within the rounding
-        bound), from one blocked product over the kept differences."""
+        bound), from one blocked product over the final differences."""
         out = np.zeros((self.count, self.n))
         panels = self.count - 1
         if panels < 1:
             return out
-        lanes = self._q_lanes
-        lane = lanes.get(alpha) or self._lane(alpha, self._state, self._q_cols, lanes)
+        lane = self._lanes.get(("q", alpha)) or self._lane(("q", alpha))
         out[1:] = _causal_products(lane.w[::-1], lane.rows[:, :panels])
         if lane.order == 2:
             # one panel has no second difference yet: the sum is zero there
             out[1] = 0.0
-        total = panels * (panels + 1) // 2
-        self.terms += (total - lane.summed) * self.n
-        lane.count, lane.summed = self.count, total
+        self.terms += panels * (panels + 1) // 2 * self.n
         return out
 
     def integral_aux_along(self, eps: float, b: tuple, ahead: tuple) -> float:
@@ -384,66 +327,61 @@ class History:
             total += bk * (scale * (start * f0 + x) + float(col[1:m].dot(tail)))
         return total
 
-    def _table(self, alpha: float):
-        """The L1 scheme's difference order at alpha and its weight table.
-
-        The panel weights are stored reversed, so the last n are those of n
-        panels in the order the differences are summed, and multiplied by
-        the scheme's constant."""
+    def _lane(self, key: tuple) -> _Lane:
+        """Make the lane of ``key``, (series, alpha) or ("qdot", alpha, b).
+        Its weight table holds the panel weights reversed, so the last k
+        are those of k panels in the order the differences are summed."""
+        series, alpha = key[:2]
         order, p, hp, g = _l1_scheme(alpha, self.h)
         w = self._weights.get(("l1", alpha))
         if w is None:
             w = self._weights[("l1", alpha)] = _l1_weights(self._size, p)[::-1] * (hp / g)
-        return order, w
-
-    def _lane(self, alpha: float, x: np.ndarray, cols: slice, lanes: dict) -> _Lane:
-        """The lane of the columns ``cols`` of the array ``x`` at alpha."""
-        order, w = self._table(alpha)
-        lane = lanes[alpha] = _Lane(self._buffer(x, order)[cols], order, w)
+        T = self._buffer(self._aux if series == "aux" else self._state, order)
+        cols = slice(self.n, None) if series == "qdot" else slice(0, self.n)
+        if len(key) == 2:
+            rows = T.T[cols]
+        else:
+            b = np.array(key[2], dtype=float)
+            if b.shape != (self.n,):
+                raise FracDomainError(f"b must hold {self.n} values, got {len(b)}")
+            rows = self._buffer(T[:, cols], order, b)
+        lane = self._lanes[key] = _Lane(rows, order, w)
         return lane
 
-    def _along_lane(self, alpha: float, b: tuple) -> _Lane:
-        """The lane of b . qdot at alpha.  Its buffer's entry k is b . D[k],
-        D[k] being the final entry k of the qdot columns of the state's
-        difference buffer; a new buffer gets every entry already final,
-        as ``advance`` writes them."""
-        v = np.array(b, dtype=float)
-        if v.shape != (self.n,):
-            raise FracDomainError(f"b must hold {self.n} values, got {len(v)}")
-        order, w = self._table(alpha)
-        D = self._buffer(self._state, order)[self._qd_cols].T
-        p = np.zeros(self._size)
-        for k in range(order - 1, self.count - 1):
-            self._project(p, D, v, order, k)
-        self._projections.append((p, D, v, order))
-        lane = self._along_lanes[(alpha, b)] = _Lane(p, order, w)
-        return lane
-
-    def _buffer(self, x: np.ndarray, order: int) -> np.ndarray:
-        """The (columns, nodes) differences of order ``order`` of the array
-        ``x`` (state or aux).  A new buffer gets every entry the counted
-        rows make final, as ``advance`` writes them."""
-        for T, y, o, _ in self._buffers:
+    def _buffer(self, x: np.ndarray, order: int, b: Optional[np.ndarray] = None) -> np.ndarray:
+        """The transposed (nodes, columns) buffer of the differences of
+        order ``order`` of the rows x (state or aux), or, given b, the 1-d
+        buffer of b . x[k] for the rows x of a difference buffer.  A new
+        buffer gets every entry the counted rows make final, as
+        ``advance`` writes them."""
+        for T, y, o, _, _ in self._buffers:
+            # a projected buffer's rows are a view made for it alone: no
+            # lookup finds it
             if y is x and o == order:
-                return T.T
-        T = np.zeros((x.shape[1], self._size)).T
-        lag = 2 if x is self._state else 3
+                return T
+        T = np.zeros((x.shape[1], self._size)).T if b is None else np.zeros(self._size)
+        lag = 3 if x is self._aux else 2
         for k in range(order - 1, self.count - lag + 1):
-            self._panel(T, order, k, x)
-        self._buffers.append((T, x, order, lag))
-        return T.T
+            self._panel(T, order, k, x, b)
+        self._buffers.append((T, x, order, lag, b))
+        return T
 
-    def _panel(self, T: np.ndarray, order: int, k: int, x: np.ndarray) -> None:
-        """Write panel k of the transposed difference buffer ``T`` of the
-        rows x, the entry ``_entry`` gives, with panel 0 repeating panel 1
-        for second differences (and zero until there is one)."""
-        if order == 1:
+    def _panel(
+        self, T: np.ndarray, order: int, k: int, x: np.ndarray, b: Optional[np.ndarray] = None
+    ) -> None:
+        """Write panel k of the buffer ``T``: the entry ``_entry`` gives of
+        the rows x, or, given b, b . x[k].  For second differences panel 0
+        repeats panel 1 (and is zero until there is one)."""
+        if b is not None:
+            T[k] = b.dot(x[k])
+        elif order == 1:
             # ``_entry``'s subtraction as one ufunc: the same IEEE results,
             # cheaper on the state's 2n columns
             np.subtract(x[k + 1], x[k], out=T[k])
             return
-        T[k] = self._entry(2, x[k - 1 : k + 2].tolist())
-        if k == 1:
+        else:
+            T[k] = self._entry(2, x[k - 1 : k + 2].tolist())
+        if k == 1 and order == 2:
             T[0] = T[1]
 
     def _entry(self, order: int, rows: list) -> list:
@@ -458,26 +396,14 @@ class History:
         h2 = self._h2
         return [(x2 - 2.0 * x1 + x0) / h2 for x2, x1, x0 in zip(r2, r1, r0)]
 
-    def _project(self, p: np.ndarray, D: np.ndarray, b: np.ndarray, order: int, k: int) -> None:
-        """Write entry k of the projected buffer ``p``: b . D[k], with panel
-        0 repeating panel 1 for second differences, as in ``_panel``."""
-        p[k] = b.dot(D[k])
-        if order == 2 and k == 1:
-            p[0] = p[1]
-
-    def _state_sum(self, lane: _Lane):
+    def _sum(self, lane: _Lane):
         """The L1 sums of a lane's series at the newest node (one float for
-        a projected series), its products counted once per count.  It
-        takes the dot itself: one call frame less per step."""
-        c = self.count
-        panels = c - 1
-        if lane.count != c:
-            lane.count = c
-            if panels > 0:
-                lane.summed += panels
-                self.terms += panels * lane.width
+        a projected series): one dot of panels x width products, which
+        ``terms`` counts."""
+        panels = self.count - 1
         if panels < lane.order:
             return 0.0 if lane.rows.ndim == 1 else np.zeros(self.n)
+        self.terms += panels * lane.width
         return lane.dot(lane.rows[..., :panels], lane.w[self._size - panels :])
 
 

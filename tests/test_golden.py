@@ -261,18 +261,20 @@ def _pre_result():
     "result,terms",
     [
         # 201 nodes, n = 2: D^alpha q and D^alpha qdot at each count; the
-        # residual's D^alpha q adds no count the steps did not sum
-        (_general_result, 2 * 2 * (200 * 201 // 2)),
-        # direct mode sums D^alpha q only, at every count the residual needs
-        (lambda: _direct_result("semi-implicit-euler"), 2 * (200 * 201 // 2)),
+        # residual's D^alpha q at the last count repeats the step's sum
+        (_general_result, 2 * 2 * (200 * 201 // 2) + 2 * 200),
+        # direct mode sums D^alpha q at every count, the last one twice:
+        # in the step and again in the residual
+        (lambda: _direct_result("semi-implicit-euler"), 2 * (200 * 201 // 2) + 2 * 200),
         # prop1: the one projected series b . D^alpha qdot for the
         # right-hand side at each count, and D^alpha q at every count for
-        # the residual, after the last step
+        # the residual, in one blocked product after the last step
         (lambda: _prop1_result("semi-implicit-euler"), (1 + 2) * (200 * 201 // 2)),
         # velocity Verlet asks no b . D^alpha qdot at the last count
         (lambda: _prop1_result("velocity-verlet"), (1 + 2) * (200 * 201 // 2) - 200),
-        # n = 1, D^(3-alpha) x alone: no sum over the velocity
-        (_reduced_result, 200 * 201 // 2),
+        # n = 1, D^(3-alpha) x alone: no sum over the velocity.  At count 2
+        # there is one panel and no second difference, so no dot is taken
+        (_reduced_result, 200 * 201 // 2 - 1),
         # n = 1, from count 3 on: D^alpha x at the next node sums c
         # products, and J^(2-alpha) K there c - 1
         (_pre_result, sum(2 * c - 1 for c in range(3, 202))),
@@ -291,9 +293,10 @@ def _pre_result():
     ],
 )
 def test_history_terms(result, terms):
-    """Each (series, order, count) a run asks for is counted once, whether
-    a step sums it, the post-run residual does, or both; no series is
-    counted that nobody asked for."""
+    """``history_terms`` is the number of products a run's history sums
+    computed: each dot a query takes counts its panels x width, however
+    often the query is asked at one count, and no series is counted that
+    nobody asked for."""
     assert result().diagnostics["history_terms"] == terms
 
 

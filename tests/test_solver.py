@@ -125,6 +125,41 @@ class TestHistory:
         assert hist.caputo_aux(0.5)[1] == ref
         assert hist.caputo_aux(0.5)[0] == 0.0
 
+    def test_store_and_keep_need_a_counted_node(self):
+        """Before the first node there is no row to write: ``store`` and
+        ``keep`` raise, and do not write the grid's last row (row -1)."""
+        hist = History(Grid(0.0, 1.0, 4), 1)
+        with pytest.raises(FracDomainError):
+            hist.store(7.0)
+        with pytest.raises(FracDomainError):
+            hist.keep(7.0)
+        for _ in range(5):
+            hist.append(np.zeros(1), np.zeros(1))
+        assert hist.aux_view[-1, 0] == 0.0 and not hist.aux_nonzero
+        assert hist.integral_aux_along(0.5, (1.0,), (0.0,)) == 0.0
+        assert hist._kept is None
+
+    def test_repeated_query_counts_its_products_again(self):
+        """``terms`` counts the products computed: a query asked twice at
+        one count takes its dot, and adds its panels x width, twice."""
+        hist = History(Grid(0.0, 1.0, 10), 2)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            hist.append(rng.normal(size=2), rng.normal(size=2))
+            hist.store(rng.normal(size=2))
+        queries = [
+            (lambda: hist.caputo_q(0.5), 3 * 2),
+            (lambda: hist.caputo_qdot(1.5), 3 * 2),
+            (lambda: hist.caputo_aux(0.5), 3 * 2),
+            (lambda: hist.caputo_qdot_along(0.5, (1.0, -1.0)), 3),
+        ]
+        for query, products in queries:
+            before = hist.terms
+            first = query()
+            assert hist.terms == before + products
+            assert np.array_equal(query(), first)
+            assert hist.terms == before + 2 * products
+
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
         nodes=st.integers(2, 48),
@@ -232,7 +267,7 @@ class TestHistory:
             x, y = both.caputo_qdot_along(0.5, (1.0, 0.0)), both.caputo_qdot_along(0.5, (0.0, 2.0))
             assert y == one.caputo_qdot_along(0.5, (0.0, 2.0))
             assert (x != y) == (count > 1)
-        assert len(both._along_lanes) == 2
+        assert sum(len(key) == 3 for key in both._lanes) == 2
         assert both.terms == 2 * one.terms == 2 * sum(range(1, 8))
         with pytest.raises(FracDomainError):
             both.caputo_qdot_along(0.5, (1.0, 2.0, 3.0))
@@ -337,11 +372,11 @@ class TestStateSums:
         sums = Counter()
         other = []
         series = []
-        state_sum, caputo_series = History._state_sum, History.caputo_q_series
+        state_sum, caputo_series = History._sum, History.caputo_q_series
 
         def counted(hist, lane):
             if hist.count >= 2:  # count 1 has no panel to sum
-                assert lane is hist._along_lanes[(0.5, (0.5, -0.3))]
+                assert lane is hist._lanes[("qdot", 0.5, (0.5, -0.3))]
                 sums[hist.count] += 1
             return state_sum(hist, lane)
 
@@ -349,7 +384,7 @@ class TestStateSums:
             series.append(hist.count)
             return caputo_series(hist, alpha)
 
-        monkeypatch.setattr(History, "_state_sum", counted)
+        monkeypatch.setattr(History, "_sum", counted)
         monkeypatch.setattr(History, "caputo_q_along", lambda *a: other.append("ahead"))
         monkeypatch.setattr(History, "integral_aux_along", lambda *a: other.append("integral"))
         monkeypatch.setattr(History, "caputo_aux", lambda *a: other.append("aux"))
@@ -395,34 +430,39 @@ def prop1_run(scheme):
 class TestDifferenceWrites:
     """A difference entry is written once, when its rows are final: each
     state entry in panel order, by the backfill when the first query of
-    its order makes the buffer and by ``advance`` from then on.  No query
-    writes any state entry: the next-node queries compute the entry past
-    the final ones and do not write it."""
+    its order makes the buffer and by ``advance`` from then on, and so is
+    each entry of a projected buffer, right after the state entry it
+    reads.  No query writes any state entry: the next-node queries
+    compute the entry past the final ones and do not write it."""
 
     @pytest.mark.parametrize(
-        "run,first,backfilled",
+        "run,first,backfilled,projected_entries",
         [
-            # order 1: from the first panel on, the buffer made at count 1
-            (lambda: prop1_run("semi-implicit-euler"), 0, 0),
-            (lambda: prop1_run("velocity-verlet"), 0, 0),
+            # order 1: from the first panel on, the buffer made at count 1;
+            # prop1 projects the qdot differences onto one b
+            (lambda: prop1_run("semi-implicit-euler"), 0, 0, 200),
+            (lambda: prop1_run("velocity-verlet"), 0, 0, 200),
             # order 2: panel 0 repeats panel 1, written with it
-            (lambda: reduced_run("reduced"), 1, 0),
+            (lambda: reduced_run("reduced"), 1, 0, 0),
             # the first next-node query comes at count 3
-            (lambda: reduced_run("pre"), 1, 1),
+            (lambda: reduced_run("pre"), 1, 1, 0),
         ],
         ids=["prop1-semi-implicit-euler", "prop1-velocity-verlet", "reduced", "pre"],
     )
     def test_state_entries_written_once_in_panel_order(
-        self, run, first, backfilled, monkeypatch
+        self, run, first, backfilled, projected_entries, monkeypatch
     ):
-        writes, callers, hists = [], [], set()
+        writes, projected, callers, hists = [], [], [], set()
         panel = History._panel
 
-        def logged_panel(hist, T, order, k, x):
+        def logged_panel(hist, T, order, k, x, b=None):
             hists.add(hist)
+            who = callers[-1] if callers else "other"
             if x is hist._state or x is hist._q:
-                writes.append((callers[-1] if callers else "other", k, hist.count))
-            return panel(hist, T, order, k, x)
+                writes.append((who, k, hist.count))
+            elif b is not None:
+                projected.append((who, k, hist.count, len(writes)))
+            return panel(hist, T, order, k, x, b)
 
         def within(name, method):
             def wrapped(hist, *args):
@@ -451,15 +491,23 @@ class TestDifferenceWrites:
         # once its last row is counted: by advance at that count, by the
         # backfill at that count or later
         assert all(c == k + 2 if who == "advance" else c >= k + 2 for who, k, c in writes)
+        # each projected entry k is written by advance or the backfill,
+        # once, after state entry k
+        assert [k for _, k, _, _ in projected] == list(range(projected_entries))
+        assert {who for who, _, _, _ in projected} <= {"advance", "backfill"}
+        assert all(done == k + 1 for _, k, _, done in projected)
         # the final entries are the frac_ops differences of the whole run
         (hist,) = hists
         state = hist._state
-        for T, x, order, _ in hist._buffers:
+        for T, x, order, _, b in hist._buffers:
             if x is state:
                 if order == 1:
                     want = np.diff(state, axis=0)
                 else:
                     want = np.array([_second_differences(col, hist.h) for col in state.T]).T
+                assert np.array_equal(T[:200], want)
+            elif b is not None:
+                want = [b.dot(d) for d in np.diff(hist._qd, axis=0)]
                 assert np.array_equal(T[:200], want)
 
 
@@ -631,29 +679,31 @@ class TestSecondOrder:
             assert res.diagnostics["max_singular_increment"] == 2.0
 
     def test_diagnostics_cost_model(self):
-        """``history_terms`` counts the products the history sums, here
-        tallied by the right-hand side from the prefix lengths it sees.
-        Each (series, order, count) is tallied once: a query repeated at one
-        count adds nothing, and neither does a node of the post-run
-        ``caputo_q_series`` that a step already summed."""
-        tally = {}
+        """``history_terms`` counts the products the history computes, here
+        tallied by the right-hand side at every call from the prefix length
+        it sees.  A query repeated at one count adds its products again, and
+        so does a node of the post-run ``caputo_q_series`` that a step
+        already summed; a query with fewer panels than its difference order
+        takes no dot and adds nothing."""
+        tally = []
+
+        def products(panels, order):
+            return 2 * panels if panels >= order else 0
 
         class Memory(RHS):
-            n = 2
-
             def __call__(self, t, q, qd, hist):
                 for _ in range(2):
-                    tally[("q", 0.5, hist.count)] = self.n * (hist.count - 1)
+                    tally.append(products(hist.count - 1, 1))
                     hist.caputo_q(0.5)
-                tally[("qdot", 1.5, hist.count)] = self.n * (hist.count - 1)
+                tally.append(products(hist.count - 1, 2))
                 hist.caputo_qdot(1.5)
                 return -q
 
             def residual(self, hist, multiplier):
                 # 0.5 was summed at every count a step saw, 0.3 at none
                 for alpha in (0.5, 0.3):
-                    for c in range(1, hist.count + 1):
-                        tally[("q", alpha, c)] = self.n * (c - 1)
+                    panels = hist.count - 1
+                    tally.append(2 * panels * (panels + 1) // 2)
                     hist.caputo_q_series(alpha)
                 return None
 
@@ -663,7 +713,7 @@ class TestSecondOrder:
                 Memory(), ([1.0, 0.5], [0.0, 1.0]),
                 IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme),
             )
-            assert res.diagnostics["history_terms"] == sum(tally.values()) > 0
+            assert res.diagnostics["history_terms"] == sum(tally) > 0
 
 
 class Coast(RHS):
