@@ -360,7 +360,10 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
         order = _frac_order(cfg)
         # f = A.qdot: A is constant, and the system's qdot_init is p(0)
         sys = _system(cfg, _constraint(avec, np.zeros(len(avec)), order, "parameters.A"))
-        rr = hamilton_rhs(sys)
+        try:
+            rr = hamilton_rhs(sys)
+        except SingularConstraintError as exc:
+            raise ConfigError("parameters.A", str(exc)) from exc
 
         def execute(icfg):
             return integrate_hamilton(rr, (sys.q_init, sys.qdot_init), icfg)

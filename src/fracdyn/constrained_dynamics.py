@@ -425,10 +425,12 @@ def rhs_nonlinear_frac_oscillator(
 
 class _HamiltonRHS(RHS):
     """Callable (t, q, p, history) -> (qdot, pdot).  df_dqdot = A does not
-    depend on qdot, so it is called with p; the fractional integrand
-    mu * df_ddq is stored in the history, and A kept there for the
-    residual.  A linear constraint has the constant A = a and, with b = 0,
-    no integrand, so its steps ask the history nothing."""
+    depend on qdot, so it is called with p.  The constraint's kind picks
+    the step once, here.  A linear constraint, whose b must be exactly
+    zero, steps with its constant A = a and |a|^2, bound here, and asks
+    the history nothing.  Any other constraint queries D^alpha q, keeps A
+    for the residual, stores the fractional integrand mu * df_ddq and sums
+    it from count 2."""
 
     def __init__(self, sys: SystemSpec) -> None:
         c = sys.constraint
@@ -439,26 +441,23 @@ class _HamiltonRHS(RHS):
         self.alpha = c.order.alpha
         q0, p0 = sys.q_init, sys.qdot_init
         zeros = np.zeros(sys.n)
-        # a linear constraint's A is the constant a, which reads no D^alpha
-        # q, and its integrand mu * b is zero when b is
-        self._dq0 = None if c.a is None else zeros
-        self._integrand = c.a is None or bool(np.any(c.b))
-        # with no integrand either, a step needs only A and |A|^2, bound
-        # here (an |A|^2 the step's check rejects takes the general path)
-        self._a = self._a2 = None
-        if not self._integrand:
-            a2 = float(np.dot(c.a, c.a))
-            if _CHETAEV_TOL < a2 < math.inf:
-                self._a, self._a2 = c.a, a2
         a0 = np.asarray(c.df_dqdot(q0, p0, zeros), dtype=float)
-        if not np.dot(a0, a0) > 0.0:
-            raise SingularConstraintError("A vanishes at the initial state")
+        a2 = float(np.dot(a0, a0))
+        # the step's own test, at the initial state
+        if not _CHETAEV_TOL < a2 < math.inf:
+            raise SingularConstraintError("A^2 vanishes or is not finite at the initial state")
         # spot checks of the form at q0: no term free of qdot, and f = A.p
-        # (equal values pass also when A.p overflows)
+        # (equal values pass also when A.p overflows); a linear constraint's
+        # b must be exactly zero, not only below the spot checks' tolerance
         free = max(abs(c.value(q0, zeros, e)) for e in np.eye(sys.n))
         f0, ap0 = c.value(q0, p0, zeros), float(np.dot(a0, p0))
-        if not free <= _INIT_TOL or not (f0 == ap0 or abs(f0 - ap0) <= _INIT_TOL):
+        if (
+            not free <= _INIT_TOL
+            or not (f0 == ap0 or abs(f0 - ap0) <= _INIT_TOL)
+            or (c.a is not None and np.any(c.b))
+        ):
             raise FracDomainError("hamilton_rhs needs a constraint f = A(q, D^alpha q).qdot")
+        self._a, self._a2 = (None, None) if c.a is None else (c.a, a2)
 
     def __call__(self, t, q, p, hist):
         if self._a is not None:
@@ -466,11 +465,11 @@ class _HamiltonRHS(RHS):
             mu = float(np.dot(a, p) / self._a2)
             self.last_multiplier = mu
             grad = np.asarray(self.sys.grad_potential(q), dtype=float)
-            # the general path's -grad + mu * df_dq with df_dq = 0: mu * 0.0
+            # the general step's -grad + mu * df_dq with df_dq = 0: mu * 0.0
             # - grad has the same signed zeros
             return p - mu * a, mu * 0.0 - grad
         c = self.sys.constraint
-        dq = self._dq0 if self._dq0 is not None else hist.caputo_q(self.alpha)
+        dq = hist.caputo_q(self.alpha)
         a = np.asarray(c.df_dqdot(q, p, dq), dtype=float)
         a2 = float(np.dot(a, a))
         if not _CHETAEV_TOL < a2 < math.inf:
@@ -483,10 +482,9 @@ class _HamiltonRHS(RHS):
         fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
         pdot = -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
 
-        if self._integrand:
-            hist.store(mu * np.asarray(c.df_ddq(q, qdot, dq), dtype=float))
-            if hist.count >= 2 and hist.aux_nonzero:
-                pdot += hist.caputo_aux(self.alpha)
+        hist.store(mu * np.asarray(c.df_ddq(q, qdot, dq), dtype=float))
+        if hist.count >= 2:
+            pdot += hist.caputo_aux(self.alpha)
         return qdot, pdot
 
     def residual(self, hist, multiplier) -> np.ndarray:
@@ -505,9 +503,10 @@ def hamilton_rhs(sys: SystemSpec):
 
     The constraint must be f = A(q, D^alpha q).qdot: its ``df_dqdot`` is A,
     and ``df_dq`` and ``df_ddq`` are (dA/dq)^T qdot and (dA/dD^alpha q)^T
-    qdot.  ``sys.qdot_init`` holds p(0).  Raises ``FracDomainError`` for a
-    constraint not of that form and ``SingularConstraintError`` when A
-    vanishes at the initial state."""
+    qdot; a linear constraint (``ConstraintSpec.linear``) needs b exactly
+    zero.  ``sys.qdot_init`` holds p(0).  Raises ``FracDomainError`` for a
+    constraint not of that form and ``SingularConstraintError`` unless
+    1e-12 < |A(q0)|^2 < inf, the test every step applies, checked here."""
     with _quiet():
         return _HamiltonRHS(sys)
 

@@ -162,9 +162,6 @@ class History:
         self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
         self._kept = None
-        # aux rows before this one are zero; a nonzero row was seen
-        self._aux_zero = 0
-        self._aux_seen = False
         self.count = 0
         self.terms = 0
         self._weights: dict = {}
@@ -202,16 +199,6 @@ class History:
         if self._kept is None:
             self._kept = np.zeros((self._size, self.n))
         self._kept[self.count - 1] = v
-
-    @property
-    def aux_nonzero(self) -> bool:
-        """Whether a stored vector was seen nonzero.  Rows found zero are
-        not scanned again, except the newest, which ``store`` may rewrite."""
-        if not self._aux_seen:
-            k = self._aux_zero
-            self._aux_seen = bool(self._aux[k : self.count].any())
-            self._aux_zero = max(self.count - 1, k)
-        return self._aux_seen
 
     @property
     def q_view(self) -> np.ndarray:

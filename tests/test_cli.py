@@ -333,6 +333,9 @@ class TestInputFaults:
             (with_param(CASE1, "a2", 1e160), "parameters.a2"),
             (with_param(CASE2, "c", 1e160), "parameters.c"),
             (with_param(HAMILTON, "A", [1e160, 0.5]), "parameters.A"),
+            # |A|^2 = 1.25e-14 is finite and nonzero, but every Hamilton
+            # step rejects |A|^2 <= 1e-12: the plan is rejected when built
+            (with_param(HAMILTON, "A", [1e-7, 5e-8]), "parameters.A"),
         ],
     )
     def test_vanishing_constraint_vector(self, tmp_path, capsys, data, key):

@@ -35,13 +35,16 @@ def _paths(node, prefix=()):
 
 
 def _values(key, old):
-    """ODD, the negated value, for a list one entry more and one less, and
-    for an order the near-integers."""
+    """ODD, the negated value, for a list one entry more and one less, for
+    a list of numbers the whole list times 1e-7 (a one-entry change leaves
+    the other entries at their scale), and for an order the near-integers."""
     out = ODD + (NEAR_INTEGER if key == "alpha" else [])
     if isinstance(old, (int, float)) and not isinstance(old, bool):
         out.append(-old)
     if isinstance(old, list):
         out += [old + [1.0], old[:-1]]
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in old):
+            out.append([x * 1e-7 for x in old])
     return out
 
 

@@ -492,8 +492,18 @@ class TestHamilton:
         assert len(calls) - built == 201
 
     def test_vanishing_A_rejected(self):
-        with pytest.raises(SingularConstraintError):
-            hamilton_rhs(hamilton_sys(lambda q, d: np.zeros(1), [0.0], [1.0]))
+        """|A(q0)|^2 must pass the test each step applies, 1e-12 < |A|^2 <
+        inf, when the right-hand side is built."""
+        linear_tiny = ConstraintSpec.linear([1e-7, 0.0], [0.0, 0.0], FracOrder(0.5))
+        for sys in (
+            hamilton_sys(lambda q, d: np.zeros(1), [0.0], [1.0]),
+            # finite and nonzero, but |A|^2 = 1e-14 fails every step's test
+            SystemSpec(lambda q: q, linear_tiny, [1.0, 0.0], [0.0, 1.0]),
+            # a general constraint with |A(q0)|^2 = 1e-13
+            hamilton_sys(lambda q, d: np.array([math.sqrt(1e-13), 0.0]), [1.0, 0.0], [1.0, 0.0]),
+        ):
+            with pytest.raises(SingularConstraintError):
+                hamilton_rhs(sys)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
     def test_A_squared_overflow_along_the_trajectory(self):
@@ -509,6 +519,8 @@ class TestHamilton:
         [
             # a D^alpha q term free of qdot
             ConstraintSpec.linear([1.0, 2.0], [0.5, 0.0], FracOrder(0.5)),
+            # a b below the spot checks' tolerance is still not zero
+            ConstraintSpec.linear([1.0, 2.0], [1e-11, 0.0], FracOrder(0.5)),
             # f = A.qdot + 1: df_dqdot is A, but f(q0, p0, 0) is not A.p0
             ConstraintSpec(
                 FracOrder(0.5),
@@ -518,7 +530,7 @@ class TestHamilton:
                 df_ddq=lambda q, qd, dl: np.zeros(2),
             ),
         ],
-        ids=["b-nonzero", "offset"],
+        ids=["b-nonzero", "b-tiny", "offset"],
     )
     def test_constraint_not_A_qdot_rejected(self, constraint):
         sys = SystemSpec(lambda q: q, constraint, q_init=[1.0, 0.0], qdot_init=[0.0, 1.0])

@@ -119,7 +119,6 @@ class TestHistory:
         for i in range(6):
             hist.append(np.zeros(2), np.zeros(2))
             hist.store(np.array([0.0, t[i] ** 2 if i >= 3 else 0.0]))
-            assert hist.aux_nonzero == (i >= 3)
         assert hist.aux_view.shape == (6, 2)
         ref = l1_caputo_last(hist.aux_view[:, 1], g.h, 0.5)
         assert hist.caputo_aux(0.5)[1] == ref
@@ -135,7 +134,7 @@ class TestHistory:
             hist.keep(7.0)
         for _ in range(5):
             hist.append(np.zeros(1), np.zeros(1))
-        assert hist.aux_view[-1, 0] == 0.0 and not hist.aux_nonzero
+        assert hist.aux_view[-1, 0] == 0.0
         assert hist.integral_aux_along(0.5, (1.0,), (0.0,)) == 0.0
         assert hist._kept is None
 
