@@ -175,19 +175,22 @@ def _check_initial_residual(sys: SystemSpec) -> None:
 
 
 def _derive_qm0(sys: SystemSpec) -> np.ndarray:
-    """q^(m)(0) for the shift term, a one-sided estimate.
+    """q^(m)(0) for the shift term of either form, a one-sided estimate.
 
     m = 1 needs the initial velocity (known).  m = 2 uses the equation of
     motion at t = 0 with the fractional terms dropped (they vanish at 0+
-    for smooth motion), i.e. the constrained Newtonian acceleration.
+    for smooth motion): the constrained Newtonian acceleration
+    -grad u + g (g.grad u - df/dq.qdot0)/|g|^2, g = df/dqdot at (q0, qdot0, 0).
     """
-    m = sys.constraint.order.m
-    if m == 1:
-        return sys.qdot_init.copy()
-    a = sys.constraint.a
-    grad = np.asarray(sys.grad_potential(sys.q_init), dtype=float)
-    a2 = float(np.dot(a, a))
-    return -(grad - a * np.dot(a, grad) / a2)
+    c, q0, v0 = sys.constraint, sys.q_init, sys.qdot_init
+    if c.order.m == 1:
+        return v0.copy()
+    zeros = np.zeros(sys.n)
+    g = np.asarray(c.df_dqdot(q0, v0, zeros), dtype=float)
+    fq = np.asarray(c.df_dq(q0, v0, zeros), dtype=float)
+    grad = np.asarray(sys.grad_potential(q0), dtype=float)
+    num = np.dot(g, grad) - np.dot(fq, v0)
+    return -(grad - g * num / float(np.dot(g, g)))
 
 
 class _LinearRHS(RHS):
@@ -282,8 +285,7 @@ class _GeneralRHS(RHS):
         self.sys = sys
         self.alpha = c.order.alpha
         _check_initial_residual(sys)
-        # q^(m)(0) of the startup term; for m = 2 it is taken as zero
-        self.qm0 = sys.qdot_init.copy() if c.order.m == 1 else np.zeros(sys.n)
+        self.qm0 = _derive_qm0(sys)
         self._avg_pow = c.order.m - self.alpha
         self._avg_gamma = math.gamma(self._avg_pow + 1.0)
         self._has_qm0 = bool(np.any(self.qm0))
@@ -425,12 +427,12 @@ def rhs_nonlinear_frac_oscillator(
 
 class _HamiltonRHS(RHS):
     """Callable (t, q, p, history) -> (qdot, pdot).  df_dqdot = A does not
-    depend on qdot, so it is called with p.  The constraint's kind picks
-    the step once, here.  A linear constraint, whose b must be exactly
-    zero, steps with its constant A = a and |a|^2, bound here, and asks
-    the history nothing.  Any other constraint queries D^alpha q, keeps A
-    for the residual, stores the fractional integrand mu * df_ddq and sums
-    it from count 2."""
+    depend on qdot, so it is called with p; A does not depend on D^alpha
+    q either, so every callable gets dq = 0.  The form carries no
+    fractional memory, and a step asks the history nothing.  The
+    constraint's kind picks the step once, here.  A linear constraint
+    steps with its constant A = a and |a|^2, bound here.  Any other
+    constraint evaluates A(q) and stores it for the residual."""
 
     def __init__(self, sys: SystemSpec) -> None:
         c = sys.constraint
@@ -438,7 +440,6 @@ class _HamiltonRHS(RHS):
             raise FracDomainError("hamilton_rhs needs a constraint")
         c.order.require_fractional()
         self.sys = sys
-        self.alpha = c.order.alpha
         q0, p0 = sys.q_init, sys.qdot_init
         zeros = np.zeros(sys.n)
         a0 = np.asarray(c.df_dqdot(q0, p0, zeros), dtype=float)
@@ -446,17 +447,18 @@ class _HamiltonRHS(RHS):
         # the step's own test, at the initial state
         if not _CHETAEV_TOL < a2 < math.inf:
             raise SingularConstraintError("A^2 vanishes or is not finite at the initial state")
-        # spot checks of the form at q0: no term free of qdot, and f = A.p
-        # (equal values pass also when A.p overflows); a linear constraint's
-        # b must be exactly zero, not only below the spot checks' tolerance
+        # spot checks of the form at q0: no term free of qdot, f = A.p
+        # (equal values pass also when A.p overflows), and df_ddq exactly
+        # zero at each unit qdot (so a linear constraint's b is exactly 0)
         free = max(abs(c.value(q0, zeros, e)) for e in np.eye(sys.n))
         f0, ap0 = c.value(q0, p0, zeros), float(np.dot(a0, p0))
         if (
             not free <= _INIT_TOL
             or not (f0 == ap0 or abs(f0 - ap0) <= _INIT_TOL)
-            or (c.a is not None and np.any(c.b))
+            or any(np.any(c.df_ddq(q0, e, zeros)) for e in np.eye(sys.n))
         ):
-            raise FracDomainError("hamilton_rhs needs a constraint f = A(q, D^alpha q).qdot")
+            raise FracDomainError("hamilton_rhs needs a constraint f = A(q).qdot")
+        self._zeros = zeros
         self._a, self._a2 = (None, None) if c.a is None else (c.a, a2)
 
     def __call__(self, t, q, p, hist):
@@ -468,45 +470,40 @@ class _HamiltonRHS(RHS):
             # the general step's -grad + mu * df_dq with df_dq = 0: mu * 0.0
             # - grad has the same signed zeros
             return p - mu * a, mu * 0.0 - grad
-        c = self.sys.constraint
-        dq = hist.caputo_q(self.alpha)
-        a = np.asarray(c.df_dqdot(q, p, dq), dtype=float)
+        c, zeros = self.sys.constraint, self._zeros
+        a = np.asarray(c.df_dqdot(q, p, zeros), dtype=float)
         a2 = float(np.dot(a, a))
         if not _CHETAEV_TOL < a2 < math.inf:
             raise SingularConstraintError("A^2 vanished or is not finite along the trajectory")
         mu = float(np.dot(a, p) / a2)
         qdot = p - mu * a
         self.last_multiplier = mu
-        hist.keep(a)
-
-        fq = np.asarray(c.df_dq(q, qdot, dq), dtype=float)
-        pdot = -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
-
-        hist.store(mu * np.asarray(c.df_ddq(q, qdot, dq), dtype=float))
-        if hist.count >= 2:
-            pdot += hist.caputo_aux(self.alpha)
-        return qdot, pdot
+        hist.store(a)
+        fq = np.asarray(c.df_dq(q, qdot, zeros), dtype=float)
+        return qdot, -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
 
     def residual(self, hist, multiplier) -> np.ndarray:
         """A.qdot with qdot = p - mu A at every node, A being the constant
-        a or the one each step kept."""
+        a or the one each step stored."""
         p = hist.qdot_view
         if self._a is not None:
             # the constant A = a: one product over every node
             return (p - multiplier[:, None] * self._a) @ self._a
-        A = hist.kept_view
+        A = hist.aux_view
         return np.einsum("ij,ij->i", A, p - multiplier[:, None] * A)
 
 
 def hamilton_rhs(sys: SystemSpec):
     """Hamilton-form equations with multiplier mu = A.p / A^2.
 
-    The constraint must be f = A(q, D^alpha q).qdot: its ``df_dqdot`` is A,
-    and ``df_dq`` and ``df_ddq`` are (dA/dq)^T qdot and (dA/dD^alpha q)^T
-    qdot; a linear constraint (``ConstraintSpec.linear``) needs b exactly
-    zero.  ``sys.qdot_init`` holds p(0).  Raises ``FracDomainError`` for a
-    constraint not of that form and ``SingularConstraintError`` unless
-    1e-12 < |A(q0)|^2 < inf, the test every step applies, checked here."""
+    The constraint must be f = A(q).qdot: ``df_dqdot`` is A, ``df_dq`` is
+    (dA/dq)^T qdot and ``df_ddq`` is zero.  The form carries no fractional
+    memory; the variational one is right-sided (``variational_residual``),
+    which a causal step cannot evaluate.  ``sys.qdot_init`` holds p(0).
+    Raises ``FracDomainError`` for a constraint not of that form, by spot
+    checks at q0 (a linear one needs b exactly zero), and
+    ``SingularConstraintError`` unless 1e-12 < |A(q0)|^2 < inf, the test
+    every step applies, checked here."""
     with _quiet():
         return _HamiltonRHS(sys)
 

@@ -1,9 +1,9 @@
 """Fixed-step causal integrators for dynamics with fractional history terms.
 
-The right-hand sides built in ``constrained_dynamics`` need the Caputo
-derivative of the trajectory-so-far at every step.  ``History`` keeps the
-run's samples and answers those queries with the L1 scheme (and the
-product-trapezoidal fractional integral); filled from samples
+The Lagrange-form right-hand sides of ``constrained_dynamics`` need the
+Caputo derivative of the trajectory-so-far at every step.  ``History``
+keeps the run's samples and answers those queries with the L1 scheme (and
+the product-trapezoidal fractional integral); filled from samples
 (``_sampled``), it is the package's one L1 engine for whole series too.
 A query reads one lane of one table: the rows of a difference buffer and
 a weight table built once per run.  Every buffer, the projected ones
@@ -17,9 +17,9 @@ Every right-hand side meets the ``RHS`` protocol.  A step does only the
 work the next state depends on: one right-hand-side call.  What the run
 reports but never steps on is computed once per run: the singular
 velocity increments before the first step, and the constraint residual
-at every node after the last one, from the rows the steps stored or kept
-(their D^alpha q, or the Hamilton form's A) or from D^alpha q at every
-node in one blocked product.  A run's memory lives only in the
+at every node after the last one, from the rows the steps stored (their
+D^alpha q, or the Hamilton form's A) or from D^alpha q at every node in
+one blocked product.  A run's memory lives only in the
 ``History`` the stepper creates for that run, so one RHS object can serve
 any number of runs.
 
@@ -119,25 +119,21 @@ class History:
 
     The q and qdot samples sit side by side in one (nodes, 2n) state array,
     which the steppers write in place (``append`` copies a state in).  Per
-    node the history also holds the n-vector the right-hand side ``store``s
-    (a fractional integrand, say) and, made on the first ``keep``, one more
-    that no query reads, for the post-run pass (the Hamilton form's A).
+    node the history also holds the n-vector the right-hand side ``store``s:
+    D^alpha q for the post-run residual, the Hamilton form's A, or the
+    pre form's K(x).
 
-    An L1 query reads one lane, keyed (series, alpha) for the series "q",
-    "qdot" or "aux" (the stored vectors), or ("qdot", alpha, b) for the
-    projected series b . qdot: the rows of a difference buffer and the
-    weight table of alpha, built once per run, reversed and multiplied by
-    the scheme's constant.  Every difference buffer is one record of
-    ``_buffers``: the first or second differences of the state or of the
-    stored vectors, or b . (entry k of the qdot differences).  Each entry
-    is written once, when its rows are final: by the backfill of a new
-    buffer, then by ``advance``, at panel count - lag (lag 2, or 3 for the
-    stored vectors, whose newest row ``store`` may rewrite); for second
-    differences panel 0 repeats panel 1.  A state query only reads; an aux
-    query first writes the entry of the newest stored row, which the next
-    ``advance`` writes again.  ``caputo_q_along`` and
-    ``integral_aux_along`` answer at the node past the newest, whose value
-    is ``ahead``, and only read.
+    An L1 query reads one lane, keyed (series, alpha) for the series "q"
+    or "qdot", or ("qdot", alpha, b) for the projected series b . qdot:
+    the rows of a difference buffer and the weight table of alpha, built
+    once per run, reversed and multiplied by the scheme's constant.  Every
+    difference buffer is one record of ``_buffers``: the first or second
+    differences of the state, or b . (entry k of the qdot differences).
+    Each entry is written once, when its rows are final: by the backfill of
+    a new buffer, then by ``advance``, at panel count - 2; for second
+    differences panel 0 repeats panel 1.  A query only reads.
+    ``caputo_q_along`` and ``integral_aux_along`` answer at the node past
+    the newest, whose value is ``ahead``.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
     (panels + 4) eps sum|c w_k d_k|, a projected one within
@@ -161,13 +157,12 @@ class History:
         self._q = self._state[:, :n]
         self._qd = self._state[:, n:]
         self._aux = np.zeros((grid.n_nodes, n))
-        self._kept = None
         self.count = 0
         self.terms = 0
         self._weights: dict = {}
         self._lanes: dict = {}
-        # one (transposed buffer, source rows, difference order, lag, b or
-        # None) per difference buffer: ``advance`` writes its panel count - lag
+        # one (transposed buffer, source rows, difference order, b or None)
+        # per difference buffer: ``advance`` writes its panel count - 2
         self._buffers: list = []
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
@@ -182,23 +177,15 @@ class History:
         difference entries the count makes final.  A counted row must not
         change again."""
         c = self.count = self.count + 1
-        for T, x, order, lag, b in self._buffers:
-            if c - lag >= order - 1:
-                self._panel(T, order, c - lag, x, b)
+        for T, x, order, b in self._buffers:
+            if c - 2 >= order - 1:
+                self._panel(T, order, c - 2, x, b)
 
     def store(self, v) -> None:
         """Set the right-hand side's vector at the newest node."""
         if not self.count:
             raise FracDomainError("store needs a counted node")
         self._aux[self.count - 1] = v
-
-    def keep(self, v) -> None:
-        """Keep v at the newest node for the post-run pass (``kept_view``)."""
-        if not self.count:
-            raise FracDomainError("keep needs a counted node")
-        if self._kept is None:
-            self._kept = np.zeros((self._size, self.n))
-        self._kept[self.count - 1] = v
 
     @property
     def q_view(self) -> np.ndarray:
@@ -211,10 +198,6 @@ class History:
     @property
     def aux_view(self) -> np.ndarray:
         return self._aux[: self.count]
-
-    @property
-    def kept_view(self) -> np.ndarray:
-        return self._kept[: self.count]
 
     def caputo_q(self, alpha: float) -> np.ndarray:
         """L1 Caputo derivative of q at the newest node."""
@@ -258,15 +241,6 @@ class History:
         weight table, in place of the n sums of ``caputo_qdot``."""
         key = ("qdot", alpha, b)
         return float(self._sum(self._lanes.get(key) or self._lane(key)))
-
-    def caputo_aux(self, alpha: float) -> np.ndarray:
-        lane = self._lanes.get(("aux", alpha)) or self._lane(("aux", alpha))
-        panels = self.count - 1
-        if panels >= lane.order:
-            # the entry of the newest row, which ``store`` may still
-            # rewrite: the next ``advance`` writes it again
-            self._panel(lane.rows.T, lane.order, panels - 1, self._aux)
-        return self._sum(lane)
 
     def caputo_q_series(self, alpha: float) -> np.ndarray:
         """(count, n) L1 Caputo derivatives of q at every counted node,
@@ -323,7 +297,7 @@ class History:
         w = self._weights.get(("l1", alpha))
         if w is None:
             w = self._weights[("l1", alpha)] = _l1_weights(self._size, p)[::-1] * (hp / g)
-        T = self._buffer(self._aux if series == "aux" else self._state, order)
+        T = self._buffer(self._state, order)
         cols = slice(self.n, None) if series == "qdot" else slice(0, self.n)
         if len(key) == 2:
             rows = T.T[cols]
@@ -337,20 +311,19 @@ class History:
 
     def _buffer(self, x: np.ndarray, order: int, b: Optional[np.ndarray] = None) -> np.ndarray:
         """The transposed (nodes, columns) buffer of the differences of
-        order ``order`` of the rows x (state or aux), or, given b, the 1-d
-        buffer of b . x[k] for the rows x of a difference buffer.  A new
-        buffer gets every entry the counted rows make final, as
-        ``advance`` writes them."""
-        for T, y, o, _, _ in self._buffers:
+        order ``order`` of the state rows x, or, given b, the 1-d buffer of
+        b . x[k] for the rows x of a difference buffer.  A new buffer gets
+        every entry the counted rows make final, as ``advance`` writes
+        them."""
+        for T, y, o, _ in self._buffers:
             # a projected buffer's rows are a view made for it alone: no
             # lookup finds it
             if y is x and o == order:
                 return T
         T = np.zeros((x.shape[1], self._size)).T if b is None else np.zeros(self._size)
-        lag = 3 if x is self._aux else 2
-        for k in range(order - 1, self.count - lag + 1):
+        for k in range(order - 1, self.count - 1):
             self._panel(T, order, k, x, b)
-        self._buffers.append((T, x, order, lag, b))
+        self._buffers.append((T, x, order, b))
         return T
 
     def _panel(

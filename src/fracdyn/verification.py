@@ -13,6 +13,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Iterator, List
 
 import numpy as np
@@ -23,6 +24,7 @@ from .constrained_dynamics import (
     hamilton_rhs,
     rhs_linear,
     rhs_nonlinear_frac_oscillator,
+    variational_residual,
 )
 from .errors import FracDomainError
 from .fode_solver import (
@@ -263,21 +265,13 @@ def _quad_sys(a, b, q0, qd0, alpha: float = 0.5) -> SystemSpec:
 @_timed
 def suite_constraints() -> Iterator[CheckRow]:
     target = 2.0**0.75 - 0.05
-
-    sys2 = _quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
-    yield (
-        _row("preservation ratio linear-nd n=2", _preservation_ratio(sys2, 2.0, 1 / 400), target, larger_ok=True)
-    )
-    sys3 = _quad_sys(
-        [1.0, 2.0, -1.0], [0.5, -0.3, 0.2], [1.0, 0.5, -0.5], [2.0, -1.5, -1.0]
-    )
-    yield (
-        _row("preservation ratio linear-nd n=3", _preservation_ratio(sys3, 2.0, 1 / 400), target, larger_ok=True)
-    )
-    sysc2 = _quad_sys([1.0, 1.0], [0.0, 0.5], [1.0, 0.5], [1.0, -1.0])
-    yield (
-        _row("preservation ratio case2-2d", _preservation_ratio(sysc2, 2.0, 1 / 400), target, larger_ok=True)
-    )
+    for name, a, b, q0, qd0 in (
+        ("linear-nd n=2", [1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0]),
+        ("linear-nd n=3", [1.0, 2.0, -1.0], [0.5, -0.3, 0.2], [1.0, 0.5, -0.5], [2.0, -1.5, -1.0]),
+        ("case2-2d", [1.0, 1.0], [0.0, 0.5], [1.0, 0.5], [1.0, -1.0]),
+    ):
+        ratio = _preservation_ratio(_quad_sys(a, b, q0, qd0), 2.0, 1 / 400)
+        yield _row(f"preservation ratio {name}", ratio, target, larger_ok=True)
 
     # classical limit b = 0: free direction is a plain oscillator
     sysb0 = _quad_sys([1.0, 0.0], [0.0, 0.0], [0.3, 1.0], [0.0, 0.0])
@@ -313,6 +307,41 @@ def suite_constraints() -> Iterator[CheckRow]:
     )
     cross = float(np.max(np.abs(h1.q - l1.q)))
     yield _row("hamilton vs lagrange / solver tolerance", cross / self_tol, 5.0)
+
+    # the Hamilton output of f = A(q).qdot, A = (1 + 0.1 q_2, 0.5), with
+    # qdot = p - mu A, solves the variational equations: their residual
+    # over the middle 80% of nodes converges
+    def A(q, *_):
+        return np.array([1.0 + 0.1 * q[1], 0.5])
+
+    cq = ConstraintSpec(FracOrder(0.5), lambda q, qd, dl: float(A(q) @ qd),
+                        lambda q, qd, dl: np.array([0.0, 0.1 * qd[0]]), A, lambda *_: np.zeros(2))
+    sysq, errs = SystemSpec(lambda q: q, cq, [1.0, 0.0], [0.0, 1.0]), []
+    for k in (200, 400, 800, 1600):
+        cfg = IntegratorConfig(h=1.0 / k, t_end=2.0)
+        res = integrate_hamilton(hamilton_rhs(sysq), (sysq.q_init, sysq.qdot_init), cfg)
+        traj = replace(res, qdot=res.qdot - res.multiplier[:, None] * [A(q) for q in res.q])
+        resid = variational_residual(traj, SampleSeries(res.grid, res.multiplier), sysq)
+        mid = slice(res.grid.n_nodes // 10, -(res.grid.n_nodes // 10))
+        errs.append(max(float(np.max(np.abs(r.values[mid]))) for r in resid))
+    yield _row("hamilton vs variational residual", _ladder_order(errs), 0.9, larger_ok=True)
+
+    # a closed-form pair of the variational equations with b != 0 (U = 0,
+    # a = (1, 0), b = (0, 1), alpha = 0.5, mu = (T - t)^2, T = 2):
+    # q_1 = (T - t)^3/3 and q_2 = 2 (T - t)^3.5/Gamma(4.5), whose q_2'' is
+    # D^alpha_(T-) mu, singular at the last node
+    cv = ConstraintSpec.linear([1.0, 0.0], [0.0, 1.0], FracOrder(0.5))
+    sysv = SystemSpec(lambda q: np.zeros(2), cv, [0.0, 0.0], [0.0, 0.0])
+    c, errs = 2.0 / math.gamma(4.5), []
+    for steps in (200, 400, 800):
+        g = Grid(0.0, 2.0, steps)
+        s = 2.0 - g.nodes()
+        traj = SimpleNamespace(grid=g, q=np.column_stack([s**3 / 3.0, c * s**3.5]),
+                               qdot=np.column_stack([-(s**2), -3.5 * c * s**2.5]))
+        resid = variational_residual(traj, SampleSeries(g, s**2), sysv)
+        errs.append(float(np.max(np.abs(resid[1].values[1:-1]))))
+    order = _ladder_order(errs)
+    yield _row("variational residual, closed form, alpha=0.5", order, 1.0, larger_ok=True)
 
     # nonlinear oscillator: pre-reduction vs reduced form
     def run_n(h, form):

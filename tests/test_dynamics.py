@@ -274,11 +274,15 @@ class TestInitialData:
 
 
 class TestGeneralVsLinear:
-    def test_same_trajectory_and_multiplier(self):
+    @pytest.mark.parametrize("alpha", [0.5, 1.3, 1.5])
+    def test_same_trajectory_and_multiplier(self, alpha):
+        """On a linear constraint the general form gives the projector
+        form's run, for 1 < alpha < 2 too, where both take the startup
+        term's q^(2)(0) from the constrained Newtonian acceleration."""
         a, b = [1.0, 2.0], [0.5, -0.3]
-        lin = quad_sys(a, b, [1.0, 0.5], [2.0, -1.0])
+        lin = quad_sys(a, b, [1.0, 0.5], [2.0, -1.0], alpha=alpha)
         gen_c = ConstraintSpec(
-            FracOrder(0.5),
+            FracOrder(alpha),
             f=lambda q, qd, dl: float(np.dot(a, qd) + np.dot(b, dl)),
             df_dq=lambda q, qd, dl: np.zeros(2),
             df_dqdot=lambda q, qd, dl: np.array(a),
@@ -376,22 +380,37 @@ class TestNonlinearOscillator:
         assert np.max(np.abs(res.q[:, 0] - ref.y[0])) < 0.02
 
 
-def hamilton_sys(A, q0, p0, df_ddq=None):
-    """A system whose constraint is f = A(q, D^alpha q).qdot; ``df_ddq``
-    defaults to zero and p0 is the initial momentum."""
+def hamilton_sys(A, q0, p0, df_dq=None):
+    """A system whose constraint is f = A(q, D^alpha q).qdot with
+    ``df_ddq`` zero; ``df_dq`` defaults to zero and p0 is the initial
+    momentum."""
     n = len(q0)
     return SystemSpec(
         grad_potential=lambda q: q,
         constraint=ConstraintSpec(
             FracOrder(0.5),
             f=lambda q, qd, dl: float(np.dot(A(q, dl), qd)),
-            df_dq=lambda q, qd, dl: np.zeros(n),
+            df_dq=df_dq or (lambda q, qd, dl: np.zeros(n)),
             df_dqdot=lambda q, qd, dl: A(q, dl),
-            df_ddq=df_ddq or (lambda q, qd, dl: np.zeros(n)),
+            df_ddq=lambda q, qd, dl: np.zeros(n),
         ),
         q_init=q0,
         qdot_init=p0,
     )
+
+
+DA_DQ = np.array([[0.0, 0.1], [0.0, 0.0]])
+
+
+def aq_sys(A=None):
+    """The A(q) system, A = (1 + 0.1 q_2, 0.5) with df_dq = (dA/dq)^T qdot,
+    grad u = q, q0 = (1, 0) and p0 = (0, 1); ``A`` replaces the callable
+    that gives A."""
+
+    def A_of_q(q, d):
+        return np.array([1.0 + 0.1 * q[1], 0.5])
+
+    return hamilton_sys(A or A_of_q, [1.0, 0.0], [0.0, 1.0], df_dq=lambda q, qd, d: DA_DQ.T @ qd)
 
 
 class TestHamilton:
@@ -454,21 +473,17 @@ class TestHamilton:
             assert x.tobytes() == y.tobytes()
 
     def test_residual_from_p_and_mu(self):
-        """The residual column is A.(p - mu A) with A from the run's q and
-        its D^alpha q, recomputed here by ``l1_reference``.  Both are
-        rounding noise of size eps |A| (|p| + |mu| |A|), and a change of A
-        by a few ulps moves them by that much."""
-        dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
-
-        def A(q, d):
-            return np.array([1.0 + 0.3 * d[0] + 0.1 * q[1], 0.5 - 0.2 * d[1]])
-
-        sys = hamilton_sys(A, [1.0, 0.0], [0.0, 1.0], df_ddq=lambda q, qd, d: dA_dD.T @ qd)
+        """The residual column is A.(p - mu A) with A from the run's q,
+        recomputed here.  Both are rounding noise of size
+        eps |A| (|p| + |mu| |A|), and a change of A by a few ulps moves
+        them by that much."""
+        sys = aq_sys()
+        A = sys.constraint.df_dqdot
         cfg = IntegratorConfig(h=0.005, t_end=1.0)
         res = integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg)
-        dq, _ = l1_reference(res.q, cfg.h, 0.5)
-        for i in range(len(dq)):
-            a = A(res.q[i], dq[i])
+        assert res.diagnostics["history_terms"] == 0
+        for i in range(res.grid.n_nodes):
+            a = A(res.q[i], None, None)
             mu = res.multiplier[i]
             want = a @ (res.qdot[i] - mu * a)
             size = np.linalg.norm(a) * (np.linalg.norm(res.qdot[i]) + abs(mu) * np.linalg.norm(a))
@@ -476,15 +491,14 @@ class TestHamilton:
 
     def test_A_once_per_node(self):
         """A non-constant A is taken once per node of the run, by the step
-        there; the residual reads the A each step kept."""
+        there; the residual reads the A each step stored."""
         calls = []
-        dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
 
         def A(q, d):
             calls.append(1)
-            return np.array([1.0 + 0.3 * d[0] + 0.1 * q[1], 0.5 - 0.2 * d[1]])
+            return np.array([1.0 + 0.1 * q[1], 0.5])
 
-        sys = hamilton_sys(A, [1.0, 0.0], [0.0, 1.0], df_ddq=lambda q, qd, d: dA_dD.T @ qd)
+        sys = aq_sys(A)
         rr = hamilton_rhs(sys)
         built = len(calls)
         res = integrate_hamilton(rr, (sys.q_init, sys.qdot_init), IntegratorConfig(h=0.005, t_end=1.0))
@@ -529,8 +543,17 @@ class TestHamilton:
                 df_dqdot=lambda q, qd, dl: np.array([1.0, 2.0]),
                 df_ddq=lambda q, qd, dl: np.zeros(2),
             ),
+            # A = (1 + 0.3 D^alpha q_1, 0.5): a fractional memory term,
+            # which the Hamilton form does not carry
+            ConstraintSpec(
+                FracOrder(0.5),
+                f=lambda q, qd, dl: float(qd[0] + 0.3 * dl[0] * qd[0] + 0.5 * qd[1]),
+                df_dq=lambda q, qd, dl: np.zeros(2),
+                df_dqdot=lambda q, qd, dl: np.array([1.0 + 0.3 * dl[0], 0.5]),
+                df_ddq=lambda q, qd, dl: np.array([0.3 * qd[0], 0.0]),
+            ),
         ],
-        ids=["b-nonzero", "b-tiny", "offset"],
+        ids=["b-nonzero", "b-tiny", "offset", "dA_dD"],
     )
     def test_constraint_not_A_qdot_rejected(self, constraint):
         sys = SystemSpec(lambda q: q, constraint, q_init=[1.0, 0.0], qdot_init=[0.0, 1.0])
@@ -613,13 +636,7 @@ class TestReuse:
     object run twice gives the same arrays both times."""
 
     def _hamilton(self):
-        dA_dD = np.array([[0.3, 0.0], [0.0, -0.2]])
-        sys = hamilton_sys(
-            lambda q, d: np.array([1.0 + 0.3 * d[0], 0.5 - 0.2 * d[1]]),
-            [1.0, 0.0],
-            [0.0, 1.0],
-            df_ddq=lambda q, qd, d: dA_dD.T @ qd,
-        )
+        sys = aq_sys()
         rr = hamilton_rhs(sys)
         return lambda cfg: integrate_hamilton(rr, (sys.q_init, sys.qdot_init), cfg)
 

@@ -113,30 +113,27 @@ class TestHistory:
         assert hist.caputo_q(0.5)[1] == 0.0
 
     def test_stored_vectors(self):
-        g = Grid(0.0, 1.0, 10)
-        hist = History(g, 2)
-        t = g.nodes()
+        """``store`` sets the vector at the newest node, and sets it again
+        until the next node is counted; ``aux_view`` has one row per
+        counted node, zero where nothing was stored."""
+        hist = History(Grid(0.0, 1.0, 10), 2)
         for i in range(6):
             hist.append(np.zeros(2), np.zeros(2))
-            hist.store(np.array([0.0, t[i] ** 2 if i >= 3 else 0.0]))
-        assert hist.aux_view.shape == (6, 2)
-        ref = l1_caputo_last(hist.aux_view[:, 1], g.h, 0.5)
-        assert hist.caputo_aux(0.5)[1] == ref
-        assert hist.caputo_aux(0.5)[0] == 0.0
+            if i >= 3:
+                hist.store(np.array([7.0, 7.0]))
+                hist.store(np.array([0.0, float(i)]))
+        assert hist.aux_view.tolist() == [[0.0, 0.0]] * 3 + [[0.0, 3.0], [0.0, 4.0], [0.0, 5.0]]
 
-    def test_store_and_keep_need_a_counted_node(self):
-        """Before the first node there is no row to write: ``store`` and
-        ``keep`` raise, and do not write the grid's last row (row -1)."""
+    def test_store_needs_a_counted_node(self):
+        """Before the first node there is no row to write: ``store``
+        raises, and does not write the grid's last row (row -1)."""
         hist = History(Grid(0.0, 1.0, 4), 1)
         with pytest.raises(FracDomainError):
             hist.store(7.0)
-        with pytest.raises(FracDomainError):
-            hist.keep(7.0)
         for _ in range(5):
             hist.append(np.zeros(1), np.zeros(1))
         assert hist.aux_view[-1, 0] == 0.0
         assert hist.integral_aux_along(0.5, (1.0,), (0.0,)) == 0.0
-        assert hist._kept is None
 
     def test_repeated_query_counts_its_products_again(self):
         """``terms`` counts the products computed: a query asked twice at
@@ -145,11 +142,9 @@ class TestHistory:
         rng = np.random.default_rng(5)
         for _ in range(4):
             hist.append(rng.normal(size=2), rng.normal(size=2))
-            hist.store(rng.normal(size=2))
         queries = [
             (lambda: hist.caputo_q(0.5), 3 * 2),
             (lambda: hist.caputo_qdot(1.5), 3 * 2),
-            (lambda: hist.caputo_aux(0.5), 3 * 2),
             (lambda: hist.caputo_qdot_along(0.5, (1.0, -1.0)), 3),
         ]
         for query, products in queries:
@@ -197,8 +192,6 @@ class TestHistory:
                     close(got, cols(hist.q_view, k), a)
                 for k, got in enumerate(hist.caputo_qdot(a)):
                     close(got, cols(hist.qdot_view, k), a)
-                for k, got in enumerate(hist.caputo_aux(a)):
-                    close(got, cols(hist.aux_view, k), a)
             b = tuple((rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)).tolist())
             ahead = tuple((rng.normal(size=n) * scale[0]).tolist())
             x = np.vstack([hist.q_view, ahead])
@@ -293,7 +286,7 @@ class TestHistory:
         """Three histories get the same rows.  One answers every query at
         every count; one answers a random schedule, with skipped counts,
         repeats, next-node queries in either order, both difference orders
-        and a rewritten aux row; one is first asked after its last row, so
+        and a rewritten stored row; one is first asked after its last row, so
         that each of its difference buffers is written by the backfill.
         The projected queries (b . D^alpha qdot for two vectors b, and the
         next-node b . D^alpha q and b . J^eps of the stored vectors) take
@@ -303,7 +296,7 @@ class TestHistory:
         rng = np.random.default_rng(seed)
         g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
         every, sched, late = History(g, n), History(g, n), History(g, n)
-        kinds = ("q", "qdot", "ahead", "integral", "aux", "along", "along2")
+        kinds = ("q", "qdot", "ahead", "integral", "along", "along2")
         queries = [(kind, a) for a in (alpha, 2.0 - alpha) for kind in kinds]
         bs = {
             kind: tuple(rng.normal(size=n).tolist())
@@ -320,9 +313,7 @@ class TestHistory:
             if kind == "integral":
                 # an order in (0, 1) from either alpha
                 return hist.integral_aux_along(a % 1.0, bs[kind], ahead)
-            if kind in bs:
-                return hist.caputo_qdot_along(a, bs[kind])
-            return hist.caputo_aux(a)
+            return hist.caputo_qdot_along(a, bs[kind])
 
         for i in range(nodes):
             q, qdot, v = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for _ in range(3))
@@ -335,7 +326,7 @@ class TestHistory:
             if rng.random() < 0.3:
                 sched.store(rng.normal(size=n))
                 if rng.random() < 0.5:
-                    sched.caputo_aux(alpha)
+                    sched.integral_aux_along(alpha % 1.0, bs["integral"], ahead)
             sched.store(v)
             want = {query: ask(every, *query, ahead) for query in queries}
             if rng.random() < 0.5:
@@ -365,7 +356,7 @@ class TestStateSums:
     @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "velocity-verlet"])
     def test_linear_step_sums_state_once(self, scheme, monkeypatch):
         """A prop1 linear-nd step asks for b . D^alpha qdot alone: one sum
-        of the projected series per count, and no next-node or aux sum.  The
+        of the projected series per count, and no next-node sum.  The
         residual's D^alpha q at every node is one blocked product after the
         last step."""
         sums = Counter()
@@ -386,7 +377,6 @@ class TestStateSums:
         monkeypatch.setattr(History, "_sum", counted)
         monkeypatch.setattr(History, "caputo_q_along", lambda *a: other.append("ahead"))
         monkeypatch.setattr(History, "integral_aux_along", lambda *a: other.append("integral"))
-        monkeypatch.setattr(History, "caputo_aux", lambda *a: other.append("aux"))
         monkeypatch.setattr(History, "caputo_q_series", counted_series)
         sys = linear_system()
         rr = rhs_linear(sys)
@@ -476,7 +466,7 @@ class TestDifferenceWrites:
         monkeypatch.setattr(History, "_panel", logged_panel)
         queries = [
             "caputo_q", "caputo_q_along", "caputo_qdot", "caputo_qdot_along",
-            "caputo_aux", "integral_aux_along", "caputo_q_series",
+            "integral_aux_along", "caputo_q_series",
         ]
         for name, method in [("advance", "advance"), ("backfill", "_buffer")] + [
             ("query", query) for query in queries
@@ -498,7 +488,7 @@ class TestDifferenceWrites:
         # the final entries are the frac_ops differences of the whole run
         (hist,) = hists
         state = hist._state
-        for T, x, order, _, b in hist._buffers:
+        for T, x, order, b in hist._buffers:
             if x is state:
                 if order == 1:
                     want = np.diff(state, axis=0)
