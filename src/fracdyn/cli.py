@@ -165,17 +165,6 @@ class ScenarioConfig:
             raise ConfigError("output.prefix", "must be a single path component")
         return cls(scenario, h, t_end, scheme, dict(params), q, qdot, prefix)
 
-    def to_dict(self) -> dict:
-        qd_key = _velocity_key(self.scenario)
-        return {
-            "scenario": self.scenario,
-            "grid": {"h": self.h, "t_end": self.t_end},
-            "scheme": self.scheme,
-            "parameters": dict(self.parameters),
-            "initial": {"q": list(self.q), qd_key: list(self.qdot)},
-            "output": {"prefix": self.prefix},
-        }
-
 
 def _param(cfg: ScenarioConfig, key: str, kind=float, default=None):
     return _require(cfg.parameters, key, kind, "parameters", default)
@@ -238,9 +227,18 @@ def _init_vectors(cfg: ScenarioConfig, n: int):
 
 @dataclass
 class RunPlan:
-    n: int
     execute: Callable[[IntegratorConfig], SimulationResult]
     oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None  # q_1 reference
+
+
+def _stepped(cfg: ScenarioConfig, rr, integrate, init) -> RunPlan:
+    """The plan that runs ``integrate(rr, init, icfg)``.  A scheme that
+    ``rr.schemes`` does not name is refused here, before any file is
+    written."""
+    if cfg.scheme not in rr.schemes:
+        allowed = " or ".join(map(repr, rr.schemes))
+        raise ConfigError("scheme", f"this configuration steps only by {allowed}")
+    return RunPlan(lambda icfg: integrate(rr, init, icfg))
 
 
 def _frac_order(cfg: ScenarioConfig, key: str = "alpha", lo=0.0, hi=2.0) -> FracOrder:
@@ -272,11 +270,7 @@ def _linear_plan(cfg: ScenarioConfig, constraint: ConstraintSpec) -> RunPlan:
         rr = rhs_linear(sys)
     except ConstraintViolationError as exc:
         raise ConfigError("initial.qdot", str(exc)) from exc
-
-    def execute(icfg: IntegratorConfig) -> SimulationResult:
-        return integrate_second_order(rr, (sys.q_init, sys.qdot_init), icfg)
-
-    return RunPlan(n=sys.n, execute=execute)
+    return _stepped(cfg, rr, integrate_second_order, (sys.q_init, sys.qdot_init))
 
 
 def _oscillator(q0: float, v0: float, k: float, t: np.ndarray) -> np.ndarray:
@@ -291,12 +285,6 @@ def _oscillator(q0: float, v0: float, k: float, t: np.ndarray) -> np.ndarray:
 
 def build_plan(cfg: ScenarioConfig) -> RunPlan:
     sc = cfg.scenario
-    # hamilton-linear steps by explicit Euler whatever the scheme, and the
-    # pre form returns the acceleration a semi-implicit Euler step needs
-    pre = sc == "nonlinear-fracosc" and cfg.parameters.get("form") == "pre"
-    if cfg.scheme != "semi-implicit-euler" and (pre or sc == "hamilton-linear"):
-        what = "form 'pre'" if pre else sc
-        raise ConfigError("scheme", f"{what} accepts only 'semi-implicit-euler'")
     if sc == "oscillator-1d":
         alpha = _param(cfg, "alpha")
         # the constraint's order is alpha - 1
@@ -350,11 +338,7 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
         kf = _kfun(cfg)
         q0, qd0 = _init_vectors(cfg, 1)
         rr = rhs_nonlinear_frac_oscillator(g, kf, order, form=form)
-
-        def execute(icfg):
-            return integrate_second_order(rr, (q0, qd0), icfg)
-
-        return RunPlan(n=1, execute=execute)
+        return _stepped(cfg, rr, integrate_second_order, (q0, qd0))
     if sc == "hamilton-linear":
         avec = _param(cfg, "A", list)
         order = _frac_order(cfg)
@@ -364,11 +348,7 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
             rr = hamilton_rhs(sys)
         except SingularConstraintError as exc:
             raise ConfigError("parameters.A", str(exc)) from exc
-
-        def execute(icfg):
-            return integrate_hamilton(rr, (sys.q_init, sys.qdot_init), icfg)
-
-        return RunPlan(n=sys.n, execute=execute)
+        return _stepped(cfg, rr, integrate_hamilton, (sys.q_init, sys.qdot_init))
     raise ConfigError("scenario", f"unknown id {sc!r}")
 
 
@@ -388,6 +368,8 @@ def _write_csv(path: Path, header: list, columns: list) -> None:
 
 
 def write_trajectory_csv(path: Path, res: SimulationResult, n: int) -> None:
+    """Write t, q_1..q_n, qdot_1..qdot_n, lambda and the residual; ``n`` is
+    the width of ``res.q``."""
     header = (
         ["t"]
         + [f"q_{k + 1}" for k in range(n)]
@@ -470,7 +452,7 @@ def cmd_run(args) -> int:
     timings["integrate"] = clock() - start
     start = clock()
     traj = out_dir / f"{cfg.prefix}_trajectory.csv"
-    write_trajectory_csv(traj, res, plan.n)
+    write_trajectory_csv(traj, res, res.q.shape[1])
     extra = {}
     if plan.oracle is not None:
 

@@ -193,7 +193,32 @@ def _derive_qm0(sys: SystemSpec) -> np.ndarray:
     return -(grad - g * num / float(np.dot(g, g)))
 
 
-class _LinearRHS(RHS):
+class _LagrangeRHS(RHS):
+    """What both Lagrange forms build once from the system: the checked
+    order and initial residual, q^(m)(0), and the startup power's
+    exponent p = m - alpha with Gamma(p + 1).  D^1 D^alpha q carries the
+    startup term t^(p-1)/Gamma(p) q^(m)(0), which is not summable
+    pointwise near t = 0; ``_startup_avg`` is its power's exact average
+    over a step."""
+
+    def __init__(self, sys: SystemSpec) -> None:
+        order = sys.constraint.order
+        order.require_fractional()
+        _check_initial_residual(sys)
+        self.sys = sys
+        self.alpha = order.alpha
+        self.qm0 = _derive_qm0(sys)
+        self._pow = order.m - self.alpha
+        self._gamma = math.gamma(self._pow + 1.0)
+
+    def _startup_avg(self, t: float, h: float) -> float:
+        """((t + h)^p - t^p)/(h Gamma(p + 1)), the average of
+        t^(p-1)/Gamma(p) over [t, t + h]."""
+        p = self._pow
+        return ((t + h) ** p - t**p) / (h * self._gamma)
+
+
+class _LinearRHS(_LagrangeRHS):
     """The projector form from two scalars, ag = a.grad u and
     bd = b.D^1 D^alpha q: qddot = (a/a^2)(ag - bd) - grad u and
     lambda = (ag - bd - avg b.q^(m)(0))/a^2, avg being the startup power's
@@ -208,23 +233,16 @@ class _LinearRHS(RHS):
         c = sys.constraint
         if c is None or c.a is None:
             raise FracDomainError("rhs_linear needs a linear constraint")
-        c.order.require_fractional()
-        self.sys = sys
+        super().__init__(sys)
         self.mode = mode
         self.a = c.a
         self.b = c.b
-        self.alpha = c.order.alpha
         # b as a tuple of floats, which keys the history's lane of b . qdot
         self._b = tuple(self.b.tolist())
         self.a2 = float(np.dot(self.a, self.a))
         self._a_unit = self.a / self.a2  # a/|a|^2
-        _check_initial_residual(sys)
-        self.qm0 = _derive_qm0(sys)
-        # exponent of the shift power t^(m-alpha-1)
-        self._shift_pow = c.order.m - self.alpha
-        self._shift_gamma = math.gamma(self._shift_pow + 1.0)
         bqm0 = float(np.dot(self.b, self.qm0))
-        self._shift_amp = -bqm0 / self._shift_gamma * self._a_unit
+        self._shift_amp = -bqm0 / self._gamma * self._a_unit
         # b.q^(m)(0) of the multiplier's averaged startup term
         self._bqm0 = bqm0 if mode == "prop1" else 0.0
         self._has_shift = bool(np.any(self._shift_amp))
@@ -250,16 +268,14 @@ class _LinearRHS(RHS):
         if self._bqm0:
             # report the step-effective multiplier: the singular startup term
             # is averaged over [t, t+h], matching the exact velocity increment
-            p = self._shift_pow
-            avg = ((t + hist.h) ** p - t**p) / (hist.h * self._shift_gamma)
-            lam -= avg * self._bqm0
+            lam -= self._startup_avg(t, hist.h) * self._bqm0
         self.last_multiplier = lam / self.a2
         return self._a_unit * num - grad
 
     def singular_increments(self, t: np.ndarray) -> Optional[np.ndarray]:
         if self.mode != "prop1" or not self._has_shift:
             return None
-        p = self._shift_pow
+        p = self._pow
         # Python's scalar pow, node by node: numpy's vector pow may round
         # differently
         tp = np.array([x**p for x in t.tolist()])
@@ -276,18 +292,20 @@ class _LinearRHS(RHS):
         return hist.qdot_view @ self.a + dq @ self.b
 
 
-class _GeneralRHS(RHS):
+class _GeneralRHS(_LagrangeRHS):
+    """The multiplier-eliminated form: D^1 D^alpha q is D^alpha qdot plus
+    the startup term's average over the step [t, t + h], added to the
+    acceleration at node t.  Velocity Verlet spends each node's
+    acceleration on two half-steps, which would put the startup impulse
+    off by h^p/(2 Gamma(p + 1)) q^(m)(0), so only semi-implicit Euler
+    steps this form."""
+
+    schemes = ("semi-implicit-euler",)
+
     def __init__(self, sys: SystemSpec) -> None:
-        c = sys.constraint
-        if c is None:
+        if sys.constraint is None:
             raise FracDomainError("rhs_general needs a constraint")
-        c.order.require_fractional()
-        self.sys = sys
-        self.alpha = c.order.alpha
-        _check_initial_residual(sys)
-        self.qm0 = _derive_qm0(sys)
-        self._avg_pow = c.order.m - self.alpha
-        self._avg_gamma = math.gamma(self._avg_pow + 1.0)
+        super().__init__(sys)
         self._has_qm0 = bool(np.any(self.qm0))
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
@@ -295,11 +313,7 @@ class _GeneralRHS(RHS):
         hist.store(dq)
         d1d = hist.caputo_qdot(self.alpha)
         if self._has_qm0:
-            # the startup power t^(m-alpha-1) is not summable pointwise near
-            # t = 0; use its exact average over the step [t, t+h] instead
-            p = self._avg_pow
-            avg = ((t + hist.h) ** p - t**p) / (hist.h * self._avg_gamma)
-            d1d = d1d + avg * self.qm0
+            d1d = d1d + self._startup_avg(t, hist.h) * self.qm0
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
         lam, g = _multiplier(self.sys.constraint, q, qdot, dq, d1d, grad)
         self.last_multiplier = lam
@@ -327,7 +341,12 @@ def rhs_linear(sys: SystemSpec, mode: str = "prop1"):
 
 
 def rhs_general(sys: SystemSpec):
-    """Multiplier-eliminated right-hand side for a general constraint."""
+    """Multiplier-eliminated right-hand side for a general constraint.
+
+    It steps by semi-implicit Euler only: its startup term is a step
+    average, which velocity Verlet would count twice over half-steps.
+    Initial data off the constraint raise ``ConstraintViolationError``.
+    """
     with _quiet():
         return _GeneralRHS(sys)
 
@@ -344,21 +363,23 @@ class _NonlinearPreRHS(RHS):
     an h^(-alpha) weight, so any fully explicit realization feeds grid noise
     back with gain ~ h^(1-alpha) > 1; that panel is therefore solved for
     implicitly, and the acceleration handed back is the one a
-    semi-implicit-euler step turns into exactly that update (the intended
-    scheme for this form).  K(x_j) is evaluated once per node and kept in
-    the history.  A step asks the history two next-node queries, each one
-    Python float: D^alpha x on the prefix extended by 0, and J^(2-alpha)
-    K extended by the K value just stored; the rest of the step is
-    arithmetic on Python floats.
+    semi-implicit-euler step turns into exactly that update.  So only that
+    scheme steps this form: under velocity Verlet the implicit panel is
+    lost and the run diverges.  K(x_j) is evaluated once per node and kept
+    in the history.  A step asks the history two next-node queries, each
+    one Python float: D^alpha x on the prefix extended by 0, and
+    J^(2-alpha) K extended by the K value just stored; the rest of the
+    step is arithmetic on Python floats, the newest panel's weight
+    h^(-alpha)/Gamma(3 - alpha) included.
     """
+
+    schemes = ("semi-implicit-euler",)
 
     def __init__(self, g: float, K: Callable[[float], float], alpha: float) -> None:
         self.g = g
         self.K = K
         self.alpha = alpha
-        # (h, h^(-alpha)/Gamma(3 - alpha)) for the last step size seen: one
-        # object serves runs at any h, so the pair is replaced, never reset
-        self._coef = (None, 0.0)
+        self._gamma = math.gamma(3.0 - alpha)
 
     def __call__(self, t, q, qdot, hist) -> np.ndarray:
         # Python floats: one-element numpy arithmetic costs ten times more
@@ -369,15 +390,14 @@ class _NonlinearPreRHS(RHS):
             # fractional terms vanish at 0+ along smooth motion
             return np.array([-k])
         h = hist.h
-        hc = self._coef
-        if hc[0] != h:
-            hc = self._coef = (h, h ** (-self.alpha) / math.gamma(3.0 - self.alpha))
         # F at the next node with x_{i+1} split out (taken as 0 in the L1
         # sum); K is lagged one sample
         dx = hist.caputo_q_along(self.alpha, (1.0,), (0.0,))
         f_known = dx + hist.integral_aux_along(2.0 - self.alpha, (1.0,), (k,))
         v0 = float(hist._qd[0, 0])
-        x_next = (x + h * (v0 - self.g * f_known)) / (1.0 + h * self.g * hc[1])
+        x_next = (x + h * (v0 - self.g * f_known)) / (
+            1.0 + h * self.g * (h ** (-self.alpha) / self._gamma)
+        )
         return np.array([((x_next - x) / h - float(qdot[0])) / h])
 
 
@@ -406,8 +426,9 @@ def rhs_nonlinear_frac_oscillator(
 
     ``form='reduced'`` integrates xddot = -(1/g) D^(3-alpha) x - K(x);
     ``form='pre'`` integrates the pre-reduction double-derivative form for
-    cross-validation.  In the alpha -> 2 limit the reduced form becomes the
-    classically damped oscillator xddot = -(1/g) xdot - K(x).
+    cross-validation; it steps by semi-implicit Euler only.  In the
+    alpha -> 2 limit the reduced form becomes the classically damped
+    oscillator xddot = -(1/g) xdot - K(x).
     """
     if not 1.0 < order.alpha < 2.0:
         raise FracDomainError(
@@ -432,13 +453,16 @@ class _HamiltonRHS(RHS):
     fractional memory, and a step asks the history nothing.  The
     constraint's kind picks the step once, here.  A linear constraint
     steps with its constant A = a and |a|^2, bound here.  Any other
-    constraint evaluates A(q) and stores it for the residual."""
+    constraint evaluates A(q) and stores it for the residual.  The
+    constraint's order is never read.  The steps are explicit Euler,
+    which a config names as semi-implicit-euler."""
+
+    schemes = ("semi-implicit-euler",)
 
     def __init__(self, sys: SystemSpec) -> None:
         c = sys.constraint
         if c is None:
             raise FracDomainError("hamilton_rhs needs a constraint")
-        c.order.require_fractional()
         self.sys = sys
         q0, p0 = sys.q_init, sys.qdot_init
         zeros = np.zeros(sys.n)
@@ -499,7 +523,9 @@ def hamilton_rhs(sys: SystemSpec):
     The constraint must be f = A(q).qdot: ``df_dqdot`` is A, ``df_dq`` is
     (dA/dq)^T qdot and ``df_ddq`` is zero.  The form carries no fractional
     memory; the variational one is right-sided (``variational_residual``),
-    which a causal step cannot evaluate.  ``sys.qdot_init`` holds p(0).
+    which a causal step cannot evaluate.  So it reads no order: an integer
+    ``order`` is accepted too.  ``sys.qdot_init`` holds p(0), and
+    ``integrate_hamilton`` steps it with a semi-implicit-euler config only.
     Raises ``FracDomainError`` for a constraint not of that form, by spot
     checks at q0 (a linear one needs b exactly zero), and
     ``SingularConstraintError`` unless 1e-12 < |A(q0)|^2 < inf, the test

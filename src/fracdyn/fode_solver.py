@@ -422,9 +422,11 @@ class RHS:
     node the history counts, from the history and the multipliers recorded
     there, or None.  Whatever a run must remember goes into ``hist``.  The
     q and qdot passed in may be rows of the history itself, and must not
-    be changed.
+    be changed.  ``schemes`` names the configured schemes that may step
+    the object; a stepper refuses any other before the first call.
     """
 
+    schemes: tuple = _SCHEMES
     last_multiplier: float = float("nan")
 
     def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray, hist: History):
@@ -456,7 +458,8 @@ def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
 def integrate_second_order(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResult:
     """Advance qddot = rhs(t, q, qdot, history) with the configured scheme.
 
-    ``init`` is the pair (q0, qdot0).
+    ``init`` is the pair (q0, qdot0).  Raises ``FracDomainError``, before
+    the first step, for a scheme that ``rhs.schemes`` does not name.
     """
     return _integrate(rhs, init, cfg, cfg.scheme)
 
@@ -465,7 +468,10 @@ def integrate_hamilton(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResul
     """Advance the Hamilton-form pair (q, p) by explicit Euler steps.
 
     The result stores p in the ``qdot`` slot; ``multiplier`` carries mu(t)
-    and ``residual`` the constraint value A . qdot.
+    and ``residual`` the constraint value A . qdot.  ``cfg.scheme`` must be
+    one that ``rhs.schemes`` names (``hamilton_rhs`` names
+    semi-implicit-euler), else ``FracDomainError`` is raised before the
+    first step.
     """
     return _integrate(rhs, init, cfg, "hamilton-euler")
 
@@ -480,6 +486,11 @@ def _quiet():
 def _integrate(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResult:
     """The stepper loop shared by all explicit schemes; ``qd`` holds p for
     the Hamilton form."""
+    # an attribute, not the type: a forwarding proxy of the object passes
+    if cfg.scheme not in rhs.schemes:
+        raise FracDomainError(
+            f"this right-hand side steps only by {' or '.join(rhs.schemes)}, not {cfg.scheme}"
+        )
     with _quiet():
         return _steps(rhs, init, cfg, scheme)
 

@@ -35,11 +35,13 @@ class OscillatorSpec:
 
     ``alpha`` is the order of the originating constraint chain; the
     oscillator equation itself has order alpha-1.  The forcing is
-    Q(t) = amp t^expo + C1 t + C2 where by default amp = q0 and
-    expo = m-alpha+1 (the literature form).  ``from_initial_data``
-    instead derives (amp, expo, C1, C2) from the first integrals of the
-    constrained equation of motion, which is the combination that the
-    simulated constrained trajectory actually satisfies.
+    Q(t) = amp t^expo/Gamma(expo + 1) + C1 t + C2.  With ``power_amp``
+    unset, amp = q0 and expo = m-alpha+1 (the literature form); with it
+    set, amp = power_amp and expo = m-alpha.  Both exponents are positive.
+    ``from_initial_data`` instead derives (amp, C1, C2) from the first
+    integrals of the constrained equation of motion, which is the
+    combination that the simulated constrained trajectory actually
+    satisfies.
     """
 
     alpha: float
@@ -49,7 +51,6 @@ class OscillatorSpec:
     C1: float = 0.0
     C2: float = 0.0
     power_amp: Optional[float] = None
-    power_exp: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.omega2 > 0.0:
@@ -63,22 +64,17 @@ class OscillatorSpec:
 
     @classmethod
     def from_initial_data(
-        cls,
-        alpha: float,
-        omega2: float,
-        q0: float,
-        qp0: float,
-        qpp0: float = 0.0,
+        cls, alpha: float, omega2: float, q0: float, qp0: float
     ) -> "OscillatorSpec":
         """Constants fixed by integrating the constrained motion twice.
 
         Integrating qddot = -(b1/a1) D^1 D^{alpha-1} q from rest data gives
         D^{alpha-1} q + w2 q = qpp0 t^{m-alpha}/Gamma(m-alpha+1)
                                + w2 qp0 t + w2 q0,
-        so C1 = w2 qp0, C2 = w2 q0 and the power term is carried by the
-        initial second derivative (zero for constraint-consistent rest data).
+        so C1 = w2 qp0, C2 = w2 q0, and the power term's amplitude is the
+        initial second derivative qpp0, which is zero for
+        constraint-consistent data: ``power_amp`` is 0.
         """
-        m = int(np.floor(alpha)) + 1
         return cls(
             alpha=alpha,
             omega2=omega2,
@@ -86,13 +82,14 @@ class OscillatorSpec:
             qp0=qp0,
             C1=omega2 * qp0,
             C2=omega2 * q0,
-            power_amp=qpp0,
-            power_exp=m - alpha,
+            power_amp=0.0,
         )
 
 
 def forcing(spec: OscillatorSpec, t):
-    """Forcing Q(t); accepts scalars or arrays, t >= 0."""
+    """Forcing Q(t); accepts scalars or arrays, t >= 0.  Its power's
+    exponent, m-alpha+1 or m-alpha, is positive, so the power is 0 at
+    t = 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise FracDomainError("t must be >= 0")
@@ -101,15 +98,10 @@ def forcing(spec: OscillatorSpec, t):
         expo = spec.m - spec.alpha + 1.0
     else:
         amp = spec.power_amp
-        expo = spec.power_exp if spec.power_exp is not None else spec.m - spec.alpha
+        expo = spec.m - spec.alpha
     out = spec.C1 * t + spec.C2
     if amp != 0.0:
-        with np.errstate(divide="ignore"):
-            p = np.where(t > 0.0, t, 1.0) ** expo
-        p = np.where(t > 0.0, p, 0.0 if expo > 0.0 else np.inf)
-        if expo == 0.0:
-            p = np.ones_like(t)
-        out = out + amp / math.gamma(expo + 1.0) * p
+        out = out + amp / math.gamma(expo + 1.0) * t**expo
     return out if out.shape else float(out)
 
 

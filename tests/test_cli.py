@@ -31,27 +31,6 @@ def write_cfg(tmp_path, data, name="cfg.json"):
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = ScenarioConfig.from_dict(OSC)
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_round_trip_all_scenarios(self):
-        variants = [
-            {"scenario": "linear-nd", "parameters": {"alpha": 0.5, "a": [1.0, 2.0], "b": [0.5, -0.3]},
-             "initial": {"q": [1.0, 0.5], "qdot": [2.0, -1.0]}},
-            {"scenario": "case2-2d", "parameters": {"alpha": 0.5, "c": 1.0, "b2": 0.5},
-             "initial": {"q": [1.0, 0.0], "qdot": [1.0, -1.0]}},
-            {"scenario": "nonlinear-fracosc",
-             "parameters": {"alpha": 1.5, "g": 1.0, "K": {"kind": "linear", "k": 1.0}},
-             "initial": {"q": [1.0], "qdot": [0.0]}},
-            {"scenario": "hamilton-linear", "parameters": {"alpha": 0.5, "A": [1.0, 2.0]},
-             "initial": {"q": [0.0, 0.0], "p": [1.0, 1.0]}},
-        ]
-        for v in variants:
-            raw = {"grid": {"h": 0.1, "t_end": 1.0}, **v}
-            cfg = ScenarioConfig.from_dict(raw)
-            assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_error_names_offending_key(self):
         bad = dict(OSC, grid={"h": -0.02, "t_end": 1.0})
         with pytest.raises(ConfigError) as exc:
@@ -119,6 +98,15 @@ class TestRunVerb:
         main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"])
         raw = (tmp_path / "osc_trajectory.csv").read_bytes()
         assert b"\r" not in raw
+
+    def test_hamilton_linear_reads_no_alpha(self, tmp_path):
+        """The Hamilton form carries no memory: runs at alpha = 0.3 and 0.7
+        write the same trajectory, byte for byte."""
+        for alpha in (0.3, 0.7):
+            cfg = write_cfg(tmp_path, with_param(HAMILTON, "alpha", alpha), f"a{alpha}.json")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / str(alpha)), "--quiet"]) == 0
+        a, b = (tmp_path / str(alpha) / "run_trajectory.csv" for alpha in (0.3, 0.7))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_nonlinear_scenario(self, tmp_path):
         data = {

@@ -96,7 +96,7 @@ class TestSpecs:
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.0 + 1e-13, 1e-300])
-@pytest.mark.parametrize("build", [rhs_linear, rhs_general, hamilton_rhs])
+@pytest.mark.parametrize("build", [rhs_linear, rhs_general])
 def test_integer_order_rejected_when_built(build, alpha):
     """An order within 1e-12 of an integer has m - alpha <= 0, which the
     startup power t^(m-alpha) cannot take: refuse it before any step."""
@@ -680,3 +680,93 @@ class TestReuse:
         run(IntegratorConfig(h=0.01, t_end=1.0))
         cfg = IntegratorConfig(h=0.005, t_end=1.0)
         self._same(run(cfg), getattr(self, "_" + case)()(cfg))
+
+
+class Forwarding:
+    """Forwards every attribute to a right-hand side, as a tracing proxy
+    does: the steppers must read ``schemes`` through it."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def __call__(self, *args):
+        return self._target(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+class TestSchemes:
+    """A right-hand side names the schemes that may step it, and a stepper
+    refuses any other before it calls the right-hand side once."""
+
+    VV = IntegratorConfig(h=0.01, t_end=1.0, scheme="velocity-verlet")
+
+    @staticmethod
+    def counted(fn, calls):
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapped
+
+    @pytest.mark.parametrize("proxy", [False, True])
+    def test_pre_form_refuses_velocity_verlet(self, proxy):
+        # velocity Verlet loses the implicit newest panel: with K(x) = x the
+        # run diverged after 54 steps at h = 1/200
+        calls = []
+        rr = rhs_nonlinear_frac_oscillator(
+            1.0, self.counted(lambda x: x, calls), FracOrder(1.5), form="pre"
+        )
+        assert rr.schemes == ("semi-implicit-euler",)
+        with pytest.raises(FracDomainError, match="semi-implicit-euler"):
+            integrate_second_order(Forwarding(rr) if proxy else rr, ([1.0], [0.0]), self.VV)
+        assert calls == []
+
+    def test_general_refuses_velocity_verlet(self):
+        # the startup term is a step average: velocity Verlet would spend it
+        # on two half-steps (max |q - q_linear| 1.8e-2 at h = 1/200)
+        calls = []
+        a, b = np.array([1.0, 2.0]), np.array([0.5, -0.3])
+        c = ConstraintSpec(
+            FracOrder(1.5),
+            f=lambda q, qd, dl: float(np.dot(a, qd) + np.dot(b, dl)),
+            df_dq=lambda q, qd, dl: np.zeros(2),
+            df_dqdot=lambda q, qd, dl: a,
+            df_ddq=lambda q, qd, dl: b,
+        )
+        sys = SystemSpec(self.counted(lambda q: q, calls), c, [1.0, 0.5], [2.0, -1.0])
+        rr = rhs_general(sys)
+        assert rr.schemes == ("semi-implicit-euler",)
+        calls.clear()  # q^(2)(0) takes one gradient when the form is built
+        with pytest.raises(FracDomainError):
+            integrate_second_order(Forwarding(rr), (sys.q_init, sys.qdot_init), self.VV)
+        assert calls == []
+
+    def test_hamilton_refuses_velocity_verlet(self, monkeypatch):
+        sys = aq_sys()
+        rr = hamilton_rhs(sys)
+        monkeypatch.setattr(type(rr), "__call__", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(FracDomainError):
+            integrate_hamilton(rr, (sys.q_init, sys.qdot_init), self.VV)
+
+    @pytest.mark.parametrize("form", ["prop1", "direct", "reduced"])
+    def test_other_forms_run_under_velocity_verlet(self, form):
+        if form == "reduced":
+            rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x, FracOrder(1.5))
+            init = ([1.0], [0.0])
+        else:
+            sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+            rr, init = rhs_linear(sys, mode=form), (sys.q_init, sys.qdot_init)
+        res = integrate_second_order(rr, init, self.VV)
+        assert res.diagnostics["scheme"] == "velocity-verlet"
+        assert res.grid.n_nodes == 101 and np.isfinite(res.q).all()
+
+    def test_hamilton_reads_no_order(self):
+        """The Hamilton form carries no memory, so an integer order, which
+        the Lagrange forms refuse, gives the same run as alpha = 0.5."""
+        cfg = IntegratorConfig(h=0.01, t_end=1.0)
+        runs = []
+        for alpha in (0.5, 1.0):
+            sys = quad_sys([1.0, 0.5], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], alpha=alpha)
+            runs.append(integrate_hamilton(hamilton_rhs(sys), (sys.q_init, sys.qdot_init), cfg))
+        TestReuse._same(*runs)

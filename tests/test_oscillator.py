@@ -59,9 +59,7 @@ class TestExactSolution:
         assert errs[1] / errs[2] > 3.3
 
     def test_homogeneous_matches_ml_kernel(self):
-        spec = OscillatorSpec(
-            alpha=2.5, omega2=2.0, q0=1.0, qp0=0.5, power_amp=0.0, power_exp=1.0
-        )
+        spec = OscillatorSpec(alpha=2.5, omega2=2.0, q0=1.0, qp0=0.5, power_amp=0.0)
         g = Grid(0.0, 5.0, 400)
         t = g.nodes()
         beta = spec.alpha - 1.0
