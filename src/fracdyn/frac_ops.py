@@ -170,14 +170,16 @@ def l1_caputo_last(q: np.ndarray, h: float, alpha: float) -> float:
 def riemann_liouville_left(f: SampleSeries, order: FracOrder) -> SampleSeries:
     """Left Riemann-Liouville derivative D^m J^(m-alpha) f.
 
-    The outer integer derivative is taken by central finite differences
-    (one-sided at the ends).  The left endpoint slot is NaN: the continuous
-    value behaves like (t-a)^(-alpha) f(a) there.
+    The outer integer derivative is taken by central finite differences,
+    one-sided of second order at the ends (of first order on a 2-node
+    grid, too short for second order).  The left endpoint slot is NaN: the
+    continuous value behaves like (t-a)^(-alpha) f(a) there.
     """
     order.require_fractional()
     vals = fractional_integral_values(f.values, order.epsilon, f.grid.h)
+    edge = 2 if len(vals) >= 3 else 1
     for _ in range(order.m):
-        vals = np.gradient(vals, f.grid.h)
+        vals = np.gradient(vals, f.grid.h, edge_order=edge)
     vals = vals.copy()
     vals[0] = np.nan
     return SampleSeries(f.grid, vals)

@@ -13,14 +13,18 @@ round-off in s^(alpha-beta) exceeds that accuracy, so ``MLParams`` rejects
 such beta.
 
 ``ml_grid`` evaluates E_{alpha,beta}(-lam t^alpha) for several beta over a
-sorted grid of t at once.  In the s = sigma / t plane one contour serves a
-whole band of nodes [t_top / 10, t_top]: it is the contour ``ml`` designs
+sorted grid of t at once, and ``ml`` is its one-node case: z != 0 is the
+node t = 1 with lam = -z, so the package has one contour loop.  In the
+s = sigma / t plane one contour serves a whole band of nodes
+[t_top / 10, t_top]: it is the contour designed for z = -lam t_top^alpha
 at the band's top node, widened until truncation holds at its bottom node
 (contour and singularities both scale with t).  Each node then costs one
 exp(s_k t) per contour node and one dot product per beta (J. A. C.
 Weideman and L. N. Trefethen, Math. Comp. 76 (2007) 1341-1356; R. Garrappa
-and M. Popolizio, Adv. Comput. Math. 39 (2013) 205-225).  Its values are
-not bit-identical to ``ml``'s but agree with them within ~1e-13.
+and M. Popolizio, Adv. Comput. Math. 39 (2013) 205-225).  A node's value
+thus depends on its band and on the largest beta asked: ``ml`` at
+z = -lam t^alpha and a node t of a wider ``ml_grid`` call are not
+bit-identical, but agree within ~1e-13.
 
 For 1 < alpha < 2 the relaxation function E_alpha(-t^alpha) splits into an
 exponentially damped oscillation g_{alpha,k} (pole-pair contribution, in
@@ -169,47 +173,9 @@ def _contour(alpha: float, beta: float, z: float):
         log_tol += math.log(10.0)
 
 
-def _ml(alpha: float, beta: float, z: float) -> float:
-    if z == 0.0:
-        return 1.0 / math.gamma(beta)
-    n, mu, h, _, poles = _contour(alpha, beta, z)
-    u = h * np.arange(-n, n + 1)
-    s = mu * (1.0 + 1j * u) ** 2
-    f = np.exp(s) * s ** (alpha - beta) / (s**alpha - z) * (2.0 * mu * (1j - u))
-    val = h * float(f.sum().imag) / (2.0 * math.pi)
-    for pole in poles:
-        if pole.real > _LOG_MAX:
-            return math.inf
-        val += (cmath.exp(pole) * pole ** (1.0 - beta)).real / alpha
-    return val
-
-
-def ml(params: MLParams, z):
-    """E_{alpha,beta}(z) for real z: a float for a scalar z, an array of
-    the same shape for an array z."""
-    if isinstance(z, np.ndarray):
-        vals = [_ml(params.alpha, params.beta, float(x)) for x in z.ravel().tolist()]
-        return np.array(vals, dtype=float).reshape(z.shape)
-    return _ml(params.alpha, params.beta, float(z))
-
-
-def ml_grid(alpha: float, betas, lam: float, t) -> np.ndarray:
-    """E_{alpha,beta}(-lam t^alpha) for each beta in ``betas`` and each
-    node of a sorted array t >= 0: an array (len(betas), len(t)).
-
-    Nodes t = 0 get 1/Gamma(beta).  The others fall into bands
-    [t_top / _BAND, t_top], and each band sums on one contour for every
-    beta: with F(s) = s^(alpha-beta) / (s^alpha + lam),
-    E = t^(1-beta) (h/2pi) Im sum_k e^(s_k t) F(s_k) s'(u_k) plus the
-    residues of the poles right of the contour."""
-    t = np.asarray(t, dtype=float)
-    if not 0.0 < lam < math.inf:
-        raise FracDomainError(f"lam must be positive and finite, got {lam}")
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
-        raise FracDomainError("t must be a 1-d array of finite values")
-    if len(t) and not (t[0] >= 0.0 and np.all(t[1:] >= t[:-1])):
-        raise FracDomainError("t must be sorted and >= 0")
-    betas = np.array([MLParams(alpha, b).beta for b in betas])
+def _bands(alpha: float, betas: np.ndarray, lam: float, t: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(-lam t^alpha) for each beta of ``betas`` and each node
+    of a sorted t >= 0, any finite lam != 0: the body of ``ml_grid``."""
     out = np.empty((len(betas), len(t)))
     zero = int(np.searchsorted(t, 0.0, side="right"))
     out[:, :zero] = np.array([1.0 / math.gamma(b) for b in betas])[:, None]
@@ -243,6 +209,41 @@ def ml_grid(alpha: float, betas, lam: float, t) -> np.ndarray:
             out[:, lo:hi][:, over] = math.inf
         hi = lo
     return out
+
+
+def ml(params: MLParams, z):
+    """E_{alpha,beta}(z) for finite real z: a float for a scalar z, an array
+    of the same shape for an array z, each element as its own scalar call.
+    A z != 0 is the one node t = 1 of ``ml_grid``'s bands with lam = -z."""
+    if isinstance(z, np.ndarray):
+        vals = [ml(params, x) for x in z.ravel().tolist()]
+        return np.array(vals, dtype=float).reshape(z.shape)
+    z = float(z)
+    if not math.isfinite(z):
+        raise FracDomainError(f"z must be finite, got {z}")
+    if z == 0.0:
+        return 1.0 / math.gamma(params.beta)
+    return float(_bands(params.alpha, np.array([params.beta]), -z, np.ones(1))[0, 0])
+
+
+def ml_grid(alpha: float, betas, lam: float, t) -> np.ndarray:
+    """E_{alpha,beta}(-lam t^alpha) for each beta in ``betas`` and each
+    node of a sorted array t >= 0: an array (len(betas), len(t)).
+
+    Nodes t = 0 get 1/Gamma(beta).  The others fall into bands
+    [t_top / _BAND, t_top], and each band sums on one contour for every
+    beta: with F(s) = s^(alpha-beta) / (s^alpha + lam),
+    E = t^(1-beta) (h/2pi) Im sum_k e^(s_k t) F(s_k) s'(u_k) plus the
+    residues of the poles right of the contour."""
+    t = np.asarray(t, dtype=float)
+    if not 0.0 < lam < math.inf:
+        raise FracDomainError(f"lam must be positive and finite, got {lam}")
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise FracDomainError("t must be a 1-d array of finite values")
+    if len(t) and not (t[0] >= 0.0 and np.all(t[1:] >= t[:-1])):
+        raise FracDomainError("t must be sorted and >= 0")
+    betas = np.array([MLParams(alpha, b).beta for b in betas])
+    return _bands(alpha, betas, lam, t)
 
 
 # ---------------------------------------------------------------------------

@@ -326,22 +326,25 @@ def suite_constraints() -> Iterator[CheckRow]:
         errs.append(max(float(np.max(np.abs(r.values[mid]))) for r in resid))
     yield _row("hamilton vs variational residual", _ladder_order(errs), 0.9, larger_ok=True)
 
-    # a closed-form pair of the variational equations with b != 0 (U = 0,
-    # a = (1, 0), b = (0, 1), alpha = 0.5, mu = (T - t)^2, T = 2):
-    # q_1 = (T - t)^3/3 and q_2 = 2 (T - t)^3.5/Gamma(4.5), whose q_2'' is
-    # D^alpha_(T-) mu, singular at the last node
-    cv = ConstraintSpec.linear([1.0, 0.0], [0.0, 1.0], FracOrder(0.5))
-    sysv = SystemSpec(lambda q: np.zeros(2), cv, [0.0, 0.0], [0.0, 0.0])
-    c, errs = 2.0 / math.gamma(4.5), []
-    for steps in (200, 400, 800):
-        g = Grid(0.0, 2.0, steps)
-        s = 2.0 - g.nodes()
-        traj = SimpleNamespace(grid=g, q=np.column_stack([s**3 / 3.0, c * s**3.5]),
-                               qdot=np.column_stack([-(s**2), -3.5 * c * s**2.5]))
-        resid = variational_residual(traj, SampleSeries(g, s**2), sysv)
-        errs.append(float(np.max(np.abs(resid[1].values[1:-1]))))
-    order = _ladder_order(errs)
-    yield _row("variational residual, closed form, alpha=0.5", order, 1.0, larger_ok=True)
+    # closed-form pairs of the variational equations with b != 0 (U = 0,
+    # a = (1, 0), b = (0, 1), mu = (T - t)^k, T = 2): q_1 = (T - t)^(k+1)/(k+1)
+    # and q_2 = Gamma(k+1) (T - t)^(k+2-alpha)/Gamma(k+3-alpha), whose q_2''
+    # is D^alpha_(T-) mu, singular at the last node; k = 3 keeps it bounded
+    # for alpha = 1.5
+    for alpha, k, floor in ((0.5, 2, 1.0), (1.5, 3, 0.9)):
+        cv = ConstraintSpec.linear([1.0, 0.0], [0.0, 1.0], FracOrder(alpha))
+        sysv = SystemSpec(lambda q: np.zeros(2), cv, [0.0, 0.0], [0.0, 0.0])
+        c, errs = math.gamma(k + 1) / math.gamma(k + 3 - alpha), []
+        for steps in (200, 400, 800):
+            g = Grid(0.0, 2.0, steps)
+            s = 2.0 - g.nodes()
+            traj = SimpleNamespace(
+                grid=g, q=np.column_stack([s ** (k + 1) / (k + 1), c * s ** (k + 2 - alpha)]),
+                qdot=np.column_stack([-(s**k), -(k + 2 - alpha) * c * s ** (k + 1 - alpha)]))
+            resid = variational_residual(traj, SampleSeries(g, s**k), sysv)
+            errs.append(float(np.max(np.abs(resid[1].values[1:-1]))))
+        name = f"variational residual, closed form, alpha={alpha}"
+        yield _row(name, _ladder_order(errs), floor, larger_ok=True)
 
     # nonlinear oscillator: pre-reduction vs reduced form
     def run_n(h, form):

@@ -100,13 +100,19 @@ class TestRunVerb:
         assert b"\r" not in raw
 
     def test_hamilton_linear_reads_no_alpha(self, tmp_path):
-        """The Hamilton form carries no memory: runs at alpha = 0.3 and 0.7
-        write the same trajectory, byte for byte."""
-        for alpha in (0.3, 0.7):
-            cfg = write_cfg(tmp_path, with_param(HAMILTON, "alpha", alpha), f"a{alpha}.json")
-            assert main(["run", "--config", cfg, "--out", str(tmp_path / str(alpha)), "--quiet"]) == 0
-        a, b = (tmp_path / str(alpha) / "run_trajectory.csv" for alpha in (0.3, 0.7))
-        assert a.read_bytes() == b.read_bytes()
+        """The Hamilton form carries no memory: runs at alpha = 0.3, 0.5 and
+        0.7, and a run with no alpha, write the same trajectory, byte for
+        byte."""
+        no_alpha = dict(HAMILTON, parameters={
+            k: v for k, v in HAMILTON["parameters"].items() if k != "alpha"})
+        cases = {str(a): with_param(HAMILTON, "alpha", a) for a in (0.3, 0.5, 0.7)}
+        cases["none"] = no_alpha
+        for name, data in cases.items():
+            cfg = write_cfg(tmp_path, data, f"a{name}.json")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name), "--quiet"]) == 0
+        ref = (tmp_path / "0.5" / "run_trajectory.csv").read_bytes()
+        for name in cases:
+            assert (tmp_path / name / "run_trajectory.csv").read_bytes() == ref
 
     def test_nonlinear_scenario(self, tmp_path):
         data = {

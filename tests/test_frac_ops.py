@@ -154,6 +154,31 @@ class TestRiemannLiouville:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9
 
+    def test_edge_nodes_converge(self):
+        # m = 2: both derivative passes are second order at the ends, so the
+        # right derivative of (2 - t)^3 at nodes 0 and 1 converges like h,
+        # where one-sided first-order ends left an O(1) error (6.4, 3.2)
+        g_ref = gamma(4.0) / gamma(2.5)
+        errs = []
+        for n in (200, 400, 800):
+            g = Grid(0.0, 2.0, n)
+            s = 2.0 - g.nodes()
+            out = riemann_liouville_right(SampleSeries(g, s**3), FracOrder(1.5)).values
+            errs.append(np.abs(out[:2] - g_ref * s[:2] ** 1.5))
+        for e0, e1 in zip(errs, errs[1:]):
+            assert np.all(np.log2(e0 / e1) > 0.9)
+        assert np.all(errs[-1] < 0.05)
+
+    def test_two_node_grid(self):
+        # too short for second-order ends: one first-order difference
+        g = Grid(0.0, 0.5, 1)
+        f = np.array([1.0, 2.0])
+        j = fractional_integral_values(f, 0.5, 0.5)
+        rl = riemann_liouville_left(SampleSeries(g, f), FracOrder(0.5)).values
+        assert np.isnan(rl[0]) and rl[1] == (j[1] - j[0]) / 0.5
+        rl2 = riemann_liouville_left(SampleSeries(g, f), FracOrder(1.5)).values
+        assert np.isnan(rl2[0]) and rl2[1] == 0.0
+
 
 class TestProp1Shift:
     def test_value(self):

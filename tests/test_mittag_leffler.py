@@ -152,6 +152,13 @@ class TestCallContract:
         for z in (-3.0, 0.0, 2.5, np.float64(-1.5), 4):
             assert type(ml(MLParams(1.5, 1.0), z)) is float
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(FracDomainError, match="finite"):
+            ml(MLParams(0.5, 1.0), z)
+        with pytest.raises(FracDomainError, match="finite"):
+            ml(MLParams(0.5, 1.0), np.array([0.0, z]))
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
         alpha=st.floats(0.3, 3.0),
@@ -192,6 +199,16 @@ class TestGrid:
             for k, beta in enumerate(betas):
                 ref = ml(MLParams(alpha, beta), -lam * t**alpha)
                 assert np.max(np.abs(out[k] - ref)) <= 2e-13
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.3, 1.0), (0.5, 0.7), (0.9, 2.0), (1.5, 1.5), (1.9, 1.0), (2.5, 3.0)]
+    )
+    def test_one_evaluator(self, alpha, beta):
+        # ml is the one-node band t = 1 with lam = -z: the same loop, the
+        # same rounding
+        for z in (-1e-6, -0.3, -1.0, -7.5, -50.0, -1e3):
+            grid = ml_grid(alpha, (beta,), -z, [1.0])[0, 0]
+            assert ml(MLParams(alpha, beta), z) == grid
 
     def test_zero_nodes_exact(self):
         betas = (1.0, 2.0, 1.5, 0.7)

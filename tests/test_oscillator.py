@@ -87,16 +87,17 @@ class TestExactSolution:
         assert np.max(np.abs(res.q[:, 0] - ref.values)) < 5e-4
 
     def test_readme_grid_shares_contours(self, monkeypatch):
-        # the README oscillator-1d grid: no scalar evaluations, and the
-        # exp(s t) work stays in blocks of a few rows
+        # the README oscillator-1d grid: one band loop over every node, no
+        # per-node evaluations, and the exp(s t) work stays in blocks of a
+        # few rows
         calls = []
-        scalar = fracdyn.mittag_leffler._ml
+        bands = fracdyn.mittag_leffler._bands
 
         def counted(*args):
-            calls.append(args)
-            return scalar(*args)
+            calls.append(len(args[3]))
+            return bands(*args)
 
-        monkeypatch.setattr(fracdyn.mittag_leffler, "_ml", counted)
+        monkeypatch.setattr(fracdyn.mittag_leffler, "_bands", counted)
         spec = OscillatorSpec.from_initial_data(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0)
         g = Grid(0.0, 10.0, 20480)
         tracemalloc.start()
@@ -105,7 +106,7 @@ class TestExactSolution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(g.nodes()) == 20481 and calls == []
+        assert calls == [20481]
         assert peak < 4 * 2**20
 
     def test_domain_checks(self):
