@@ -247,7 +247,7 @@ class _LinearRHS(_LagrangeRHS):
         self._bqm0 = bqm0 if mode == "prop1" else 0.0
         self._has_shift = bool(np.any(self._shift_amp))
 
-    def __call__(self, t, q, qdot, hist) -> np.ndarray:
+    def __call__(self, t, q, qdot, hist):
         if self.mode == "prop1":
             # b . D^alpha qdot, the one scalar of the memory that reaches
             # the dynamics, from one projected series
@@ -269,8 +269,7 @@ class _LinearRHS(_LagrangeRHS):
             # report the step-effective multiplier: the singular startup term
             # is averaged over [t, t+h], matching the exact velocity increment
             lam -= self._startup_avg(t, hist.h) * self._bqm0
-        self.last_multiplier = lam / self.a2
-        return self._a_unit * num - grad
+        return self._a_unit * num - grad, lam / self.a2
 
     def singular_increments(self, t: np.ndarray) -> Optional[np.ndarray]:
         if self.mode != "prop1" or not self._has_shift:
@@ -308,7 +307,7 @@ class _GeneralRHS(_LagrangeRHS):
         super().__init__(sys)
         self._has_qm0 = bool(np.any(self.qm0))
 
-    def __call__(self, t, q, qdot, hist) -> np.ndarray:
+    def __call__(self, t, q, qdot, hist):
         dq = hist.caputo_q(self.alpha)
         hist.store(dq)
         d1d = hist.caputo_qdot(self.alpha)
@@ -316,16 +315,12 @@ class _GeneralRHS(_LagrangeRHS):
             d1d = d1d + self._startup_avg(t, hist.h) * self.qm0
         grad = np.asarray(self.sys.grad_potential(q), dtype=float)
         lam, g = _multiplier(self.sys.constraint, q, qdot, dq, d1d, grad)
-        self.last_multiplier = lam
-        return -grad + g * lam
+        return -grad + g * lam, lam
 
     def residual(self, hist, multiplier) -> np.ndarray:
-        # the steps stored D^alpha q at every node but, under velocity
-        # Verlet, the last
-        hist.store(hist.caputo_q(self.alpha))
-        dq = hist.aux_view
+        # the steps stored D^alpha q at every counted node
         value = self.sys.constraint.value
-        return np.array([value(*row) for row in zip(hist.q_view, hist.qdot_view, dq)])
+        return np.array([value(*row) for row in zip(hist.q_view, hist.qdot_view, hist.aux_view)])
 
 
 def rhs_linear(sys: SystemSpec, mode: str = "prop1"):
@@ -381,14 +376,14 @@ class _NonlinearPreRHS(RHS):
         self.alpha = alpha
         self._gamma = math.gamma(3.0 - alpha)
 
-    def __call__(self, t, q, qdot, hist) -> np.ndarray:
+    def __call__(self, t, q, qdot, hist):
         # Python floats: one-element numpy arithmetic costs ten times more
         x = float(q[0])
         k = self.K(x)
         hist.store(k)
         if hist.count < 3:
             # fractional terms vanish at 0+ along smooth motion
-            return np.array([-k])
+            return np.array([-k]), math.nan
         h = hist.h
         # F at the next node with x_{i+1} split out (taken as 0 in the L1
         # sum); K is lagged one sample
@@ -398,7 +393,7 @@ class _NonlinearPreRHS(RHS):
         x_next = (x + h * (v0 - self.g * f_known)) / (
             1.0 + h * self.g * (h ** (-self.alpha) / self._gamma)
         )
-        return np.array([((x_next - x) / h - float(qdot[0])) / h])
+        return np.array([((x_next - x) / h - float(qdot[0])) / h]), math.nan
 
 
 class _NonlinearReducedRHS(RHS):
@@ -414,9 +409,9 @@ class _NonlinearReducedRHS(RHS):
         self.K = K
         self.alpha = alpha
 
-    def __call__(self, t, q, qdot, hist) -> np.ndarray:
+    def __call__(self, t, q, qdot, hist):
         d = hist.caputo_q(3.0 - self.alpha)
-        return np.array([-d[0] / self.g - self.K(float(q[0]))])
+        return np.array([-d[0] / self.g - self.K(float(q[0]))]), math.nan
 
 
 def rhs_nonlinear_frac_oscillator(
@@ -447,9 +442,9 @@ def rhs_nonlinear_frac_oscillator(
 # Hamilton form
 
 class _HamiltonRHS(RHS):
-    """Callable (t, q, p, history) -> (qdot, pdot).  df_dqdot = A does not
-    depend on qdot, so it is called with p; A does not depend on D^alpha
-    q either, so every callable gets dq = 0.  The form carries no
+    """Callable (t, q, p, history) -> ((qdot, pdot), mu).  df_dqdot = A
+    does not depend on qdot, so it is called with p; A does not depend on
+    D^alpha q either, so every callable gets dq = 0.  The form carries no
     fractional memory, and a step asks the history nothing.  The
     constraint's kind picks the step once, here.  A linear constraint
     steps with its constant A = a and |a|^2, bound here.  Any other
@@ -489,11 +484,10 @@ class _HamiltonRHS(RHS):
         if self._a is not None:
             a = self._a
             mu = float(np.dot(a, p) / self._a2)
-            self.last_multiplier = mu
             grad = np.asarray(self.sys.grad_potential(q), dtype=float)
             # the general step's -grad + mu * df_dq with df_dq = 0: mu * 0.0
             # - grad has the same signed zeros
-            return p - mu * a, mu * 0.0 - grad
+            return (p - mu * a, mu * 0.0 - grad), mu
         c, zeros = self.sys.constraint, self._zeros
         a = np.asarray(c.df_dqdot(q, p, zeros), dtype=float)
         a2 = float(np.dot(a, a))
@@ -501,10 +495,9 @@ class _HamiltonRHS(RHS):
             raise SingularConstraintError("A^2 vanished or is not finite along the trajectory")
         mu = float(np.dot(a, p) / a2)
         qdot = p - mu * a
-        self.last_multiplier = mu
         hist.store(a)
         fq = np.asarray(c.df_dq(q, qdot, zeros), dtype=float)
-        return qdot, -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq
+        return (qdot, -np.asarray(self.sys.grad_potential(q), dtype=float) + mu * fq), mu
 
     def residual(self, hist, multiplier) -> np.ndarray:
         """A.qdot with qdot = p - mu A at every node, A being the constant

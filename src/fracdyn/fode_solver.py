@@ -14,14 +14,15 @@ All schemes are explicit with the history term lagged at most one step,
 so the per-step cost grows linearly with the step index (O(N^2) per run).
 
 Every right-hand side meets the ``RHS`` protocol.  A step does only the
-work the next state depends on: one right-hand-side call.  What the run
-reports but never steps on is computed once per run: the singular
-velocity increments before the first step, and the constraint residual
-at every node after the last one, from the rows the steps stored (their
-D^alpha q, or the Hamilton form's A) or from D^alpha q at every node in
-one blocked product.  A run's memory lives only in the
-``History`` the stepper creates for that run, so one RHS object can serve
-any number of runs.
+work the next state depends on: one right-hand-side call, which returns
+the rate and the constraint multiplier.  What the run reports but never
+steps on is computed once per run: the singular velocity increments
+before the first step, and the constraint residual at every node after
+the last one, from the rows the steps stored (their D^alpha q, or the
+Hamilton form's A) or from D^alpha q at every node in one blocked
+product.  A run's memory lives only in the ``History`` the stepper
+creates for that run, and no run writes to the RHS object, so one object
+can serve any number of runs, at once too.
 
 Singular power-law correction terms (the derivative-shift startup term)
 are not sampled; right-hand sides hand over their exact per-step integrals
@@ -411,23 +412,24 @@ def _causal_products(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 class RHS:
     """The protocol the steppers consume.
 
-    ``rhs(t, q, qdot, hist)`` returns the acceleration at node t (the
-    Hamilton form returns the pair (qdot, pdot) instead).  That call is all
-    a step asks of the right-hand side; after it the stepper reads
-    ``last_multiplier``.  The rest is asked once per run.  Before the first
-    step, ``singular_increments(t)`` gives, for the grid nodes t, the
-    (steps, n) increments the stepper adds to the velocity update of each
-    step, or None.  After the last step, or when the run diverges,
-    ``residual(hist, multiplier)`` gives the constraint residual at every
-    node the history counts, from the history and the multipliers recorded
-    there, or None.  Whatever a run must remember goes into ``hist``.  The
-    q and qdot passed in may be rows of the history itself, and must not
-    be changed.  ``schemes`` names the configured schemes that may step
-    the object; a stepper refuses any other before the first call.
+    ``rhs(t, q, qdot, hist)`` returns the pair (rate, multiplier) at node
+    t: the rate is the acceleration (for the Hamilton form, the pair
+    (qdot, pdot)) and the multiplier the constraint's, NaN for a form
+    without one.  That call is all a step asks of the right-hand side, and
+    the pair is all the stepper reads.  The rest is asked once per run.
+    Before the first step, ``singular_increments(t)`` gives, for the grid
+    nodes t, the (steps, n) increments the stepper adds to the velocity
+    update of each step, or None.  After the last step, or when the run
+    diverges, ``residual(hist, multiplier)`` gives the constraint residual
+    at every node the history counts, from the history and the multipliers
+    recorded there, or None.  Whatever a run must remember goes into
+    ``hist``: no method writes to the object once it is built.  The q and
+    qdot passed in may be rows of the history itself, and must not be
+    changed.  ``schemes`` names the configured schemes that may step the
+    object; a stepper refuses any other before the first call.
     """
 
     schemes: tuple = _SCHEMES
-    last_multiplier: float = float("nan")
 
     def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray, hist: History):
         raise NotImplementedError
@@ -456,7 +458,8 @@ def _partial(grid, q, qd, lam, res, upto) -> SimulationResult:
 
 
 def integrate_second_order(rhs: RHS, init, cfg: IntegratorConfig) -> SimulationResult:
-    """Advance qddot = rhs(t, q, qdot, history) with the configured scheme.
+    """Advance qddot with the configured scheme, where
+    rhs(t, q, qdot, history) returns (qddot, multiplier).
 
     ``init`` is the pair (q0, qdot0).  Raises ``FracDomainError``, before
     the first step, for a scheme that ``rhs.schemes`` does not name.
@@ -535,14 +538,12 @@ def _steps(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResu
     q_i, qd_i = q[0], qd[0]
     if scheme == "velocity-verlet":
         half_h, half_h2 = np.full(n, 0.5 * h), np.full(n, 0.5 * h * h)
-        acc = rhs(t[0], q_i, qd_i, hist)
-        lam[0] = rhs.last_multiplier
+        acc, lam[0] = rhs(t[0], q_i, qd_i, hist)
         for i in range(nn - 1):
             q_n, qd_n = q[i + 1], qd[i + 1]
             np.add(q_i + hv * qd_i, half_h2 * acc, out=q_n)
             # history still ends at node i: one-step-lagged fractional terms
-            acc_new = rhs(t[i + 1], q_n, qd_i + hv * acc, hist)
-            lam[i + 1] = rhs.last_multiplier
+            acc_new, lam[i + 1] = rhs(t[i + 1], q_n, qd_i + hv * acc, hist)
             np.add(qd_i, half_h * (acc + acc_new), out=qd_n)
             if incs is not None:
                 qd_n += incs[i]
@@ -551,8 +552,7 @@ def _steps(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResu
     else:
         for i in range(nn - 1):
             q_n, qd_n = q[i + 1], qd[i + 1]
-            out = rhs(t[i], q_i, qd_i, hist)
-            lam[i] = rhs.last_multiplier
+            out, lam[i] = rhs(t[i], q_i, qd_i, hist)
             if scheme == "hamilton-euler":
                 np.add(q_i, hv * out[0], out=q_n)
                 np.add(qd_i, hv * out[1], out=qd_n)
@@ -563,8 +563,7 @@ def _steps(rhs: RHS, init, cfg: IntegratorConfig, scheme: str) -> SimulationResu
                 np.add(q_i, hv * qd_n, out=q_n)
             accept(i)
             q_i, qd_i = q_n, qd_n
-        rhs(t[-1], q_i, qd_i, hist)
-        lam[-1] = rhs.last_multiplier
+        lam[-1] = rhs(t[-1], q_i, qd_i, hist)[1]
 
     residual = rhs.residual(hist, lam)
     diags = {"scheme": scheme, "h": h}

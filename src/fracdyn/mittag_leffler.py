@@ -150,7 +150,11 @@ def _contour(alpha: float, beta: float, z: float):
     # poles s^alpha = z on the principal sheet |arg s| <= pi, ordered by
     # level; those on the cut (level ~0) are not singularities there
     theta = 0.0 if z > 0.0 else math.pi
-    r, k0 = abs(z) ** (1.0 / alpha), theta / (2.0 * math.pi)
+    # r = |z|^(1/alpha) <= |z| is finite for alpha > 1.  For alpha <= 1 it
+    # stops near 1e300, where it and its level stay finite: past that, z < 0
+    # has no pole right of the contour and z > 0 one whose residue is +inf
+    size = abs(z) if alpha > 1.0 else min(abs(z), 1e300**alpha)
+    r, k0 = size ** (1.0 / alpha), theta / (2.0 * math.pi)
     ks = range(math.ceil(-alpha / 2.0 - k0), math.floor(alpha / 2.0 - k0) + 1)
     poles = [r * cmath.exp(1j * (theta + 2.0 * math.pi * k) / alpha) for k in ks]
     poles = sorted((s for s in poles if _level(s) > 1e-15), key=_level)

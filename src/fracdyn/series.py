@@ -48,7 +48,9 @@ class Grid:
 
     @classmethod
     def from_step(cls, t_start: float, t_end: float, h: float) -> "Grid":
-        """Grid with the largest step <= h that divides the interval evenly."""
+        """Grid whose step divides the interval evenly and is nearest h:
+        round(length / h) steps, at least one.  The step may exceed h
+        (h = 0.3 over [0, 1] gives 1/3)."""
         n = max(1, int(round((t_end - t_start) / h)))
         return cls(t_start, t_end, n)
 

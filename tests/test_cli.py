@@ -416,6 +416,17 @@ class TestSummaryScheme:
         assert summary["scheme"] == summary["diagnostics"]["scheme"] == ran
 
 
+class TestSummaryStep:
+    def test_summary_h_is_the_step_that_ran(self, tmp_path):
+        """grid.h is rounded to the nearest step that divides t_end."""
+        data = dict(LINEAR, grid={"h": 0.3, "t_end": 1.0}, output={"prefix": "g"})
+        cfg = write_cfg(tmp_path, data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert json.loads((tmp_path / "g_summary.json").read_text())["h"] == 1.0 / 3.0
+        # the header and the nodes 0, 1/3, 2/3 and 1
+        assert len((tmp_path / "g_trajectory.csv").read_text().splitlines()) == 5
+
+
 class TestOracles:
     @pytest.mark.parametrize("k", [1.0, 0.0, -1.0])
     def test_b2zero_oracle_for_every_sign_of_k(self, tmp_path, k):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -632,31 +634,39 @@ class TestVariationalResidual:
 
 
 class TestReuse:
-    """Per-run memory lives in the stepper's History, so one right-hand-side
-    object run twice gives the same arrays both times."""
+    """Per-run memory lives in the stepper's History and no run writes to
+    the right-hand side, so one object run twice gives the same arrays
+    both times."""
 
-    def _hamilton(self):
-        sys = aq_sys()
-        rr = hamilton_rhs(sys)
-        return lambda cfg: integrate_hamilton(rr, (sys.q_init, sys.qdot_init), cfg)
+    @staticmethod
+    def _build(case):
+        """(right-hand side, stepper, initial state) of ``case``."""
+        lin = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
+        if case in ("prop1", "direct"):
+            return rhs_linear(lin, mode=case), integrate_second_order, (lin.q_init, lin.qdot_init)
+        if case == "general":
+            a, b = lin.constraint.a, lin.constraint.b
+            c = ConstraintSpec(
+                FracOrder(0.5),
+                f=lambda q, qd, dl: float(np.dot(a, qd) + np.dot(b, dl)),
+                df_dq=lambda q, qd, dl: np.zeros(2),
+                df_dqdot=lambda q, qd, dl: a,
+                df_ddq=lambda q, qd, dl: b,
+            )
+            sys = dataclasses.replace(lin, constraint=c)
+            return rhs_general(sys), integrate_second_order, (sys.q_init, sys.qdot_init)
+        if case in ("reduced", "pre"):
+            rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5), form=case)
+            return rr, integrate_second_order, ([1.0], [0.0])
+        if case == "hamilton":
+            sys = aq_sys()
+        else:  # "hamilton-constant": a linear constraint, A = a
+            sys = quad_sys([1.0, 0.5], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        return hamilton_rhs(sys), integrate_hamilton, (sys.q_init, sys.qdot_init)
 
-    def _direct(self):
-        sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
-        rr = rhs_linear(sys, mode="direct")
-        return lambda cfg: integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
-
-    def _pre(self):
-        rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5), form="pre")
-        return lambda cfg: integrate_second_order(rr, ([1.0], [0.0]), cfg)
-
-    def _reduced(self):
-        rr = rhs_nonlinear_frac_oscillator(1.0, lambda x: x**3, FracOrder(1.5))
-        return lambda cfg: integrate_second_order(rr, ([1.0], [0.0]), cfg)
-
-    def _prop1(self):
-        sys = quad_sys([1.0, 2.0], [0.5, -0.3], [1.0, 0.5], [2.0, -1.0])
-        rr = rhs_linear(sys)
-        return lambda cfg: integrate_second_order(rr, (sys.q_init, sys.qdot_init), cfg)
+    def _runner(self, case):
+        rr, step, init = self._build(case)
+        return lambda cfg: step(rr, init, cfg)
 
     @staticmethod
     def _same(first, second):
@@ -666,20 +676,81 @@ class TestReuse:
             if a is not None:
                 assert np.array_equal(a, b, equal_nan=True), name
 
-    @pytest.mark.parametrize("case", ["direct", "hamilton", "pre"])
+    @pytest.mark.parametrize(
+        "case", ["direct", "hamilton", "pre", "general", "hamilton-constant"]
+    )
     def test_second_run_matches_first(self, case):
-        run = getattr(self, "_" + case)()
+        run = self._runner(case)
         cfg = IntegratorConfig(h=0.01, t_end=1.0)
         self._same(run(cfg), run(cfg))
 
-    @pytest.mark.parametrize("case", ["direct", "hamilton", "pre", "reduced", "prop1"])
+    @pytest.mark.parametrize(
+        "case",
+        ["direct", "hamilton", "pre", "reduced", "prop1", "general", "hamilton-constant"],
+    )
     def test_run_at_another_step_matches_fresh_object(self, case):
         """What an object computes from the step size (the pre form's
         h^(-alpha)/Gamma(3 - alpha), say) follows h from run to run."""
-        run = getattr(self, "_" + case)()
+        run = self._runner(case)
         run(IntegratorConfig(h=0.01, t_end=1.0))
         cfg = IntegratorConfig(h=0.005, t_end=1.0)
-        self._same(run(cfg), getattr(self, "_" + case)()(cfg))
+        self._same(run(cfg), self._runner(case)(cfg))
+
+    @pytest.mark.parametrize(
+        "case,scheme",
+        [
+            ("prop1", "semi-implicit-euler"),
+            ("prop1", "velocity-verlet"),
+            ("direct", "semi-implicit-euler"),
+            ("direct", "velocity-verlet"),
+            ("general", "semi-implicit-euler"),
+            ("hamilton", "semi-implicit-euler"),
+            ("hamilton-constant", "semi-implicit-euler"),
+            ("reduced", "semi-implicit-euler"),
+            ("pre", "semi-implicit-euler"),
+        ],
+    )
+    def test_runs_write_nothing_to_the_object(self, case, scheme):
+        """A run's whole state is its History: after two runs the object
+        binds the same names to the same objects as when it was built,
+        and its arrays hold the same values."""
+        rr, step, init = self._build(case)
+        built = dict(vars(rr))
+        arrays = {k: v.copy() for k, v in built.items() if isinstance(v, np.ndarray)}
+        cfg = IntegratorConfig(h=0.01, t_end=1.0, scheme=scheme)
+        for _ in range(2):
+            step(rr, init, cfg)
+        assert vars(rr).keys() == built.keys()
+        for name, value in built.items():
+            assert vars(rr)[name] is value, name
+        for name, value in arrays.items():
+            assert np.array_equal(vars(rr)[name], value), name
+
+
+    def test_concurrent_runs_share_one_object(self):
+        """Two threads step one object at once, with a short switch
+        interval: each run records its own multipliers, those of a run
+        alone."""
+        rr, step, init = self._build("prop1")
+        cfg = IntegratorConfig(h=0.0005, t_end=1.0)
+        alone = step(rr, init, cfg)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(step(rr, init, cfg)))
+            for _ in range(2)
+        ]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and len(results) == 2
+        for res in results:
+            self._same(res, alone)
 
 
 class Forwarding:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -131,6 +132,24 @@ class TestClosedForms:
         # of the range a plain float series can sum
         ref = ml_oracle(alpha, 1.0, z)
         assert abs(ml(MLParams(alpha, 1.0), z) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("size", [1e160, 1e300])
+    def test_root_past_the_float_range(self, alpha, size):
+        """|z|^(1/alpha) overflows.  E_alpha(z) is +inf for z > 0; for
+        z < 0 it is the asymptote 1/(|z| Gamma(beta - alpha)), the one
+        term of -sum_k z^(-k)/Gamma(beta - alpha k) a float holds.  No
+        numpy warning either way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ml(MLParams(alpha, 1.0), size) == math.inf
+            neg = ml(MLParams(alpha, 1.0), -size)
+            grid = ml_grid(alpha, (1.0, 2.0), size, [0.0, 1.0])
+        assert neg == pytest.approx(1.0 / (size * math.gamma(1.0 - alpha)), rel=1e-14)
+        assert grid[:, 0].tolist() == [1.0, 1.0]
+        for k, beta in enumerate((1.0, 2.0)):
+            ref = 1.0 / (size * math.gamma(beta - alpha))
+            assert grid[k, 1] == pytest.approx(ref, rel=1e-14)
 
     def test_oscillator_grid_bound(self):
         # every 16th node of the golden oscillator-1d grid (h = 2^-9, t <= 3)

@@ -44,7 +44,7 @@ class OscRHS(RHS):
     n = 1
 
     def __call__(self, t, q, qdot, hist):
-        return -q
+        return -q, math.nan
 
 
 def l1_bound(col, h, alpha):
@@ -97,6 +97,14 @@ class TestConfig:
             IntegratorConfig(h=0.1, t_end=0.0)
         with pytest.raises(FracDomainError):
             IntegratorConfig(h=0.1, t_end=1.0, scheme="rk4")
+
+    def test_grid_rounds_the_step(self):
+        """The grid takes round(t_end / h) steps, so the step that runs may
+        be larger than h."""
+        grid = IntegratorConfig(h=0.3, t_end=1.0).grid()
+        assert grid.n_steps == 3 and grid.h == 1.0 / 3.0
+        res = integrate_second_order(OscRHS(), ([1.0], [0.0]), IntegratorConfig(h=0.3, t_end=1.0))
+        assert res.diagnostics["h"] == 1.0 / 3.0 and res.grid.n_nodes == 4
 
 
 class TestHistory:
@@ -578,7 +586,7 @@ class TestSecondOrder:
             n = 2
 
             def __call__(self, t, q, qd, hist):
-                return np.zeros(2)
+                return np.zeros(2), math.nan
 
         for scheme in ("semi-implicit-euler", "velocity-verlet"):
             res = integrate_second_order(
@@ -618,7 +626,7 @@ class TestSecondOrder:
             n = 1
 
             def __call__(self, t, q, qd, hist):
-                return np.array([1e15])
+                return np.array([1e15]), math.nan
 
         with pytest.raises(DivergenceError) as exc:
             integrate_second_order(Bad(), ([0.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0))
@@ -633,7 +641,7 @@ class TestSecondOrder:
             n = 1
 
             def __call__(self, t, q, qd, hist):
-                return np.array([np.nan])
+                return np.array([np.nan]), math.nan
 
         with pytest.raises(DivergenceError):
             integrate_second_order(NaN(), ([0.0], [0.0]), IntegratorConfig(h=0.1, t_end=1.0))
@@ -649,7 +657,7 @@ class TestSecondOrder:
                 self.incs = incs
 
             def __call__(self, t, q, qd, hist):
-                return np.zeros(1)
+                return np.zeros(1), math.nan
 
             def singular_increments(self, t):
                 calls.append(t.tolist())
@@ -686,7 +694,7 @@ class TestSecondOrder:
                     hist.caputo_q(0.5)
                 tally.append(products(hist.count - 1, 2))
                 hist.caputo_qdot(1.5)
-                return -q
+                return -q, math.nan
 
             def residual(self, hist, multiplier):
                 # 0.5 was summed at every count a step saw, 0.3 at none
@@ -712,7 +720,7 @@ class Coast(RHS):
         self.force = force
 
     def __call__(self, t, q, qd, hist):
-        return np.full(len(q), self.force)
+        return np.full(len(q), self.force), math.nan
 
 
 class HamiltonCoast(Coast):
@@ -720,7 +728,7 @@ class HamiltonCoast(Coast):
     moves as semi-implicit Euler does at zero force."""
 
     def __call__(self, t, q, p, hist):
-        return p, np.full(len(q), self.force)
+        return (p, np.full(len(q), self.force)), math.nan
 
 
 DIVERGENCE_SCHEMES = ["semi-implicit-euler", "velocity-verlet", "hamilton"]
