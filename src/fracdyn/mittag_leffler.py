@@ -16,15 +16,19 @@ such beta.
 sorted grid of t at once, and ``ml`` is its one-node case: z != 0 is the
 node t = 1 with lam = -z, so the package has one contour loop.  In the
 s = sigma / t plane one contour serves a whole band of nodes
-[t_top / 10, t_top]: it is the contour designed for z = -lam t_top^alpha
+[t_top / 4, t_top]: it is the contour designed for z = -lam t_top^alpha
 at the band's top node, widened until truncation holds at its bottom node
-(contour and singularities both scale with t).  Each node then costs one
-exp(s_k t) per contour node and one dot product per beta (J. A. C.
-Weideman and L. N. Trefethen, Math. Comp. 76 (2007) 1341-1356; R. Garrappa
-and M. Popolizio, Adv. Comput. Math. 39 (2013) 205-225).  A node's value
-thus depends on its band and on the largest beta asked: ``ml`` at
-z = -lam t^alpha and a node t of a wider ``ml_grid`` call are not
-bit-identical, but agree within ~1e-13.
+(contour and singularities both scale with t) (J. A. C. Weideman and
+L. N. Trefethen, Math. Comp. 76 (2007) 1341-1356; R. Garrappa and
+M. Popolizio, Adv. Comput. Math. 39 (2013) 205-225).  A band of N
+equally spaced nodes also shares its exponentials, e^(s t_base + s m dt)
+= e^(s t_base) e^(s m dt): it costs N / _BLOCK + _BLOCK rows of exp(s_k t)
+over the contour nodes instead of N, and its values lie within
+2e-14 max(1, |v|) of those of one row per node, which a band whose
+nodes are not equally spaced still takes.  A node's value thus depends
+on its band and on the largest beta asked: ``ml`` at z = -lam t^alpha
+and a node t of a wider ``ml_grid`` call are not bit-identical, but agree
+within ~1e-13.
 
 For 1 < alpha < 2 the relaxation function E_alpha(-t^alpha) splits into an
 exponentially damped oscillation g_{alpha,k} (pole-pair contribution, in
@@ -49,14 +53,23 @@ __all__ = ["MLParams", "ml", "ml_grid", "ml_decomp_f", "ml_decomp_g"]
 # time while the cheapest contour needs more than _MAX_NODES nodes a side
 _LOG_TOL = math.log(1e-15)
 _MAX_NODES = 200
-_LOG_EPS = math.log(np.finfo(float).eps)
+_EPS = np.finfo(float).eps
+_LOG_EPS = math.log(_EPS)
 _LOG_MAX = math.log(np.finfo(float).max)
 # largest beta for which the contour meets ~1e-10, measured against the
 # series over alpha in [0.3, 3] and z in [-50, 50]: beta = 7.5 misses it
 # by 10x at alpha = 2.0001, z = 0.1, beta = 7 reaches 0.6 of it
 _BETA_MAX = 6.0
-# ml_grid: ratio of a band's top node to its bottom node, rows per block
-_BAND = 10.0
+# ml_grid: ratio of a band's top node to its bottom node, and nodes per
+# block of shared exponentials (rows per product).  A ratio of 4 keeps the
+# widening for the bottom node small (110 to 241 contour nodes a band on
+# t = j 2^-9 <= 10, against 173 to 530 at 10) and the distance from one
+# exp row per node at 1.3e-14 (2.5e-14 at 10).  OpenBLAS splits a product
+# over threads, whose sums round differently, once rows x contour nodes x
+# betas reach 65 536: 16 rows stay under that up to 4 096 contour-node
+# betas, so no value depends on the thread count; 32 rows ran 15-20%
+# faster but crossed it at 10 betas on that grid
+_BAND = 4.0
 _BLOCK = 16
 
 
@@ -200,18 +213,48 @@ def _bands(alpha: float, betas: np.ndarray, lam: float, t: np.ndarray) -> np.nda
         g = (h / math.pi) * (2.0 * mu_s) * (1j - u) / (s**alpha + lam)
         g[0] /= 2.0
         kern = np.array([g * s ** (alpha - b) for b in betas]).T
-        for i in range(lo, hi, _BLOCK):
-            rows = t[i : min(i + _BLOCK, hi)]
-            out[:, i : i + len(rows)] = (np.exp(np.outer(rows, s)) @ kern).imag.T
+        out[:, lo:hi] = _contour_sums(tb, s, kern).T
         out[:, lo:hi] *= tb ** (1.0 - betas[:, None])
         for pole in poles:
             sig = pole * (tb / t_top)
-            over = sig.real > _LOG_MAX
-            sig[over] = 1.0
-            res = np.exp(sig) * sig ** (1.0 - betas[:, None])
-            out[:, lo:hi] += res.real / alpha
-            out[:, lo:hi][:, over] = math.inf
+            # e^sig sig^(1 - beta) as one exp-log, +inf where that exponent
+            # passes the float range: numpy's power at an integer exponent
+            # multiplies out |sig|^(beta - 1), which overflows
+            arg = sig + (1.0 - betas[:, None]) * np.log(sig)
+            over = arg.real > _LOG_MAX
+            arg[over] = 0.0
+            out[:, lo:hi] += np.exp(arg).real / alpha
+            out[:, lo:hi][over] = math.inf
         hi = lo
+    return out
+
+
+def _contour_sums(tb: np.ndarray, s: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Im sum_k e^(s_k t) kern[k, :] for each node t of the band tb: an
+    array (len(tb), kern.shape[1]).
+
+    Nodes t = t_0 + j dt, equally spaced up to 8 eps times the top node,
+    share their exponentials where that saves some (len(tb) / _BLOCK +
+    _BLOCK rows of them against len(tb)): a block of _BLOCK nodes from
+    t_base takes e^(s t_base + s m dt) = e^(s t_base) e^(s m dt), m < _BLOCK,
+    so it costs one row of exponentials, scaled into the kernel, times the
+    band's one table of offset factors.  Other bands take one row of
+    exp(s t) per node.  Either way each product has _BLOCK rows, one column
+    per beta and one term per contour node."""
+    m, nb = len(tb), kern.shape[1]
+    if m > _BLOCK + math.ceil(m / _BLOCK):
+        dt = (tb[-1] - tb[0]) / (m - 1)
+        if np.abs(tb - (tb[0] + dt * np.arange(m))).max() <= 8.0 * _EPS * tb[-1]:
+            offsets = np.exp(np.outer(dt * np.arange(_BLOCK), s))
+            bases = tb[::_BLOCK]
+            out = np.empty((len(bases) * _BLOCK, nb))
+            for i in range(0, len(bases), _BLOCK):
+                scaled = np.exp(np.outer(bases[i : i + _BLOCK], s))[:, :, None] * kern
+                out[i * _BLOCK : (i + _BLOCK) * _BLOCK] = (offsets @ scaled).imag.reshape(-1, nb)
+            return out[:m]
+    out = np.empty((m, nb))
+    for i in range(0, m, _BLOCK):
+        out[i : i + _BLOCK] = (np.exp(np.outer(tb[i : i + _BLOCK], s)) @ kern).imag
     return out
 
 

@@ -14,7 +14,10 @@ the values each one hashes, one array per case.  CSV output (a blob that
 starts with a ``t,`` header) is read as numbers, one row per data line;
 the result arrays of library runs are read as float64.  It also saves
 the measured value of each ``fracdyn verify all`` row, as the case
-``verify:<row name>``.  ``--compare`` prints, for each case, the number
+``verify:<row name>``, and the Mittag-Leffler kernels of the oracle-osc
+benchmark run, ``ml_grid(1.5, (1, 2, 1.5), 1, t)`` on t = j 2^-9 <= 10, as
+the case ``ml_grid:oracle-osc``, so a change to the contour sums shows
+its |d| directly.  ``--compare`` prints, for each case, the number
 of values, max |d| and max |d|/max(1, |v|), v being the values of A; NaN
 against NaN counts as equal, NaN against a number as an infinite
 difference.  Then it lists each verify value that moved, in A and in B,
@@ -40,6 +43,7 @@ import numpy as np
 
 
 _VERIFY = "verify:"
+_ML_GRID = "ml_grid:oracle-osc"
 
 
 def _values(blob: bytes) -> np.ndarray:
@@ -60,6 +64,7 @@ def dump(src: Path, out: Path) -> None:
     sys.path[:0] = [str(src / "src"), str(src / "tests")]
     import fracdyn
     import test_golden
+    from fracdyn.mittag_leffler import ml_grid
     from fracdyn.verification import run_suite
 
     if not Path(fracdyn.__file__).resolve().is_relative_to(src / "src"):
@@ -70,6 +75,7 @@ def dump(src: Path, out: Path) -> None:
             arrays[name] = _values(test_golden.CASES[name](Path(tmp)))
     for row in run_suite("all"):
         arrays[_VERIFY + row.name] = np.array([row.measured])
+    arrays[_ML_GRID] = ml_grid(1.5, (1.0, 2.0, 1.5), 1.0, np.arange(5121) * 2.0**-9).ravel()
     np.savez(out, **arrays)
     print(f"{len(arrays)} cases from {src} to {out}")
 

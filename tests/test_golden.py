@@ -108,7 +108,7 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "oscillator-1d": "252a060b9dd01d786193b0eb9fe09200bac4d269b87b4a76103306fd2258252d",
+    "oscillator-1d": "7e111ad0b46d5bfeb64730064cc6238328d25f48dfcaced90d93feb7c99b55f7",
     "linear-nd": "b489558680c7cc78d0cdfcdc95574ea503e9957ed556d0f95895183bb7dcde2d",
     "linear-nd-verlet": "6aeef3ea3e8b78534f205cf13a4b50a48b871b33bbb1a9062462a2db92097d32",
     "case1-2d": "d9062b562dcc31a8ec093fbc2eb088c738ab7bfaaafb6784af9e2784461068f6",
@@ -327,10 +327,12 @@ def test_golden_delta_compare_names_failing_cases(tmp_path, capsys):
 
 def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     """``--dump`` saves, besides each golden case, the measured value of
-    each ``verify all`` row as the case ``verify:<row name>``."""
+    each ``verify all`` row as the case ``verify:<row name>``, and the
+    oracle-osc kernels of ``ml_grid`` as the case ``ml_grid:oracle-osc``."""
     import golden_delta
     import test_golden
     from fracdyn import verification
+    from fracdyn.mittag_leffler import ml_grid
     from fracdyn.verification import CheckRow
 
     rows = [CheckRow("order, h=1/2", 1.5, 1.0, True), CheckRow("error", 0.25, 1.0, True)]
@@ -342,5 +344,7 @@ def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     out = tmp_path / "d.npz"
     golden_delta.dump(repo, out)
     got = np.load(out)
-    assert sorted(got.files) == ["case", "verify:error", "verify:order, h=1/2"]
+    assert sorted(got.files) == ["case", "ml_grid:oracle-osc", "verify:error", "verify:order, h=1/2"]
     assert got["case"].tolist() == [1.0, 2.0] and got["verify:error"].tolist() == [0.25]
+    kernels = ml_grid(1.5, (1.0, 2.0, 1.5), 1.0, np.arange(5121) * 2.0**-9)
+    assert got["ml_grid:oracle-osc"].tobytes() == kernels.tobytes()

@@ -13,6 +13,7 @@ from scipy.special import erfcx
 from scipy.special import gamma as sgamma
 from scipy.special import rgamma
 
+from fracdyn import mittag_leffler
 from fracdyn.errors import FracDomainError
 from fracdyn.mittag_leffler import MLParams, ml, ml_decomp_f, ml_decomp_g, ml_grid
 
@@ -62,6 +63,24 @@ def series_overflows(alpha, beta, z):
     k = max(0, round((z ** (1.0 / alpha) - beta) / alpha))
     log_term = k * mpmath.log(z) - mpmath.loggamma(mpmath.mpf(alpha) * k + beta)
     return log_term > math.log(sys.float_info.max)
+
+
+def contour_sums_per_node(tb, s, kern):
+    """Reference for ``mittag_leffler._contour_sums``: the loop it replaced,
+    one row of exp(s t) per node, in products of _BLOCK rows."""
+    block = mittag_leffler._BLOCK
+    rows = [np.exp(np.outer(tb[i : i + block], s)) @ kern for i in range(0, len(tb), block)]
+    return np.concatenate(rows).imag
+
+
+def ml_grid_per_node(alpha, betas, lam, t):
+    """``ml_grid`` with every band summed by ``contour_sums_per_node``."""
+    shared = mittag_leffler._contour_sums
+    mittag_leffler._contour_sums = contour_sums_per_node
+    try:
+        return ml_grid(alpha, betas, lam, t)
+    finally:
+        mittag_leffler._contour_sums = shared
 
 
 class TestIdentities:
@@ -151,6 +170,44 @@ class TestClosedForms:
             ref = 1.0 / (size * math.gamma(beta - alpha))
             assert grid[k, 1] == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha,beta,z", [(1.5, 6.0, -1e100), (1.5, 3.0, -1e240),
+                                              (1.01, 3.0, -1e156)])
+    def test_pole_residue_past_the_float_range(self, alpha, beta, z):
+        """A pole right of the contour at |s| ~ |z|^(1/alpha): its residue
+        e^s s^(1 - beta) underflows to 0, with no nan and no warning from
+        s^(1 - beta); the value is the asymptote 1/(|z| Gamma(beta - alpha))."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = ml(MLParams(alpha, beta), z)
+            grid = ml_grid(alpha, (beta,), -z, [1.0])[0, 0]
+        assert val == pytest.approx(1.0 / (abs(z) * math.gamma(beta - alpha)), rel=1e-3)
+        assert val == grid
+
+    @pytest.mark.parametrize("beta,z", [(0.5, 18800.0), (3.0, 18950.0), (6.0, 18918.6),
+                                        (6.0, 19500.0)])
+    def test_pole_residue_at_the_float_range(self, beta, z):
+        """alpha = 1.5, z > 0: the value is the residue e^s s^(1 - beta) / alpha
+        of the pole s = z^(1/alpha) ~ 710, up to O(1/z).  It is +inf only
+        where its exponent, moved by s^(1 - beta), passes the float range,
+        and it is reached with no overflow warning."""
+        log_res = z ** (1 / 1.5) + (1.0 - beta) / 1.5 * math.log(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = ml(MLParams(1.5, beta), z)
+        if log_res > math.log(sys.float_info.max):
+            assert val == math.inf
+        else:
+            assert val == pytest.approx(math.exp(log_res) / 1.5, rel=1e-12)
+
+    def test_pole_residue_past_the_float_range_grid(self):
+        t = np.linspace(0.0, 10.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ml_grid(1.5, (3.0,), 1e300, t)[0]
+        ref = 1.0 / (1e300 * t[1:] ** 1.5 * math.gamma(1.5))
+        assert out[0] == 0.5
+        assert np.all(np.abs(out[1:] - ref) <= 1e-3 * ref)
+
     def test_oscillator_grid_bound(self):
         # every 16th node of the golden oscillator-1d grid (h = 2^-9, t <= 3)
         for t in np.arange(0, 1537, 16) * 2.0**-9:
@@ -196,12 +253,14 @@ class TestCallContract:
 
 class TestGrid:
     def test_oscillator_grid_bound(self):
-        # every 16th node of the oracle-osc benchmark grid (h = 2^-9, t <= 10),
-        # within the bound test_oscillator_grid_bound sets for point-wise ml
+        # every 17th node of the oracle-osc benchmark grid (h = 2^-9, t <= 10),
+        # within the bound test_oscillator_grid_bound sets for point-wise ml;
+        # 17 is coprime to the block size, so every row offset in a block
+        # of shared exponentials is met
         t = np.arange(5121) * 2.0**-9
         betas = (1.0, 2.0, 1.5)
         out = ml_grid(1.5, betas, 1.0, t)
-        for i in range(0, len(t), 16):
+        for i in range(0, len(t), 17):
             for k, beta in enumerate(betas):
                 assert abs(out[k, i] - ml_oracle(1.5, beta, -(t[i] ** 1.5))) <= 1e-14
 
@@ -251,6 +310,46 @@ class TestGrid:
     def test_domain(self, t, lam):
         with pytest.raises(FracDomainError):
             ml_grid(1.5, (1.0,), lam, t)
+
+
+class TestSharedExponentials:
+    """Bands of equally spaced nodes share their exponentials: a sum of
+    other rounding than the per-node loop, within 2e-14 max(1, |v|) of it.
+    Other bands take that loop, with the same rounding."""
+
+    @staticmethod
+    def assert_within_bound(alpha, betas, lam, t):
+        out, ref = ml_grid(alpha, betas, lam, t), ml_grid_per_node(alpha, betas, lam, t)
+        finite = np.isfinite(ref)
+        assert np.array_equal(finite, np.isfinite(out))
+        assert np.array_equal(out[~finite], ref[~finite])
+        err = np.abs(out[finite] - ref[finite])
+        assert np.all(err <= 2e-14 * np.maximum(1.0, np.abs(ref[finite])))
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.arange(5121) * 2.0**-9, np.arange(20481) * (10.0 / 20480), np.arange(10001) * 0.001],
+        ids=["bench", "readme", "h0.001"],
+    )
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.5, 1.9, 2.5])
+    def test_long_grids(self, alpha, t):
+        lams = (0.5, 1.0, 2.25) if alpha == 2.5 else (1.0,)
+        for lam in lams:
+            self.assert_within_bound(alpha, (1.0, 2.0, alpha), lam, t)
+
+    @pytest.mark.parametrize("t_end", [10.0, 40.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.5, 1.9])
+    def test_matches_pointwise_grids(self, alpha, t_end):
+        t = np.linspace(0.0, t_end, 401)
+        for lam in (0.5, 1.0, 2.25):
+            self.assert_within_bound(alpha, (1.0, 2.0, alpha), lam, t)
+
+    def test_unequal_spacing_takes_the_per_node_loop(self):
+        jitter = np.random.default_rng(5).uniform(-1e-7, 1e-7, 2001)
+        for alpha, t in ((2.5, np.array([0.0, 100.0, 3000.0])),
+                         (1.5, np.sort(np.linspace(0.0, 10.0, 2001) + jitter).clip(0.0))):
+            out = ml_grid(alpha, (1.0, 2.0, alpha), 1.0, t)
+            assert out.tobytes() == ml_grid_per_node(alpha, (1.0, 2.0, alpha), 1.0, t).tobytes()
 
 
 class TestLargeBeta:
