@@ -299,8 +299,10 @@ def build_plan(cfg: ScenarioConfig) -> RunPlan:
             raise ConfigError("parameters.omega2", "must be positive")
         plan = _linear_plan(cfg, ConstraintSpec.linear([1.0], [omega2], FracOrder(alpha - 1.0)))
         q0, qd0 = _init_vectors(cfg, 1)
+        # Python floats: an omega2 q0 past the float range is then inf,
+        # which the oracle reports, not a numpy overflow warning
         spec = OscillatorSpec.from_initial_data(
-            alpha=alpha, omega2=omega2, q0=q0[0], qp0=qd0[0]
+            alpha=alpha, omega2=omega2, q0=float(q0[0]), qp0=float(qd0[0])
         )
 
         def oracle(grid):

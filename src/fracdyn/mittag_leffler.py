@@ -217,14 +217,18 @@ def _bands(alpha: float, betas: np.ndarray, lam: float, t: np.ndarray) -> np.nda
         out[:, lo:hi] *= tb ** (1.0 - betas[:, None])
         for pole in poles:
             sig = pole * (tb / t_top)
-            # e^sig sig^(1 - beta) as one exp-log, +inf where that exponent
+            # e^sig sig^(1 - beta) as one exp-log, +-inf where that exponent
             # passes the float range: numpy's power at an integer exponent
-            # multiplies out |sig|^(beta - 1), which overflows
+            # multiplies out |sig|^(beta - 1), which overflows.  The poles
+            # share one modulus, so their level order is the order of
+            # Re arg: the last pole to overflow dominates the sum, and the
+            # sign of its real part, cos(Im arg), is the sign of the value
             arg = sig + (1.0 - betas[:, None]) * np.log(sig)
             over = arg.real > _LOG_MAX
+            sign = np.cos(arg.imag[over])
             arg[over] = 0.0
             out[:, lo:hi] += np.exp(arg).real / alpha
-            out[:, lo:hi][over] = math.inf
+            out[:, lo:hi][over] = np.copysign(math.inf, sign)
         hi = lo
     return out
 

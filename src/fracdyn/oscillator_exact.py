@@ -1,23 +1,25 @@
 """Closed-form solution of the linear fractional oscillator.
 
-The oscillator D^{alpha-1} q + omega^2 q = Q(t), with 1 < alpha-1 < 2,
-arises from the one-dimensional linear constraint after integrating the
-equation of motion twice.  Its solution is
+The oscillator D^b q + w2 q = Q(t), b = alpha - 1 with 1 < b < 2, arises
+from the one-dimensional linear constraint after integrating the equation
+of motion twice.  Its forcing is Q(t) = amp t^e / Gamma(e + 1) + C1 t + C2.
+D^b sends C1 t + C2 to zero, so (C2 + C1 t) / w2 is a particular solution,
+and the Laplace pair L[t^(beta-1) E_{b,beta}(-w2 t^b)] = s^(b-beta) /
+(s^b + w2) (I. Podlubny, Fractional Differential Equations, 1999, 1.2)
+gives every other term:
 
-    q(t) = q0 E_{b,1}(-w2 t^b) + qp0 t E_{b,2}(-w2 t^b)
-           + int_0^t s^{b-1} E_{b,b}(-w2 s^b) Q(t-s) ds,    b = alpha - 1.
+    q(t) = (C2 + C1 t) / w2 + (q0 - C2 / w2) E_{b,1}(-w2 t^b)
+           + (qp0 - C1 / w2) t E_{b,2}(-w2 t^b)
+           + amp t^(b+e) E_{b,b+e+1}(-w2 t^b).
 
-The convolution kernel is the impulse response of the operator
-(D^b + w2): its Laplace transform is 1/(s^b + w2).  The kernel equals
--qdot0(s)/w2 where qdot0 is the derivative of the homogeneous relaxation
-E_{b,1}(-w2 s^b); the two coincide when w2 = 1, the case all closed-form
-checks use.
+No step is taken, so the solution is exact up to the Mittag-Leffler
+evaluation and rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,7 +75,8 @@ class OscillatorSpec:
                                + w2 qp0 t + w2 q0,
         so C1 = w2 qp0, C2 = w2 q0, and the power term's amplitude is the
         initial second derivative qpp0, which is zero for
-        constraint-consistent data: ``power_amp`` is 0.
+        constraint-consistent data: ``power_amp`` is 0.  The solution is
+        then q0 + qp0 t.
         """
         return cls(
             alpha=alpha,
@@ -86,6 +89,13 @@ class OscillatorSpec:
         )
 
 
+def _power(spec: OscillatorSpec) -> tuple[float, float]:
+    """(amp, expo) of the forcing's power term amp t^expo / Gamma(expo + 1)."""
+    if spec.power_amp is None:
+        return spec.q0, spec.m - spec.alpha + 1.0
+    return spec.power_amp, spec.m - spec.alpha
+
+
 def forcing(spec: OscillatorSpec, t):
     """Forcing Q(t); accepts scalars or arrays, t >= 0.  Its power's
     exponent, m-alpha+1 or m-alpha, is positive, so the power is 0 at
@@ -93,12 +103,7 @@ def forcing(spec: OscillatorSpec, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise FracDomainError("t must be >= 0")
-    if spec.power_amp is None:
-        amp = spec.q0
-        expo = spec.m - spec.alpha + 1.0
-    else:
-        amp = spec.power_amp
-        expo = spec.m - spec.alpha
+    amp, expo = _power(spec)
     out = spec.C1 * t + spec.C2
     if amp != 0.0:
         out = out + amp / math.gamma(expo + 1.0) * t**expo
@@ -114,52 +119,25 @@ def _check_exact_domain(spec: OscillatorSpec, grid: Grid) -> None:
         raise FracDomainError("grid must start at t = 0")
 
 
-def _power_moments(nodes: np.ndarray, beta: float, h: float):
-    """Exact moments of tau^(beta-1) over each panel, for product
-    integration with the non-power factor interpolated linearly."""
-    tb = nodes**beta
-    tb1 = nodes ** (beta + 1.0)
-    m0 = (tb[1:] - tb[:-1]) / beta
-    m1 = ((tb1[1:] - tb1[:-1]) / (beta + 1.0) - nodes[:-1] * (tb[1:] - tb[:-1]) / beta) / h
-    return m0, m1
-
-
-def _convolve_kernel(e_grid: np.ndarray, q_grid: np.ndarray, m0, m1) -> np.ndarray:
-    """sum over panels of int tau^(b-1) lin[E(tau) Q(t_n - tau)] dtau.
-
-    The panel weights of both interpolation ends are convolved with Q at
-    once, by FFT at a power-of-two length of at least 2N + 1, which keeps
-    the circular convolution from wrapping."""
-    from numpy.fft import irfft, rfft  # loaded on first use: runs need no FFT
-
-    n = len(e_grid) - 1
-    a = np.zeros(n + 1)
-    a[:n] = e_grid[:n] * (m0 - m1)
-    ab = a.copy()
-    ab[1:] += e_grid[1:] * m1
-    size = 1 << (2 * n).bit_length()
-    conv = irfft(rfft(ab, size) * rfft(q_grid, size), size)[: n + 1]
-    return conv - a * q_grid[0]
-
-
 def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
-    """Solution trajectory on the grid, by Mittag-Leffler evaluation plus
-    product-integration of the forcing convolution.  One ``ml_grid`` call
-    gives the three kernels E_{b,1}, E_{b,2} and E_{b,b} at every node,
-    on contours shared by each band of nodes.  A value that overflows, as
-    for a very large omega2, raises ``AccuracyLossError``."""
+    """Solution trajectory on the grid, in the closed form of the module
+    docstring.  One ``ml_grid`` call gives the kernels E_{b,1}, E_{b,2}
+    and, for a nonzero power term, E_{b,b+e+1} at every node, on contours
+    shared by each band of nodes.  A value that overflows, as when
+    omega2 q0 or omega2 qp0 passes the float range, raises
+    ``AccuracyLossError``."""
     _check_exact_domain(spec, grid)
-    beta = spec.alpha - 1.0
+    beta, w2 = spec.alpha - 1.0, spec.omega2
+    amp, expo = _power(spec)
     t = grid.nodes()
-    e1, e2, ebb = ml_grid(beta, (1.0, 2.0, beta), spec.omega2, t)
-    q = spec.q0 * e1 + spec.qp0 * t * e2
-
-    q_grid = np.asarray(forcing(spec, t), dtype=float)
-    if np.any(q_grid != 0.0):
-        m0, m1 = _power_moments(t, beta, grid.h)
-        # an overflow shows as a non-finite q, which is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = q + _convolve_kernel(ebb, q_grid, m0, m1)
+    betas = (1.0, 2.0) if amp == 0.0 else (1.0, 2.0, beta + expo + 1.0)
+    kern = ml_grid(beta, betas, w2, t)
+    # an overflow shows as a non-finite q, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (spec.C2 + spec.C1 * t) / w2 + (spec.q0 - spec.C2 / w2) * kern[0]
+        q += (spec.qp0 - spec.C1 / w2) * t * kern[1]
+        if amp != 0.0:
+            q += amp * t ** (beta + expo) * kern[2]
     if not np.isfinite(q).all():
         raise AccuracyLossError("the closed-form solution overflowed", achieved=math.inf)
     return SampleSeries(grid, q)
@@ -167,11 +145,14 @@ def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
 
 def decomposed_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     """Same trajectory assembled from the monotone/oscillatory split
-    instead of direct Mittag-Leffler evaluation; requires omega2 = 1,
-    the frequency at which the split is stated."""
+    instead of direct Mittag-Leffler evaluation; requires omega2 = 1, the
+    frequency at which the split is stated, and no power term, for which
+    the split has no kernel."""
     _check_exact_domain(spec, grid)
     if spec.omega2 != 1.0:
         raise FracDomainError("decomposition path requires omega2 = 1")
+    if _power(spec)[0] != 0.0:
+        raise FracDomainError("decomposition path requires power_amp = 0")
     beta = spec.alpha - 1.0
     t = grid.nodes()
 
@@ -180,17 +161,5 @@ def decomposed_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
 
     e1 = np.array([split(0, ti) if ti > 0.0 else 1.0 for ti in t])
     te2 = np.array([split(1, ti) if ti > 0.0 else 0.0 for ti in t])
-    q = spec.q0 * e1 + spec.qp0 * te2
-
-    q_grid = np.asarray(forcing(spec, t), dtype=float)
-    if np.any(q_grid != 0.0):
-        # kernel tau^(b-1) E_{b,b}(-tau^b) = -(f_{b,-1} + g_{b,-1});
-        # divide the power factor back out for the product-integration form
-        ebb = np.empty_like(t)
-        ebb[0] = 1.0 / math.gamma(beta)
-        ebb[1:] = np.array(
-            [-split(-1, ti) / ti ** (beta - 1.0) for ti in t[1:]]
-        )
-        m0, m1 = _power_moments(t, beta, grid.h)
-        q = q + _convolve_kernel(ebb, q_grid, m0, m1)
+    q = spec.C2 + spec.C1 * t + (spec.q0 - spec.C2) * e1 + (spec.qp0 - spec.C1) * te2
     return SampleSeries(grid, q)

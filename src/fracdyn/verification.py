@@ -30,6 +30,7 @@ from .errors import FracDomainError
 from .fode_solver import (
     IntegratorConfig,
     _sampled,
+    integrate_fractional_abm,
     integrate_hamilton,
     integrate_second_order,
 )
@@ -232,12 +233,23 @@ def _chain_run(h: float):
     return float(np.max(np.abs(res.q[:, 0] - ex.values)))
 
 
+def _abm_error(beta: float, h: float) -> float:
+    """max |q - exact| of the fractional Adams run of D^beta q + q = 0 from
+    q(0) = 1, qdot(0) = 0.5 up to t = 5."""
+    cfg = IntegratorConfig(h=h, t_end=5.0)
+    res = integrate_fractional_abm(beta, lambda t, x: -x, [1.0, 0.5], cfg)
+    spec = OscillatorSpec(alpha=beta + 1.0, omega2=1.0, q0=1.0, qp0=0.5, power_amp=0.0)
+    return float(np.max(np.abs(res.q[:, 0] - exact_solution(spec, res.grid).values)))
+
+
 @_timed
 def suite_oscillator() -> Iterator[CheckRow]:
-    e_fine = _chain_run(1.0 / 2048)
-    yield _row("1d chain vs exact solution, h=1/2048", e_fine, 1e-2)
-    e_coarse = _chain_run(1.0 / 1024)
-    yield _row("1d chain error halving factor", e_coarse / e_fine, 1.7, larger_ok=True)
+    # rest data: the constrained run and the oracle both stay at q0
+    yield _row("1d chain vs exact solution, h=1/2048", _chain_run(1.0 / 2048), 1e-12)
+    errs = [[_abm_error(beta, 1.0 / k) for k in (100, 200, 400, 800)] for beta in (1.3, 1.5, 1.8)]
+    yield _row("fractional Adams vs exact solution, h=1/800", max(e[-1] for e in errs), 1e-6)
+    order = min(_ladder_order(e) for e in errs)
+    yield _row("fractional Adams order vs exact solution", order, 1.8, larger_ok=True)
 
 
 # ---------------------------------------------------------------------------

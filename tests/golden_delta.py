@@ -14,10 +14,13 @@ the values each one hashes, one array per case.  CSV output (a blob that
 starts with a ``t,`` header) is read as numbers, one row per data line;
 the result arrays of library runs are read as float64.  It also saves
 the measured value of each ``fracdyn verify all`` row, as the case
-``verify:<row name>``, and the Mittag-Leffler kernels of the oracle-osc
-benchmark run, ``ml_grid(1.5, (1, 2, 1.5), 1, t)`` on t = j 2^-9 <= 10, as
-the case ``ml_grid:oracle-osc``, so a change to the contour sums shows
-its |d| directly.  ``--compare`` prints, for each case, the number
+``verify:<row name>``, and ``ml_grid(1.5, (1, 2, 1.5), 1, t)`` on
+t = j 2^-9 <= 10, the grid of the oracle-osc benchmark run, as the case
+``ml_grid:oracle-osc``, so a change to the contour sums shows its |d|
+directly.  These are no longer the oracle's betas, which are 1 and 2
+(and b + e + 1 with a power term); the case keeps the three that older
+dumps hold, so that ``--compare`` against them still works.
+``--compare`` prints, for each case, the number
 of values, max |d| and max |d|/max(1, |v|), v being the values of A; NaN
 against NaN counts as equal, NaN against a number as an infinite
 difference.  Then it lists each verify value that moved, in A and in B,

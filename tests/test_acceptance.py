@@ -65,7 +65,7 @@ def test_criterion_05_derivative_shift_identity(suites):
 
 
 def test_criterion_06_oscillator_chain(suites):
-    _report(6, "1d constrained trajectory vs exact oscillator solution",
+    _report(6, "1d constrained trajectory and fractional Adams vs exact oscillator solution",
             suites["oscillator"])
 
 

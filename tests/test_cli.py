@@ -400,6 +400,27 @@ class TestVerifyReport:
         assert 0.0 < sum(r.elapsed_s for r in rows) <= total
 
 
+class TestVerifyVerb:
+    def test_suite_passes(self, capsys):
+        assert main(["verify", "oscillator", "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_report_counts_the_checks(self, capsys):
+        assert main(["verify", "oscillator"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the count line, then the slowest check
+        assert lines[-2] == "3 checks, 0 failed"
+        assert lines[-1].startswith("slowest check: ")
+
+    def test_failing_row_exits_4(self, monkeypatch, capsys):
+        from fracdyn import verification
+
+        row = verification.CheckRow("broken", 1.0, 0.5, False)
+        monkeypatch.setitem(verification.SUITES, "oscillator", lambda: [row])
+        assert main(["verify", "oscillator"]) == 4
+        assert capsys.readouterr().out.splitlines()[-2] == "1 checks, 1 failed"
+
+
 class TestSummaryScheme:
     @pytest.mark.parametrize(
         "data, ran",
@@ -450,9 +471,19 @@ class TestOracles:
     # a numpy warning is an error here, so none may come before the error line
     @pytest.mark.filterwarnings("error")
     def test_oscillator_oracle_overflow_exits_3(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, with_param(OSC, "omega2", 1e308))
+        # omega2 q0 = 1e309 is past the float range
+        data = dict(with_param(OSC, "omega2", 1e308), initial={"q": [10.0], "qdot": [0.0]})
+        cfg = write_cfg(tmp_path, data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
         assert capsys.readouterr().err == "error: the closed-form solution overflowed\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_oscillator_oracle_at_huge_omega2(self, tmp_path):
+        # omega2 q0 = 1e308 is finite, and the closed form is q0 at every node
+        cfg = write_cfg(tmp_path, with_param(OSC, "omega2", 1e308))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        comp = np.loadtxt(tmp_path / "osc_comparison.csv", delimiter=",", skiprows=1)
+        assert np.all(comp[:, 2] == 1.0)
 
 
 class TestDivergence:

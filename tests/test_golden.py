@@ -6,10 +6,10 @@ Each case hashes either the CSVs that ``fracdyn run`` writes for a README
 scenario (shortened to about 2k steps or fewer) or the result arrays of a
 library run that no CLI config reaches.  The hashes were recorded on
 x86-64 Linux (glibc 2.36) with Python 3.11.7 and numpy 2.4.6: every Gamma
-value comes from Python's ``math.gamma``, the history sums from the BLAS
-that numpy ships (the same bytes with one or two BLAS threads), the
-oracle's convolution from ``numpy.fft``, and no other library enters the
-runs.  Another stack may round differently, and then the values must be
+value comes from Python's ``math.gamma``, the history sums and the
+oracle's contour sums from the BLAS that numpy ships (the same bytes with
+one or two BLAS threads), and no other library enters the runs.
+Another stack may round differently, and then the values must be
 recorded again on that stack from a commit whose output is trusted.
 ``golden_delta.py`` measures how far each case moved from that commit.
 """
@@ -32,7 +32,8 @@ from fracdyn.constrained_dynamics import (
     rhs_nonlinear_frac_oscillator,
 )
 from fracdyn.fode_solver import IntegratorConfig, integrate_hamilton, integrate_second_order
-from fracdyn.series import FracOrder
+from fracdyn.oscillator_exact import OscillatorSpec, exact_solution
+from fracdyn.series import FracOrder, Grid
 
 # README scenarios; the 2-d cases carry initial velocities that satisfy
 # a . qdot(0) = 0, which the constraint demands at t = 0
@@ -108,7 +109,7 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "oscillator-1d": "7e111ad0b46d5bfeb64730064cc6238328d25f48dfcaced90d93feb7c99b55f7",
+    "oscillator-1d": "f3898aa822e04ff41f61bb5f402139f739cf4479562052fcc39a97ac4ef8bbc2",
     "linear-nd": "b489558680c7cc78d0cdfcdc95574ea503e9957ed556d0f95895183bb7dcde2d",
     "linear-nd-verlet": "6aeef3ea3e8b78534f205cf13a4b50a48b871b33bbb1a9062462a2db92097d32",
     "case1-2d": "d9062b562dcc31a8ec093fbc2eb088c738ab7bfaaafb6784af9e2784461068f6",
@@ -123,6 +124,7 @@ GOLDEN = {
     "oscillator-1d-trajectory": "2cc4b9cb23c55d696314b14a112e448dd0a7779965442334c7c854e9a432310a",
     "linear-nd-a15-verlet": "f47d1e94546ac82b06cd6b587abdf15ff3ca2dfb22805925f7027955d482850e",
     "general": "7e9302649aec377a99c979942ac33517d721ac05274171a23cb6e6c1e05ab00a",
+    "oscillator-exact": "46966f541d8715e580274a92bdb06984f80b4fa836c359337f31c04037068927",
 }
 
 
@@ -224,6 +226,14 @@ def _run_hamilton(_tmp) -> bytes:
     return _arrays(_hamilton_result())
 
 
+def _oscillator_exact(_tmp) -> bytes:
+    """The closed form with every kernel in use: oscillator-1d's rest data
+    make the homogeneous terms vanish, so its comparison CSV reads no
+    Mittag-Leffler value."""
+    spec = OscillatorSpec(alpha=2.5, omega2=2.0, q0=1.0, qp0=0.5, C1=0.3, C2=-0.2)
+    return exact_solution(spec, Grid(0.0, 4.0, 2048)).values.tobytes()
+
+
 CASES = {
     **{name: (lambda tmp, name=name: _run_cli(name, tmp)) for name in SCENARIOS},
     # the integrator's output alone, apart from the oracle's comparison CSV
@@ -232,6 +242,7 @@ CASES = {
     "direct-velocity-verlet": lambda _tmp: _arrays(_direct_result("velocity-verlet")),
     "hamilton-Aq": _run_hamilton,
     "general": lambda _tmp: _arrays(_general_result()),
+    "oscillator-exact": _oscillator_exact,
 }
 
 

@@ -208,6 +208,20 @@ class TestClosedForms:
         assert out[0] == 0.5
         assert np.all(np.abs(out[1:] - ref) <= 1e-3 * ref)
 
+    def test_pole_pair_overflow_sign(self):
+        """alpha = 2.5, beta = 1: the pole pair right of the contour sums to
+        2 e^(Re arg) cos(Im arg) / alpha, arg = s + (1 - beta) log s.  Past
+        the float range the value is the infinity of that sign, which
+        30-digit mpmath gives as -3.7e311, -2.1e329 and +6.1e340 at the last
+        three z; the first is finite."""
+        zs = (-2.4e8, -2.6e8, -3e8, -3.3e8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = [ml(MLParams(2.5, 1.0), z) for z in zs]
+            grid = [ml_grid(2.5, (1.0,), -z, [1.0])[0, 0] for z in zs]
+        assert vals == [-6.231451250558387e301, -math.inf, -math.inf, math.inf]
+        assert vals == grid
+
     def test_oscillator_grid_bound(self):
         # every 16th node of the golden oscillator-1d grid (h = 2^-9, t <= 3)
         for t in np.arange(0, 1537, 16) * 2.0**-9:

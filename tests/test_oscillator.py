@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -17,6 +18,40 @@ from fracdyn.oscillator_exact import (
     forcing,
 )
 from fracdyn.series import Grid
+
+
+def laplace_series(spec, ts):
+    """q at each t of ``ts`` from the transform of D^b q + w2 q = Q,
+    (s^(b-1) q0 + s^(b-2) qp0 + C2/s + C1/s^2 + amp/s^(e+1)) / (s^b + w2),
+    expanded in powers of w2 s^-b and inverted term by term, s^-g to
+    t^(g-1)/Gamma(g), in 50-digit arithmetic.  It shares no step with the
+    closed form's particular solution or with ``ml_grid``."""
+    with mpmath.workdps(50):
+        b, w2 = mpmath.mpf(spec.alpha) - 1, mpmath.mpf(spec.omega2)
+        if spec.power_amp is None:
+            amp, e = spec.q0, spec.m - mpmath.mpf(spec.alpha) + 1
+        else:
+            amp, e = spec.power_amp, spec.m - mpmath.mpf(spec.alpha)
+        # (coefficient, power of t beyond t^(b k)) of each term
+        terms = [(mpmath.mpf(c), p) for c, p in
+                 ((spec.q0, 0), (spec.qp0, 1), (spec.C2, b), (spec.C1, b + 1), (amp, b + e)) if c]
+        rg = []  # rg[k][j] = 1 / Gamma(b k + p_j + 1)
+        out = []
+        for tv in ts:
+            t = mpmath.mpf(tv)
+            z = -w2 * t**b
+            scaled = [c * t**p for c, p in terms]
+            total, k = mpmath.mpf(0), 0
+            while True:
+                if k == len(rg):
+                    rg.append([mpmath.rgamma(b * k + p + 1) for _, p in terms])
+                term = z**k * mpmath.fsum(x * r for x, r in zip(scaled, rg[k]))
+                total += term
+                if k > 10 and abs(term) < mpmath.mpf(10) ** -40:
+                    break
+                k += 1
+            out.append(float(total))
+    return np.array(out)
 
 
 class TestForcing:
@@ -47,16 +82,39 @@ class TestExactSolution:
         spec = OscillatorSpec.from_initial_data(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0)
         g = Grid(0.0, 10.0, 2048)
         q = exact_solution(spec, g)
-        assert np.max(np.abs(q.values - 1.0)) < 1e-4
+        assert np.max(np.abs(q.values - 1.0)) < 1e-14
 
-    def test_stationary_error_is_second_order(self):
-        spec = OscillatorSpec.from_initial_data(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0)
-        errs = []
-        for n in (512, 1024, 2048):
-            q = exact_solution(spec, Grid(0.0, 4.0, n))
-            errs.append(np.max(np.abs(q.values - 1.0)))
-        assert errs[0] / errs[1] > 3.3
-        assert errs[1] / errs[2] > 3.3
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 2.95])
+    @pytest.mark.parametrize("omega2", [1.0, 4.0, 1e4, 1e8, 1e150, 1e300])
+    def test_initial_data_give_a_straight_line(self, alpha, omega2):
+        # C1 = w2 qp0 and C2 = w2 q0 make (C2 + C1 t) / w2 the whole
+        # solution, however stiff w2 is
+        g = Grid(0.0, 10.0, 2048)
+        t = g.nodes()
+        for q0, qp0 in ((1.0, 0.0), (-0.7, 0.3), (2.5, -1.25)):
+            spec = OscillatorSpec.from_initial_data(alpha=alpha, omega2=omega2, q0=q0, qp0=qp0)
+            q = exact_solution(spec, g).values
+            line = q0 + qp0 * t
+            assert np.all(np.abs(q - line) <= 1e-14 * np.maximum(1.0, np.abs(line)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OscillatorSpec(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0),
+            OscillatorSpec(alpha=2.3, omega2=2.0, q0=0.5, qp0=-0.4, C1=0.7, C2=-0.2),
+            OscillatorSpec(alpha=2.8, omega2=0.5, q0=-1.0, qp0=0.6, C1=0.1, C2=0.3, power_amp=1.5),
+            OscillatorSpec(alpha=2.5, omega2=4.0, q0=0.8, qp0=0.2, C1=-0.5, C2=1.0, power_amp=0.0),
+            OscillatorSpec(alpha=2.05, omega2=3.0, q0=1.0, qp0=1.0, power_amp=-2.0),
+        ],
+    )
+    def test_matches_laplace_series(self, spec):
+        # every 61st node of t <= 5 against the power series in 1/s of the
+        # transform, summed in 50-digit arithmetic
+        g = Grid(0.0, 5.0, 2560)
+        idx = np.arange(0, g.n_nodes, 61)
+        ref = laplace_series(spec, g.nodes()[idx])
+        q = exact_solution(spec, g).values[idx]
+        assert np.all(np.abs(q - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
     def test_homogeneous_matches_ml_kernel(self):
         spec = OscillatorSpec(alpha=2.5, omega2=2.0, q0=1.0, qp0=0.5, power_amp=0.0)
@@ -122,11 +180,22 @@ class TestExactSolution:
 
 class TestDecomposedSolution:
     def test_matches_exact_solution(self):
-        spec = OscillatorSpec.from_initial_data(alpha=2.5, omega2=1.0, q0=0.8, qp0=0.2)
         g = Grid(0.0, 3.0, 300)
-        a = exact_solution(spec, g).values
-        b = decomposed_solution(spec, g).values
-        assert np.max(np.abs(a - b)) < 1e-6
+        for spec in (
+            OscillatorSpec.from_initial_data(alpha=2.5, omega2=1.0, q0=0.8, qp0=0.2),
+            # q0 - C2 and qp0 - C1 nonzero: both kernels of the split enter
+            OscillatorSpec(alpha=2.5, omega2=1.0, q0=0.8, qp0=0.2, C1=0.3, C2=-0.4, power_amp=0.0),
+        ):
+            a = exact_solution(spec, g).values
+            b = decomposed_solution(spec, g).values
+            assert np.max(np.abs(a - b)) < 1e-6
+
+    @pytest.mark.parametrize("power_amp", [None, 0.5])
+    def test_rejects_a_power_term(self, power_amp):
+        # the literature form (power_amp unset) has amp = q0 = 1
+        spec = OscillatorSpec(alpha=2.5, omega2=1.0, q0=1.0, qp0=0.0, power_amp=power_amp)
+        with pytest.raises(FracDomainError):
+            decomposed_solution(spec, Grid(0.0, 1.0, 32))
 
     def test_requires_unit_frequency(self):
         spec = OscillatorSpec.from_initial_data(alpha=2.5, omega2=2.0, q0=1.0, qp0=0.0)
