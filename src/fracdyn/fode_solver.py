@@ -73,10 +73,10 @@ class IntegratorConfig:
     scheme: str = "semi-implicit-euler"
 
     def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise FracDomainError(f"step size must be positive, got {self.h}")
-        if not self.t_end > 0.0:
-            raise FracDomainError(f"horizon must be positive, got {self.t_end}")
+        if not 0.0 < self.h < math.inf:
+            raise FracDomainError(f"step size must be positive and finite, got {self.h}")
+        if not 0.0 < self.t_end < math.inf:
+            raise FracDomainError(f"horizon must be positive and finite, got {self.t_end}")
         if self.scheme not in _SCHEMES:
             raise FracDomainError(f"unknown scheme {self.scheme!r}")
 

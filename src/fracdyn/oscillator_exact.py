@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyLossError, FracDomainError
-from .mittag_leffler import ml_decomp_f, ml_decomp_g, ml_grid
 from .series import Grid, SampleSeries
 
 __all__ = ["OscillatorSpec", "forcing", "exact_solution", "decomposed_solution"]
@@ -126,6 +125,8 @@ def exact_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     shared by each band of nodes.  A value that overflows, as when
     omega2 q0 or omega2 qp0 passes the float range, raises
     ``AccuracyLossError``."""
+    from .mittag_leffler import ml_grid  # loaded on first use, as in fracdyn
+
     _check_exact_domain(spec, grid)
     beta, w2 = spec.alpha - 1.0, spec.omega2
     amp, expo = _power(spec)
@@ -148,6 +149,8 @@ def decomposed_solution(spec: OscillatorSpec, grid: Grid) -> SampleSeries:
     instead of direct Mittag-Leffler evaluation; requires omega2 = 1, the
     frequency at which the split is stated, and no power term, for which
     the split has no kernel."""
+    from .mittag_leffler import ml_decomp_f, ml_decomp_g
+
     _check_exact_domain(spec, grid)
     if spec.omega2 != 1.0:
         raise FracDomainError("decomposition path requires omega2 = 1")

@@ -359,21 +359,123 @@ class TestInputFaults:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: config key 'ladder': ")
 
+    @pytest.mark.parametrize("verb", ["run", "convergence"])
+    @pytest.mark.parametrize("fault", ["missing", "directory", "unreadable", "not-utf8"])
+    def test_unreadable_config(self, tmp_path, capsys, monkeypatch, verb, fault):
+        cfg = tmp_path / "cfg.json"
+        if fault == "missing":
+            pass
+        elif fault == "directory":
+            cfg.mkdir()
+        elif fault == "not-utf8":
+            cfg.write_bytes(json.dumps(OSC).encode().replace(b"osc", b"\xff"))
+        else:
+            cfg.write_text(json.dumps(OSC))
+
+            def denied(path, *args, **kw):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            # a chmod would not stop a process that runs as root
+            monkeypatch.setattr(Path, "read_text", denied)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: config key 'config': ")
+
+    @pytest.mark.parametrize("verb", ["run", "convergence"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_is_a_file(self, tmp_path, capsys, verb, out):
+        cfg = write_cfg(tmp_path, OSC)
+        (tmp_path / "file").write_text("kept")
+        argv = [verb, "--config", cfg, "--out", str(tmp_path / out), "--quiet"]
+        if verb == "convergence":
+            argv += ["--ladder", "1/32,1/64,1/128"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'out': ")
+        assert (tmp_path / "file").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+
+
+def fresh(code: str, *args: str) -> str:
+    """Standard output of ``code`` run with ``args`` in a fresh interpreter
+    that imports this checkout's fracdyn."""
+    src = str(Path(fracdyn.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
 
 class TestImport:
     def test_no_scipy_at_runtime(self):
-        # a fresh interpreter: scipy is a test dependency only
+        # scipy is a test dependency only
         code = (
             "import sys, fracdyn, fracdyn.cli, fracdyn.verification; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        src = str(Path(fracdyn.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert fresh(code) == "[]"
+
+    def test_mittag_leffler_loads_on_first_use(self, tmp_path):
+        code = (
+            "import sys, fracdyn, fracdyn.cli\n"
+            "argv = ['run', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']\n"
+            "assert fracdyn.cli.main(argv) == 0\n"
+            "print('fracdyn.mittag_leffler' in sys.modules)\n"
+            "from fracdyn import ml, ml_grid, MLParams, ml_decomp_f, ml_decomp_g\n"
+            "import fracdyn.mittag_leffler as m\n"
+            "print([f is getattr(m, f.__name__) for f in (ml, ml_grid, MLParams, ml_decomp_f, ml_decomp_g)])\n"
+            "print(ml(MLParams(1.0, 1.0), 1.0))\n"
         )
-        assert out.stdout.strip() == "[]"
+        out = fresh(code, write_cfg(tmp_path, LINEAR), str(tmp_path / "out"))
+        assert out.splitlines() == ["False", "[True, True, True, True, True]", repr(math.e)]
+
+    def test_unknown_attribute(self):
+        assert not hasattr(fracdyn, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fracdyn.no_such_name
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_import_keeps_the_collector_state(self, enabled, fails):
+        # with fracdyn.series blocked, the package import raises midway
+        code = (
+            f"import gc, sys\ngc.{'enable' if enabled else 'disable'}()\n"
+            f"if {fails}:\n    sys.modules['fracdyn.series'] = None\n"
+            "try:\n    import fracdyn\nexcept ImportError:\n    print('raised')\n"
+            "print(gc.isenabled())\n"
+        )
+        expected = ["raised"] * fails + [str(enabled)]
+        assert fresh(code).splitlines() == expected
+
+    def test_no_collection_while_importing(self):
+        # importing numpy with the collector running makes some thirty; and
+        # the ~20 000 objects the import made are left in the oldest
+        # generation, where no young collection walks them
+        code = (
+            "import gc\nstarts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            "import fracdyn\n"
+            "print(starts, len(gc.get_objects(0)) + len(gc.get_objects(1)) < 1000)\n"
+        )
+        assert fresh(code) == "[] True"
+
+    def test_import_keeps_frozen_objects_frozen(self):
+        code = (
+            "import gc\ngc.freeze()\nfrozen = gc.get_freeze_count()\n"
+            "import fracdyn\nprint(gc.get_freeze_count() == frozen > 0)\n"
+        )
+        assert fresh(code) == "True"
+
+    def test_main_freezes_once(self, tmp_path):
+        code = (
+            "import gc, sys\nfrom fracdyn.cli import main\n"
+            "argv = ['run', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']\n"
+            "assert main(argv) == 0\nfirst = gc.get_freeze_count()\n"
+            "assert main(argv) == 0\nprint(first > 0, gc.get_freeze_count() == first)\n"
+        )
+        assert fresh(code, write_cfg(tmp_path, LINEAR), str(tmp_path / "out")) == "True True"
 
 
 class TestVerifyReport:

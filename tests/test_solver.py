@@ -98,6 +98,15 @@ class TestConfig:
         with pytest.raises(FracDomainError):
             IntegratorConfig(h=0.1, t_end=1.0, scheme="rk4")
 
+    @pytest.mark.parametrize(
+        "h, t_end",
+        [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan), (math.inf, math.inf)],
+    )
+    def test_non_finite_step_or_horizon(self, h, t_end):
+        # h = inf would run one step of length t_end; t_end = inf has no grid
+        with pytest.raises(FracDomainError, match="finite"):
+            IntegratorConfig(h=h, t_end=t_end)
+
     def test_grid_rounds_the_step(self):
         """The grid takes round(t_end / h) steps, so the step that runs may
         be larger than h."""
