@@ -240,7 +240,7 @@ def _init_vectors(cfg: ScenarioConfig, n: int):
 @dataclass
 class RunPlan:
     execute: Callable[[IntegratorConfig], SimulationResult]
-    oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None  # q_1 reference
+    oracle: Optional[Callable[[Grid], np.ndarray]] = None  # q_1 on a grid
 
 
 def _stepped(cfg: ScenarioConfig, rr, integrate, init) -> RunPlan:
@@ -514,8 +514,8 @@ def cmd_verify(args) -> int:
 
 def _parse_ladder(text: str, t_end: float, nest: bool):
     """The ladder's steps.  Their grids must differ, and with ``nest`` each
-    must be a subgrid of the self-convergence reference grid, which has
-    half the finest step."""
+    rung's grid must be a subgrid of the next finer rung's grid, the one
+    it is compared with when there is no oracle."""
     out = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         num, _, den = part.partition("/")
@@ -529,13 +529,11 @@ def _parse_ladder(text: str, t_end: float, nest: bool):
         out.append(h)
     if len(out) < 3:
         raise ConfigError("ladder", "ladder must have at least 3 rungs")
-    steps = [IntegratorConfig(h=h, t_end=t_end).grid().n_steps for h in out]
+    steps = sorted(IntegratorConfig(h=h, t_end=t_end).grid().n_steps for h in out)
     if len(set(steps)) < len(steps):
         raise ConfigError("ladder", "two rungs give the same grid")
-    if nest:
-        ref_steps = IntegratorConfig(h=min(out) / 2.0, t_end=t_end).grid().n_steps
-        if any(ref_steps % n for n in steps):
-            raise ConfigError("ladder", "rung grids do not nest in the reference grid")
+    if nest and any(fine % coarse for coarse, fine in zip(steps, steps[1:])):
+        raise ConfigError("ladder", "a rung's grid does not nest in the next finer rung's grid")
     return out
 
 
@@ -549,13 +547,7 @@ def cmd_convergence(args) -> int:
         res = plan.execute(IntegratorConfig(h=h, t_end=cfg.t_end, scheme=cfg.scheme))
         return res.q_series(0)
 
-    reference = None
-    if plan.oracle is not None:
-        # convergence_study hands over node times, the oracle wants a grid
-        def reference(ts):
-            return plan.oracle(Grid(0.0, float(ts[-1]), len(ts) - 1))
-
-    rows = convergence_study(run, ladder, reference)
+    rows = convergence_study(run, ladder, plan.oracle)
     path = out / f"{cfg.prefix}_convergence.csv"
     keys = ["h", "error", "order"]
     _write_csv(path, keys, [[r[k] for r in rows] for k in keys])

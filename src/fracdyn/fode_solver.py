@@ -619,8 +619,7 @@ def integrate_fractional_abm(
             raise DivergenceError(
                 "fractional Adams run diverged",
                 partial=_partial(
-                    grid, x[:, None], np.zeros((nn, 1)), np.full(nn, np.nan),
-                    np.full(nn, np.nan), i,
+                    grid, x[:, None], np.zeros((nn, 1)), np.full(nn, np.nan), None, i
                 ),
             )
         fv[i] = rhs(t[i], x[i])
@@ -639,37 +638,39 @@ def integrate_fractional_abm(
 def convergence_study(
     run: Callable[[float], SampleSeries],
     steps: Sequence[float],
-    reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    reference: Optional[Callable[[Grid], np.ndarray]] = None,
 ):
     """Error ladder: rows of (h, sup error, empirical order, monotone flag).
 
-    ``run(h)`` produces the trajectory at step h.  The order of a rung is
-    log(e_prev/e) / log(h_prev/h) against the previous, coarser rung.
-    Without an analytic ``reference`` the finest requested grid, halved once
-    more, serves as the self-convergence baseline; every rung's grid must
-    then nest in it.
+    ``run(h)`` produces the trajectory at step h; each rung runs once, and
+    its row reports the step its grid took, which ``Grid.from_step`` may
+    have rounded.  With ``reference``, which maps a rung's grid to the exact
+    values on its nodes, every rung gets a row.  Without it, a rung's error
+    is max |x_h - x_h'| over its own nodes, h' being the next finer rung, so
+    each rung's grid must nest in that rung's grid and the finest rung gets
+    no row.  The order of a row is log(e_prev/e) / log(h_prev/h) against
+    the previous, coarser row.
     """
     steps = sorted(steps, reverse=True)
     if len(steps) < 3:
         raise FracDomainError("ladder must have at least 3 rungs")
-    if any(a == b for a, b in zip(steps, steps[1:])):
-        raise FracDomainError("ladder repeats a step")
+    series = [run(hstep) for hstep in steps]
+    if any(a.grid == b.grid for a, b in zip(series, series[1:])):
+        raise FracDomainError("two rungs ran on one grid")
     if reference is None:
-        ref_series = run(steps[-1] / 2.0)
-        ref_t = ref_series.grid.nodes()
-
-        def reference(ts: np.ndarray) -> np.ndarray:
-            idx = np.rint((ts - ref_t[0]) / ref_series.grid.h).astype(int)
-            if np.max(np.abs(ref_t[idx] - ts)) > 1e-9:
-                raise FracDomainError("ladder grids do not nest in the reference")
-            return ref_series.values[idx]
-
+        errors = []
+        for coarse, fine in zip(series, series[1:]):
+            if fine.grid.n_steps % coarse.grid.n_steps:
+                raise FracDomainError("a rung's grid does not nest in the next finer rung's grid")
+            ratio = fine.grid.n_steps // coarse.grid.n_steps
+            errors.append(np.max(np.abs(coarse.values - fine.values[::ratio])))
+    else:
+        errors = [np.max(np.abs(s.values - reference(s.grid))) for s in series]
     rows = []
     prev_err = prev_h = None
     monotone = True
-    for hstep in steps:
-        series = run(hstep)
-        err = float(np.max(np.abs(series.values - reference(series.grid.nodes()))))
+    for s, err in zip(series, map(float, errors)):
+        hstep = s.grid.h
         order = float("nan")
         if prev_err is not None and err > 0.0 and prev_err > 0.0:
             order = math.log(prev_err / err) / math.log(prev_h / hstep)

@@ -294,6 +294,8 @@ def ml_grid(alpha: float, betas, lam: float, t) -> np.ndarray:
     if len(t) and not (t[0] >= 0.0 and np.all(t[1:] >= t[:-1])):
         raise FracDomainError("t must be sorted and >= 0")
     betas = np.array([MLParams(alpha, b).beta for b in betas])
+    if not len(betas):
+        raise FracDomainError("betas must hold at least one beta")
     return _bands(alpha, betas, lam, t)
 
 

@@ -28,8 +28,14 @@ class Grid:
     n_steps: int
 
     def __post_init__(self):
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise FracDomainError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise FracDomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise FracDomainError(
+                f"grid ends must be finite, got [{self.t_start}, {self.t_end}]"
+            )
         if not self.t_end > self.t_start:
             raise FracDomainError(
                 f"need t_end > t_start, got [{self.t_start}, {self.t_end}]"
@@ -51,8 +57,12 @@ class Grid:
         """Grid whose step divides the interval evenly and is nearest h:
         round(length / h) steps, at least one.  The step may exceed h
         (h = 0.3 over [0, 1] gives 1/3)."""
-        n = max(1, int(round((t_end - t_start) / h)))
-        return cls(t_start, t_end, n)
+        if not 0.0 < h < math.inf:
+            raise FracDomainError(f"step must be positive and finite, got {h}")
+        n = (t_end - t_start) / h
+        if not math.isfinite(n):
+            raise FracDomainError(f"[{t_start}, {t_end}] has no finite number of steps {h}")
+        return cls(t_start, t_end, max(1, int(round(n))))
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,8 @@ class FracOrder:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise FracDomainError(f"order must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise FracDomainError(f"order must be positive and finite, got {self.alpha}")
 
     @property
     def is_integer(self) -> bool:

@@ -19,17 +19,22 @@ t = j 2^-9 <= 10, the grid of the oracle-osc benchmark run, as the case
 ``ml_grid:oracle-osc``, so a change to the contour sums shows its |d|
 directly.  These are no longer the oracle's betas, which are 1 and 2
 (and b + e + 1 with a power term); the case keeps the three that older
-dumps hold, so that ``--compare`` against them still works.
+dumps hold, so that ``--compare`` against them still works.  Last, it
+saves the table of ``fracdyn convergence`` on the README ``linear-nd``
+scenario with ``--ladder 1/100,1/200,1/400,1/800``, rows of (h, error,
+order), as the case ``convergence:linear-nd``, so a stepper change shows
+how the orders it reports move.
 ``--compare`` prints, for each case, the number
 of values, max |d| and max |d|/max(1, |v|), v being the values of A; NaN
 against NaN counts as equal, NaN against a number as an infinite
-difference.  Then it lists each verify value that moved, in A and in B,
-with its difference B - A.  It exits 1, and names each failing case,
-when a case has values of another shape in A and B, appears in only one
-of them, or, unless it is a verify case, moves by more than REL in
-max |d|/max(1, |v|) (``--bound``; no limit by default).  A verify value
-is a measured error or order, which moves with the method it measures;
-its row's tolerance, not REL, is its gate.
+difference.  Then it lists each verify or convergence value that moved,
+in A and in B, with its difference B - A.  It exits 1, and names each
+failing case, when a case has values of another shape in A and B,
+appears in only one of them, or, unless it is a verify or convergence
+case, moves by more than REL in max |d|/max(1, |v|) (``--bound``; no
+limit by default).  A verify value is a measured error or order, which
+moves with the method it measures; its row's tolerance, not REL, is its
+gate.  So are the errors and orders of the convergence table.
 
 It needs numpy and, for ``--dump``, what ``test_golden`` imports (pytest).
 pytest does not collect it, as its name does not start with ``test_``.
@@ -38,6 +43,7 @@ pytest does not collect it, as its name does not start with ``test_``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +53,9 @@ import numpy as np
 
 _VERIFY = "verify:"
 _ML_GRID = "ml_grid:oracle-osc"
+_CONVERGENCE = "convergence:linear-nd"
+# cases that measure the method, so move with it: reported, not gated
+_UNGATED = (_VERIFY, _CONVERGENCE)
 
 
 def _values(blob: bytes) -> np.ndarray:
@@ -67,6 +76,7 @@ def dump(src: Path, out: Path) -> None:
     sys.path[:0] = [str(src / "src"), str(src / "tests")]
     import fracdyn
     import test_golden
+    from fracdyn.cli import main as cli_main
     from fracdyn.mittag_leffler import ml_grid
     from fracdyn.verification import run_suite
 
@@ -79,6 +89,14 @@ def dump(src: Path, out: Path) -> None:
     for row in run_suite("all"):
         arrays[_VERIFY + row.name] = np.array([row.measured])
     arrays[_ML_GRID] = ml_grid(1.5, (1.0, 2.0, 1.5), 1.0, np.arange(5121) * 2.0**-9).ravel()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(dict(test_golden.SCENARIOS["linear-nd"], output={"prefix": "c"})))
+        argv = ["convergence", "--config", str(cfg), "--out", tmp, "--quiet",
+                "--ladder", "1/100,1/200,1/400,1/800"]
+        if cli_main(argv) != 0:
+            raise SystemExit("fracdyn convergence failed on linear-nd")
+        arrays[_CONVERGENCE] = np.loadtxt(Path(tmp) / "c_convergence.csv", delimiter=",", skiprows=1)
     np.savez(out, **arrays)
     print(f"{len(arrays)} cases from {src} to {out}")
 
@@ -110,9 +128,10 @@ def compare(path_a: Path, path_b: Path, bound: float = np.inf) -> list:
         dmax = float(d.max()) if d.size else 0.0
         rmax = float(rel.max()) if rel.size else 0.0
         print(f"{name:{w}s} {a.size:8d} {dmax:10.2e} {rmax:18.2e}")
-        if name.startswith(_VERIFY):
-            if dmax:
-                moved.append((name, float(a[0]), float(b[0])))
+        if name.startswith(_UNGATED):
+            for i in zip(*np.nonzero(d)):
+                label = f"{name}[{', '.join(map(str, i))}]" if a.size > 1 else name
+                moved.append((label, float(a[i]), float(b[i])))
         elif not rmax <= bound:
             failed.append((name, f"max|d|/max(1,|v|) = {rmax:.2e} exceeds {bound:.2e}"))
     for name, x, y in moved:

@@ -153,6 +153,23 @@ class TestConvergenceVerb:
             main(["convergence", "--config", cfg, "--ladder", "0.1", "--quiet"]) == 1
         )
 
+    def test_orders_without_oracle(self, tmp_path):
+        # README linear-nd has no closed form: each rung is compared with
+        # the next finer one, the finest gets no row, and the scheme's
+        # order 1 reads as 1 (against one run at h_min / 2 it read 1.10,
+        # 1.22 and 1.59)
+        data = dict(LINEAR, grid={"h": 0.0025, "t_end": 2.0}, output={"prefix": "lin2"})
+        cfg = write_cfg(tmp_path, data)
+        argv = ["convergence", "--config", cfg, "--out", str(tmp_path), "--quiet"]
+        assert main(argv + ["--ladder", "1/100,1/200,1/400,1/800"]) == 0
+        lines = (tmp_path / "lin2_convergence.csv").read_text().splitlines()
+        assert lines[0] == "h,error,order"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert [r[0] for r in rows] == [0.01, 0.005, 0.0025]
+        assert math.isnan(rows[0][2])
+        for r in rows[1:]:
+            assert abs(r[2] - 1.0) < 0.05
+
 
 CASE1 = {
     "scenario": "case1-2d",
@@ -343,7 +360,7 @@ class TestInputFaults:
             "0.1,0.05,-0.01",
             "1/16,1/32,0",
             "nan,0.1,0.05",
-            "0.1,0.03,0.07",  # no rung grid nests in the h = 0.015 reference
+            "0.1,0.03,0.07",  # 5, 7 and 17 steps: no grid nests in the next finer
             "2,1,0.5",  # every rung exceeds t_end
             "0.1,0.1,0.05",  # a repeated rung: log(h_prev/h) = 0
             "0.1,0.1000001,0.05",  # two rungs on one 5-step grid

@@ -315,13 +315,18 @@ def test_golden_delta_compare_names_failing_cases(tmp_path, capsys):
     """``golden_delta.py --compare A B --bound REL`` exits 1 and names each
     case that moves by more than REL, changes shape or is in one file
     only; a case within the bound, NaN against NaN included, passes.  A
-    verify value is not held to REL: each one that moved is listed with
-    both values and its difference."""
+    verify value or convergence table entry is not held to REL: each one
+    that moved is listed with both values and its difference."""
     import golden_delta
 
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     verify_a = {"verify:order, h=1/2": [1.5], "verify:error": [0.25], "verify:nan": [np.nan]}
     verify_b = {"verify:order, h=1/2": [1.5], "verify:error": [0.5], "verify:nan": [np.nan]}
+    table = np.array([[0.01, 4e-3, np.nan], [0.005, 2e-3, 1.0]])
+    moved = table.copy()
+    moved[1, 2] = 1.25
+    verify_a["convergence:linear-nd"] = table
+    verify_b["convergence:linear-nd"] = moved
     np.savez(a, same=[1.0, np.nan], near=[2.0, 3.0], far=[1e3, 1.0], shape=[1.0], gone=[0.0],
              **verify_a)
     np.savez(b, same=[1.0, np.nan], near=[2.0, 3.0 + 1e-12], far=[1e3 + 1e-6, 1.0],
@@ -331,15 +336,18 @@ def test_golden_delta_compare_names_failing_cases(tmp_path, capsys):
     failed = [line for line in out if line.startswith("FAILED")]
     assert [line.split()[1] for line in failed] == ["far:", "gone:", "new:", "shape:"]
     assert [line for line in out if line.startswith("MOVED")] == [
-        "MOVED verify:error: 0.25 -> 0.5, delta +2.500e-01"
+        "MOVED convergence:linear-nd[1, 2]: 1.0 -> 1.25, delta +2.500e-01",
+        "MOVED verify:error: 0.25 -> 0.5, delta +2.500e-01",
     ]
     assert golden_delta.main(["--compare", str(a), str(a), "--bound", "0"]) == 0
 
 
 def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     """``--dump`` saves, besides each golden case, the measured value of
-    each ``verify all`` row as the case ``verify:<row name>``, and the
-    oracle-osc kernels of ``ml_grid`` as the case ``ml_grid:oracle-osc``."""
+    each ``verify all`` row as the case ``verify:<row name>``, the
+    oracle-osc kernels of ``ml_grid`` as the case ``ml_grid:oracle-osc``,
+    and the README linear-nd convergence table as the case
+    ``convergence:linear-nd``."""
     import golden_delta
     import test_golden
     from fracdyn import verification
@@ -355,7 +363,14 @@ def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     out = tmp_path / "d.npz"
     golden_delta.dump(repo, out)
     got = np.load(out)
-    assert sorted(got.files) == ["case", "ml_grid:oracle-osc", "verify:error", "verify:order, h=1/2"]
+    assert sorted(got.files) == [
+        "case", "convergence:linear-nd", "ml_grid:oracle-osc", "verify:error", "verify:order, h=1/2"
+    ]
     assert got["case"].tolist() == [1.0, 2.0] and got["verify:error"].tolist() == [0.25]
     kernels = ml_grid(1.5, (1.0, 2.0, 1.5), 1.0, np.arange(5121) * 2.0**-9)
     assert got["ml_grid:oracle-osc"].tobytes() == kernels.tobytes()
+    # rows (h, error, order) of the ladder 1/100 ... 1/800: the finest rung
+    # has no row, and the order-1 scheme reads 1
+    table = got["convergence:linear-nd"]
+    assert table[:, 0].tolist() == [0.01, 0.005, 0.0025]
+    assert np.isnan(table[0, 2]) and np.all(np.abs(table[1:, 2] - 1.0) < 0.05)

@@ -325,6 +325,11 @@ class TestGrid:
         with pytest.raises(FracDomainError):
             ml_grid(1.5, (1.0,), lam, t)
 
+    @pytest.mark.parametrize("t", [[0.0, 0.5, 1.0], []])
+    def test_no_betas(self, t):
+        with pytest.raises(FracDomainError, match="betas"):
+            ml_grid(1.5, (), 1.0, t)
+
 
 class TestSharedExponentials:
     """Bands of equally spaced nodes share their exponentials: a sum of

@@ -852,10 +852,33 @@ class TestFractionalABM:
         with pytest.raises(FracDomainError):
             integrate_fractional_abm(3.5, lambda t, x: 0.0, [1.0], cfg)
 
+    def test_divergence_partial(self):
+        # D^0.5 x = x^3 + 10 blows up in finite time
+        def rhs(t, x):
+            return x**3 + 10.0
+
+        h = 1 / 256
+        with pytest.raises(DivergenceError) as exc:
+            integrate_fractional_abm(0.5, rhs, [1.0], IntegratorConfig(h=h, t_end=1.0))
+        part = exc.value.partial
+        k = part.diagnostics["truncated_at"]
+        assert part.residual is None
+        assert part.q.shape == (k, 1) and np.all(np.abs(part.q) <= 1e12)
+        # the same nodes as a run that stops just before node k, which a
+        # run through node k does not survive
+        before = integrate_fractional_abm(0.5, rhs, [1.0], IntegratorConfig(h=h, t_end=(k - 1) * h))
+        assert before.residual is None
+        assert np.array_equal(part.q, before.q)
+        with pytest.raises(DivergenceError) as again:
+            integrate_fractional_abm(0.5, rhs, [1.0], IntegratorConfig(h=h, t_end=k * h))
+        assert again.value.partial.diagnostics["truncated_at"] == k
+
 
 class TestConvergenceStudy:
-    def run_factory(self):
+    def run_factory(self, calls=None):
         def run(h):
+            if calls is not None:
+                calls.append(h)
             res = integrate_second_order(
                 OscRHS(), ([1.0], [0.0]), IntegratorConfig(h=h, t_end=2.0, scheme="velocity-verlet")
             )
@@ -867,15 +890,32 @@ class TestConvergenceStudy:
         rows = convergence_study(
             self.run_factory(),
             [1 / 256, 1 / 512, 1 / 1024, 1 / 2048],
-            reference=np.cos,
+            reference=lambda grid: np.cos(grid.nodes()),
         )
         for r in rows[1:]:
             assert abs(r["order"] - 2.0) < 0.1
         assert all(r["monotone"] for r in rows)
 
     def test_self_convergence_reference(self):
-        rows = convergence_study(self.run_factory(), [1 / 64, 1 / 128, 1 / 256])
-        assert rows[-1]["error"] < rows[0]["error"]
+        # each rung against the next finer one: the finest gets no row, and
+        # velocity Verlet's order 2 reads as 2, not skewed by one shared
+        # reference run
+        calls = []
+        ladder = [1 / 64, 1 / 128, 1 / 256, 1 / 512]
+        rows = convergence_study(self.run_factory(calls), ladder)
+        assert calls == ladder
+        assert [r["h"] for r in rows] == ladder[:-1]
+        for r in rows[1:]:
+            assert abs(r["order"] - 2.0) < 0.05
+        run = self.run_factory()
+        coarse, fine = run(1 / 64), run(1 / 128)
+        assert rows[0]["error"] == np.max(np.abs(coarse.values - fine.values[::2]))
+
+    def test_self_convergence_needs_nesting(self):
+        calls = []
+        with pytest.raises(FracDomainError, match="nest"):
+            convergence_study(self.run_factory(calls), [1 / 64, 1 / 96, 1 / 128])
+        assert calls == [1 / 64, 1 / 96, 1 / 128]
 
     def test_short_ladder_rejected(self):
         with pytest.raises(FracDomainError):
@@ -885,6 +925,16 @@ class TestConvergenceStudy:
         with pytest.raises(FracDomainError):
             convergence_study(self.run_factory(), [0.1, 0.05, 0.1], reference=np.cos)
 
+    def test_rungs_on_one_grid_rejected(self):
+        # 0.1000001 rounds to the 0.1 grid: log(h_prev/h) would be log 1
+        def run(h):
+            g = Grid.from_step(0.0, 1.0, h)
+            return SampleSeries(g, np.full(g.n_nodes, h))
+
+        for reference in (None, lambda grid: 0.0 * grid.nodes()):
+            with pytest.raises(FracDomainError, match="one grid"):
+                convergence_study(run, [0.1, 0.1000001, 0.05], reference=reference)
+
     def test_non_monotone_flagged(self):
         calls = iter([1e-3, 1e-4, 1e-4])
 
@@ -892,7 +942,7 @@ class TestConvergenceStudy:
             g = Grid.from_step(0.0, 1.0, h)
             return SampleSeries(g, np.full(g.n_nodes, next(calls)))
 
-        rows = convergence_study(fake_run, [0.1, 0.05, 0.025], reference=lambda t: 0.0 * t)
+        rows = convergence_study(fake_run, [0.1, 0.05, 0.025], reference=lambda g: 0.0 * g.nodes())
         assert not rows[-1]["monotone"]
 
     def test_order_uses_step_ratio(self):
@@ -901,6 +951,19 @@ class TestConvergenceStudy:
             g = Grid.from_step(0.0, 1.0, h)
             return SampleSeries(g, np.full(g.n_nodes, 3.0 * h**2))
 
-        rows = convergence_study(run, [0.1, 1 / 30, 1 / 90], reference=lambda t: 0.0 * t)
+        rows = convergence_study(run, [0.1, 1 / 30, 1 / 90], reference=lambda g: 0.0 * g.nodes())
+        for r in rows[1:]:
+            assert abs(r["order"] - 2.0) < 1e-12
+
+    def test_reports_the_step_that_ran(self):
+        # Grid.from_step rounds 0.3, 0.15 and 0.075 over [0, 1] to 1/3, 1/7
+        # and 1/13; with the requested steps the orders would read 2.44
+        # and 1.79
+        def run(h):
+            g = Grid.from_step(0.0, 1.0, h)
+            return SampleSeries(g, np.full(g.n_nodes, 3.0 * g.h**2))
+
+        rows = convergence_study(run, [0.3, 0.15, 0.075], reference=lambda g: 0.0 * g.nodes())
+        assert [r["h"] for r in rows] == [1 / 3, 1 / 7, 1 / 13]
         for r in rows[1:]:
             assert abs(r["order"] - 2.0) < 1e-12
