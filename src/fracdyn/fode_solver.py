@@ -5,6 +5,10 @@ Caputo derivative of the trajectory-so-far at every step.  ``History``
 keeps the run's samples and answers those queries with the L1 scheme (and
 the product-trapezoidal fractional integral); filled from samples
 (``_sampled``), it is the package's one L1 engine for whole series too.
+The fractional Adams integrator keeps its memory there as well: its
+predictor and corrector are the product rectangle and product trapezoid
+of the rhs values it stores, so no integrator sums a history of its
+own.
 A query reads one lane of one table: the rows of a difference buffer and
 a weight table built once per run.  Every buffer, the projected ones
 too, is written by one loop, each entry once its rows are final, so an
@@ -134,19 +138,26 @@ class History:
     a new buffer, then by ``advance``, at panel count - 2; for second
     differences panel 0 repeats panel 1.  A query only reads.
     ``caputo_q_along`` and ``integral_aux_along`` answer at the node past
-    the newest, whose value is ``ahead``.
+    the newest, whose value is ``ahead``.  So does ``rectangle_aux``, the
+    product rectangle of the stored vectors, which needs no ``ahead``.  The
+    two product rules of the stored vectors read one table each, keyed
+    (rule, eps) for any finite eps > 0 and built once per run.
 
     L1 results are those of ``l1_caputo_last`` on the same prefix within
     (panels + 4) eps sum|c w_k d_k|, a projected one within
     (panels + n + 4) eps sum|c w_k| |b|.|d_k| of b times the n sums, and
     ``integral_aux_along`` within (m + n + 4) eps sum|s c_j| |b|.|f_j| of
     b times the n ``fractional_integral_last`` values at count m
-    (s = h^eps/Gamma(eps + 2), c_j the weight of row j).
+    (s = h^eps/Gamma(eps + 2), c_j the weight of row j).  Each column of
+    ``rectangle_aux`` at count m is within (m + 4) eps sum_j |s w_j f_j|
+    of s times the exact sum of the products w_j f_j (s = h^eps/Gamma(eps
+    + 1), w_j = (m-j)^eps - (m-1-j)^eps as ``_l1_weights`` gives it).
 
     ``terms`` is the number of products the queries computed: panels x
     width for each dot a lane's query takes, however often it is asked at
     one count; panels(panels + 1)/2 x n for ``caputo_q_series``; n per
-    panel or stored row for the next-node queries.
+    panel or stored row for the next-node queries, so m x n for
+    ``rectangle_aux`` and (m - 1) x n for ``integral_aux_along``.
     """
 
     def __init__(self, grid: Grid, n: int) -> None:
@@ -168,15 +179,20 @@ class History:
 
     def append(self, q: np.ndarray, qdot: np.ndarray) -> None:
         """Add the state at the next node."""
-        self._q[self.count] = q
-        self._qd[self.count] = qdot
+        # slices: past the grid's last node they are empty, and ``advance``
+        # raises
+        self._q[self.count : self.count + 1] = q
+        self._qd[self.count : self.count + 1] = qdot
         self.advance()
 
     def advance(self) -> None:
         """Count the state row at the next node, written there in place
         (the steppers write into ``_q`` and ``_qd``), and write the
         difference entries the count makes final.  A counted row must not
-        change again."""
+        change again.  Past the grid's last node it raises, and the count
+        stays."""
+        if self.count == self._size:
+            raise FracDomainError(f"all {self._size} nodes of the grid are counted")
         c = self.count = self.count + 1
         for T, x, order, b in self._buffers:
             if c - 2 >= order - 1:
@@ -268,19 +284,10 @@ class History:
         n = self.n
         if len(b) != n or len(ahead) != n:
             raise FracDomainError(f"b and ahead must hold {n} values each")
-        table = self._weights.get(("trapezoid", eps))
-        if table is None:
-            if not 0.0 < eps <= 1.0:
-                raise FracDomainError(f"eps must be in (0, 1], got {eps}")
-            scale = self.h**eps / math.gamma(eps + 2.0)
-            # c_(size-1) ... c_1: the last m - 1 are those of count m
-            table = self._weights[("trapezoid", eps)] = (
-                scale, _trapezoid_weights(self._size, eps)[::-1] * scale
-            )
+        scale, c = self._weights.get(("trapezoid", eps)) or self._table("trapezoid", eps)
         m = self.count
         if m == 0:
             return 0.0
-        scale, c = table
         self.terms += (m - 1) * n
         start = _trapezoid_start(m, eps)
         tail = c[self._size - m :]
@@ -288,6 +295,31 @@ class History:
         for bk, f0, x, col in zip(b, self._aux[0].tolist(), ahead, self._aux.T):
             total += bk * (scale * (start * f0 + x) + float(col[1:m].dot(tail)))
         return total
+
+    def rectangle_aux(self, eps: float) -> np.ndarray:
+        """J^eps, by the product rectangle, of each column of the stored
+        vectors at the node past the newest, each vector held over the
+        panel it starts: one product of the stored rows with the reversed
+        table's tail, which has h^eps/Gamma(eps + 1) folded in."""
+        _, w = self._weights.get(("rectangle", eps)) or self._table("rectangle", eps)
+        m = self.count
+        self.terms += m * self.n
+        return w[self._size - m :].dot(self._aux[:m])
+
+    def _table(self, rule: str, eps: float) -> tuple:
+        """The (scale, weights) of the product rule ``rule`` at any finite
+        eps > 0, built once per run.  The weights are reversed, with the
+        scale folded in, so the last ones are those of count m: for
+        "trapezoid" h^eps/Gamma(eps + 2) and c_(size-1) ... c_1, for
+        "rectangle" h^eps/Gamma(eps + 1) and (k+1)^eps - k^eps for
+        k = size-1 ... 0."""
+        if not 0.0 < eps < math.inf:
+            raise FracDomainError(f"eps must be positive and finite, got {eps}")
+        if rule == "trapezoid":
+            scale, w = self.h**eps / math.gamma(eps + 2.0), _trapezoid_weights(self._size, eps)
+        else:
+            scale, w = self.h**eps / math.gamma(eps + 1.0), _l1_weights(self._size, eps)
+        return self._weights.setdefault((rule, eps), (scale, w[::-1] * scale))
 
     def _lane(self, key: tuple) -> _Lane:
         """Make the lane of ``key``, (series, alpha) or ("qdot", alpha, b).
@@ -583,56 +615,50 @@ def integrate_fractional_abm(
 ) -> SimulationResult:
     """Predictor-corrector (fractional Adams) for D^beta x = rhs(t, x).
 
-    ``init`` supplies x(0), ..., x^(m-1)(0).  Supported orders: 0 < beta < 3.
+    ``init`` supplies x(0), ..., x^(m-1)(0), m = ceil(beta).  Supported
+    orders: 0 < beta < 3.  The run's memory is a one-column ``History``
+    holding x and, as the stored vector, rhs(t, x) at each node.  A step
+    adds to the Taylor part two of its queries at the node past the newest:
+    the predictor's product rectangle (``rectangle_aux``), then the
+    corrector's product trapezoid (``integral_aux_along``), extended by rhs
+    at the predicted value.  So ``history_terms`` is N^2 for N steps.  qdot
+    is ``np.gradient`` of x, in a divergence's partial result too, where a
+    single node has NaN.
     """
+    start = time.perf_counter()
     beta = float(getattr(order, "alpha", order))
     if not 0.0 < beta < 3.0:
         raise FracDomainError(f"supported orders are (0, 3), got {beta}")
-    m = int(math.floor(beta)) + 1 if beta != int(beta) else int(beta)
-    if len(init) != max(m, 1):
-        raise FracDomainError(f"need {max(m, 1)} initial values, got {len(init)}")
+    if len(init) != math.ceil(beta):
+        raise FracDomainError(f"need {math.ceil(beta)} initial values, got {len(init)}")
     grid = cfg.grid()
-    h = grid.h
-    nn = grid.n_nodes
     t = grid.nodes()
-    x = np.zeros(nn)
-    fv = np.zeros(nn)
-    x[0] = init[0]
-    fv[0] = rhs(t[0], x[0])
-
-    taylor = np.zeros(nn)
-    for j, v in enumerate(init):
-        taylor += v * t**j / math.factorial(j)
-
-    bw = _l1_weights(nn, beta)
-    cw = _trapezoid_weights(nn - 1, beta)
-    c_pred = h**beta / math.gamma(beta + 1.0)
-    c_corr = h**beta / math.gamma(beta + 2.0)
-
-    for i in range(1, nn):
-        pred = taylor[i] + c_pred * np.dot(bw[i - 1 :: -1][:i], fv[:i])
-        hist_sum = _trapezoid_start(i, beta) * fv[0]
-        if i >= 2:
-            hist_sum += np.dot(cw[: i - 1], fv[i - 1 : 0 : -1])
-        x[i] = taylor[i] + c_corr * (hist_sum + rhs(t[i], pred))
-        if not np.isfinite(x[i]) or abs(x[i]) > _DIVERGENCE_THRESHOLD:
-            raise DivergenceError(
-                "fractional Adams run diverged",
-                partial=_partial(
-                    grid, x[:, None], np.zeros((nn, 1)), np.full(nn, np.nan), None, i
-                ),
-            )
-        fv[i] = rhs(t[i], x[i])
-
-    qdot = np.gradient(x, h)
-    return SimulationResult(
-        grid,
-        x[:, None],
-        qdot[:, None],
-        np.full(nn, np.nan),
-        None,
-        {"scheme": "fractional-abm", "h": h},
+    taylor = sum(v * t**j / math.factorial(j) for j, v in enumerate(init))
+    hist = History(grid, 1)
+    for i in range(grid.n_nodes):
+        x = taylor[i]
+        if i:
+            pred = x + hist.rectangle_aux(beta)[0]
+            x += hist.integral_aux_along(beta, (1.0,), (rhs(t[i], pred),))
+            if not abs(x) <= _DIVERGENCE_THRESHOLD:
+                raise _diverged(np.array([x]), _abm_result(grid, hist, {"truncated_at": i}))
+        hist.append(x, 0.0)
+        hist.store(rhs(t[i], x))
+    _log.debug(
+        "fractional-abm: %d steps, %d history terms, %.3f s",
+        grid.n_steps, hist.terms, time.perf_counter() - start,
     )
+    return _abm_result(
+        grid, hist, {"scheme": "fractional-abm", "h": grid.h, "history_terms": hist.terms}
+    )
+
+
+def _abm_result(grid: Grid, hist: History, diags: dict) -> SimulationResult:
+    """The fractional Adams result over the nodes ``hist`` counts, with
+    qdot = ``np.gradient`` of x (NaN on a single node)."""
+    x = hist.q_view.copy()
+    qdot = np.gradient(x, grid.h, axis=0) if len(x) > 1 else np.full_like(x, np.nan)
+    return SimulationResult(grid, x, qdot, np.full(len(x), np.nan), None, diags)
 
 
 def convergence_study(

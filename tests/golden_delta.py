@@ -23,7 +23,12 @@ dumps hold, so that ``--compare`` against them still works.  Last, it
 saves the table of ``fracdyn convergence`` on the README ``linear-nd``
 scenario with ``--ladder 1/100,1/200,1/400,1/800``, rows of (h, error,
 order), as the case ``convergence:linear-nd``, so a stepper change shows
-how the orders it reports move.
+how the orders it reports move.  It also saves q of the three fractional
+Adams runs behind ``verify``'s oscillator rows, D^b q + q = 0 from
+q(0) = 1, qdot(0) = 0.5 at h = 1/800 up to t = 5, as the cases
+``abm:b=1.3``, ``abm:b=1.5`` and ``abm:b=1.8``; ``--bound`` gates them
+like the golden cases.  Dumps made before these cases list them as
+"only in" the newer dump.
 ``--compare`` prints, for each case, the number
 of values, max |d| and max |d|/max(1, |v|), v being the values of A; NaN
 against NaN counts as equal, NaN against a number as an infinite
@@ -54,6 +59,7 @@ import numpy as np
 _VERIFY = "verify:"
 _ML_GRID = "ml_grid:oracle-osc"
 _CONVERGENCE = "convergence:linear-nd"
+_ABM = "abm:b="
 # cases that measure the method, so move with it: reported, not gated
 _UNGATED = (_VERIFY, _CONVERGENCE)
 
@@ -77,6 +83,7 @@ def dump(src: Path, out: Path) -> None:
     import fracdyn
     import test_golden
     from fracdyn.cli import main as cli_main
+    from fracdyn.fode_solver import IntegratorConfig, integrate_fractional_abm
     from fracdyn.mittag_leffler import ml_grid
     from fracdyn.verification import run_suite
 
@@ -97,6 +104,10 @@ def dump(src: Path, out: Path) -> None:
         if cli_main(argv) != 0:
             raise SystemExit("fracdyn convergence failed on linear-nd")
         arrays[_CONVERGENCE] = np.loadtxt(Path(tmp) / "c_convergence.csv", delimiter=",", skiprows=1)
+    cfg = IntegratorConfig(h=1.0 / 800, t_end=5.0)
+    for beta in (1.3, 1.5, 1.8):
+        res = integrate_fractional_abm(beta, lambda t, x: -x, [1.0, 0.5], cfg)
+        arrays[f"{_ABM}{beta}"] = res.q.ravel()
     np.savez(out, **arrays)
     print(f"{len(arrays)} cases from {src} to {out}")
 

@@ -346,11 +346,14 @@ def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     """``--dump`` saves, besides each golden case, the measured value of
     each ``verify all`` row as the case ``verify:<row name>``, the
     oracle-osc kernels of ``ml_grid`` as the case ``ml_grid:oracle-osc``,
-    and the README linear-nd convergence table as the case
-    ``convergence:linear-nd``."""
+    the README linear-nd convergence table as the case
+    ``convergence:linear-nd``, and q of the fractional Adams runs behind
+    the verify rows as the cases ``abm:b=1.3``, ``abm:b=1.5`` and
+    ``abm:b=1.8``."""
     import golden_delta
     import test_golden
     from fracdyn import verification
+    from fracdyn.fode_solver import integrate_fractional_abm
     from fracdyn.mittag_leffler import ml_grid
     from fracdyn.verification import CheckRow
 
@@ -364,7 +367,8 @@ def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     golden_delta.dump(repo, out)
     got = np.load(out)
     assert sorted(got.files) == [
-        "case", "convergence:linear-nd", "ml_grid:oracle-osc", "verify:error", "verify:order, h=1/2"
+        "abm:b=1.3", "abm:b=1.5", "abm:b=1.8", "case", "convergence:linear-nd",
+        "ml_grid:oracle-osc", "verify:error", "verify:order, h=1/2",
     ]
     assert got["case"].tolist() == [1.0, 2.0] and got["verify:error"].tolist() == [0.25]
     kernels = ml_grid(1.5, (1.0, 2.0, 1.5), 1.0, np.arange(5121) * 2.0**-9)
@@ -374,3 +378,8 @@ def test_golden_delta_dump_saves_verify_rows(tmp_path, monkeypatch):
     table = got["convergence:linear-nd"]
     assert table[:, 0].tolist() == [0.01, 0.005, 0.0025]
     assert np.isnan(table[0, 2]) and np.all(np.abs(table[1:, 2] - 1.0) < 0.05)
+    # D^b q + q = 0 from q(0) = 1, qdot(0) = 0.5 on 4000 steps to t = 5
+    cfg = IntegratorConfig(h=1.0 / 800, t_end=5.0)
+    res = integrate_fractional_abm(1.5, lambda t, x: -x, [1.0, 0.5], cfg)
+    assert got["abm:b=1.5"].tobytes() == res.q.ravel().tobytes()
+    assert [got[f"abm:b={b}"].shape for b in (1.3, 1.8)] == [(4001,)] * 2

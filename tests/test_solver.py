@@ -152,6 +152,101 @@ class TestHistory:
         assert hist.aux_view[-1, 0] == 0.0
         assert hist.integral_aux_along(0.5, (1.0,), (0.0,)) == 0.0
 
+    @pytest.mark.parametrize("lane", [False, True])
+    def test_no_node_past_the_grid(self, lane):
+        """Once every node of the grid is counted, ``append`` and
+        ``advance`` raise, with or without a difference buffer, and leave
+        the count and every answer as they were."""
+        hist = History(Grid(0.0, 1.0, 4), 1)
+        for k in range(5):
+            hist.append(np.array([k**2]), np.zeros(1))
+        before = hist.caputo_q(0.5) if lane else None
+        for more in (hist.advance, lambda: hist.append(np.ones(1), np.ones(1))):
+            with pytest.raises(FracDomainError, match="all 5 nodes"):
+                more()
+            assert hist.count == 5
+        assert hist.q_view[:, 0].tolist() == [0.0, 1.0, 4.0, 9.0, 16.0]
+        if lane:
+            assert np.array_equal(hist.caputo_q(0.5), before)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        nodes=st.integers(2, 48),
+        n=st.integers(1, 3),
+        eps=st.floats(0.01, 2.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rectangle_within_rounding_bound_of_a_plain_sum(self, nodes, n, eps, seed):
+        """At every count m, ``rectangle_aux`` is, per column, within
+        (m + 4) eps sum_j |s w_(m-1-j) f_j| of s times the correctly
+        rounded sum of the products w_(m-1-j) f_j, with s = h^eps/Gamma(eps
+        + 1) and w_k = (k+1)^eps - k^eps; it counts m x n products."""
+        rng = np.random.default_rng(seed)
+        g = Grid(0.0, float(rng.uniform(0.1, 10.0)), nodes - 1)
+        hist = History(g, n)
+        w = _l1_weights(nodes, eps).tolist()
+        s = g.h**eps / math.gamma(eps + 1.0)
+        f = rng.normal(size=(nodes, n)) * 10.0 ** rng.integers(-3, 4, size=(nodes, 1))
+        for m in range(nodes + 1):
+            before = hist.terms
+            got = hist.rectangle_aux(eps)
+            assert got.shape == (n,) and hist.terms == before + m * n
+            for k in range(n):
+                terms = [w[m - 1 - j] * f[j, k] for j in range(m)]
+                want = s * math.fsum(terms)
+                bound = (m + 4) * np.finfo(float).eps * s * sum(map(abs, terms))
+                assert abs(got[k] - want) <= bound
+            if m < nodes:
+                hist.append(np.zeros(n), np.zeros(n))
+                hist.store(f[m])
+
+    def test_rectangle_exact_on_constants(self):
+        """The product rectangle is exact on a constant c: its weights
+        telescope to c t^eps/Gamma(eps + 1) at t = m h.  Each weight is the
+        difference of two powers of at most m^eps, so with the sum's own
+        rounding the result is within (3m + 4) eps of it, relatively."""
+        g = Grid(0.0, 3.0, 40)
+        for eps in (0.3, 1.5, 2.5, 2.99):
+            hist = History(g, 1)
+            for m, t in enumerate(g.nodes()[1:], start=1):
+                hist.append(np.zeros(1), np.zeros(1))
+                hist.store(-1.7)
+                want = -1.7 * t**eps / math.gamma(eps + 1.0)
+                got = hist.rectangle_aux(eps)[0]
+                assert abs(got - want) <= (3 * m + 4) * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("eps", [1.5, 2.5])
+    def test_trapezoid_exact_on_affine_above_one(self, eps):
+        """For eps > 1 too, ``integral_aux_along`` is exact on an affine f:
+        J^eps (a + b t) = a t^eps/Gamma(eps + 1) + b t^(eps+1)/Gamma(eps + 2)
+        at t = m h, within 4 (m + 8) eps s sum_k (k+1)^(eps+1) |f_(m-k)|.
+        Each weight is a signed sum of at most three powers, each at most
+        2 (k+1)^(eps+1), so their rounding is bounded by that sum and the
+        product sum's by (m + 4) eps sum_k |s c_k f_(m-k)|."""
+        a, b = 0.7, -1.3
+        g = Grid(0.0, 7.3, 47)
+        t = g.nodes()
+        s = g.h**eps / math.gamma(eps + 2.0)
+        hist = History(g, 1)
+        for m in range(1, 48):
+            hist.append(np.zeros(1), np.zeros(1))
+            hist.store(a + b * t[m - 1])
+            got = hist.integral_aux_along(eps, (1.0,), (a + b * t[m],))
+            tm = t[m]
+            want = a * tm**eps / math.gamma(eps + 1.0)
+            want += b * tm ** (eps + 1.0) / math.gamma(eps + 2.0)
+            size = sum((k + 1) ** (eps + 1.0) * abs(a + b * t[m - k]) for k in range(m + 1))
+            assert abs(got - want) <= 4 * (m + 8) * np.finfo(float).eps * s * size
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+    def test_product_rules_need_a_finite_positive_order(self, eps):
+        hist = History(Grid(0.0, 1.0, 4), 1)
+        hist.append(np.zeros(1), np.zeros(1))
+        with pytest.raises(FracDomainError, match="positive and finite"):
+            hist.integral_aux_along(eps, (1.0,), (0.0,))
+        with pytest.raises(FracDomainError, match="positive and finite"):
+            hist.rectangle_aux(eps)
+
     def test_repeated_query_counts_its_products_again(self):
         """``terms`` counts the products computed: a query asked twice at
         one count takes its dot, and adds its panels x width, twice."""
@@ -872,6 +967,36 @@ class TestFractionalABM:
         with pytest.raises(DivergenceError) as again:
             integrate_fractional_abm(0.5, rhs, [1.0], IntegratorConfig(h=h, t_end=k * h))
         assert again.value.partial.diagnostics["truncated_at"] == k
+        # the velocity of those nodes, as a full result gives it, and not a
+        # state at rest
+        assert np.array_equal(part.qdot, before.qdot)
+        assert np.array_equal(part.qdot[:, 0], np.gradient(part.q[:, 0], h))
+        assert part.qdot[-1, 0] > 1e6
+
+    @pytest.mark.parametrize("force, why", [(1e30, "threshold"), (math.nan, "non-finite")])
+    def test_divergence_at_the_first_step(self, force, why):
+        """A partial result of one node has its q and a NaN velocity: one
+        node has no gradient.  The messages are the steppers'."""
+        cfg = IntegratorConfig(h=0.1, t_end=1.0)
+        with pytest.raises(DivergenceError, match=why) as exc:
+            integrate_fractional_abm(0.5, lambda t, x: force, [2.0], cfg)
+        part = exc.value.partial
+        assert part.diagnostics == {"truncated_at": 1}
+        assert part.q.tolist() == [[2.0]] and np.isnan(part.qdot).all()
+        assert part.qdot.shape == part.q.shape == (1, 1) and np.isnan(part.multiplier).all()
+
+    def test_history_terms_and_debug_record(self, caplog):
+        """A step asks one predictor query of i products and one corrector
+        query of i - 1 at count i: N^2 history terms for N steps.  Each run
+        logs one debug record."""
+        cfg = IntegratorConfig(h=1 / 100, t_end=5.0)
+        with caplog.at_level(logging.DEBUG, logger="fracdyn"):
+            res = integrate_fractional_abm(1.5, lambda t, x: -x, [1.0, 0.5], cfg)
+        assert res.diagnostics["history_terms"] == 500**2 == 250_000
+        assert res.diagnostics["scheme"] == "fractional-abm" and res.diagnostics["h"] == 0.01
+        (rec,) = caplog.records
+        assert rec.name.startswith("fracdyn") and rec.levelno == logging.DEBUG
+        assert rec.getMessage().startswith("fractional-abm: 500 steps, 250000 history terms, ")
 
 
 class TestConvergenceStudy:
